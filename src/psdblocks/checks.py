@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix, get_block, partial_trace, validate_hermitian_blocks
-from .errors import HypothesisError
+from .errors import HypothesisError, NumericalError
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
@@ -84,11 +84,17 @@ class CheckReport:
 
 
 def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """Judge ``lhs <= rhs`` componentwise under the shared slack rule."""
+    """Judge ``lhs <= rhs`` componentwise under the shared slack rule.
+
+    A non-finite side cannot be judged: it raises :class:`NumericalError`
+    instead of yielding a NaN margin.
+    """
     lv = np.atleast_1d(np.asarray(lhs, dtype=float))
     rv = np.atleast_1d(np.asarray(rhs, dtype=float))
     if lv.shape != rv.shape:
         raise ValueError(f"lhs/rhs shape mismatch in check {name!r}: {lv.shape} vs {rv.shape}")
+    if not (np.all(np.isfinite(lv)) and np.all(np.isfinite(rv))):
+        raise NumericalError(f"check {name!r} has a non-finite side: lhs {lhs}, rhs {rhs}")
     margins = rv - lv
     slacks = tol.atol + tol.rtol * np.maximum(np.abs(lv), np.abs(rv))
     scalar = np.ndim(lhs) == 0
@@ -102,7 +108,8 @@ def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:
 
 
 def compare_eq(name: str, a, b, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """Judge ``a == b`` as the two-sided inequality, same slack rule."""
+    """Judge ``a == b`` as the two-sided inequality, same slack rule
+    (non-finite sides raise :class:`NumericalError`)."""
     av = np.atleast_1d(np.asarray(a, dtype=float))
     bv = np.atleast_1d(np.asarray(b, dtype=float))
     return compare_le(name, np.concatenate([av, bv]), np.concatenate([bv, av]), tol)

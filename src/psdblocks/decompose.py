@@ -11,6 +11,15 @@ Three families, all emitting replayable certificates:
   ``H (+) H`` into a quarter of four isometry conjugates of the doubled
   partial trace.
 
+The two isometry routes are one construction. Take a target T and a
+fixed unitary C whose column blocks satisfy ``C_k* T C_k = core / count``:
+for two blocks T = H and C is the balancing unitary of
+:func:`two_block_congruence`; for the quaternion route T = H (+) H (H
+padded to four blocks) and C = M* with ``M = R2 W P``. With
+``X_k = sqrt(T) C_k`` the ``X_k X_k*`` sum to T and every ``X_k* X_k``
+is ``core / count``, so factor k is the isometric polar factor of X_k,
+whatever the rank.
+
 A certificate stores the target, the conjugated core, the factor list
 and its measured defects; :func:`verify_certificate` recomputes the
 defects from scratch so third parties can replay acceptance.
@@ -18,6 +27,7 @@ defects from scratch so third parties can replay acceptance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -41,18 +51,14 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
-    PsdClass,
     Tolerance,
     as_matrix,
     dagger,
     frobenius,
-    hermitian_eig,
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
     psd_sqrt,
-    unitary_completion,
-    validate_hermitian_psd,
 )
 
 __all__ = [
@@ -107,20 +113,36 @@ def quaternion_unit_blocks(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.kron(u, eye) for u in quaternion_units())
 
 
-def _require_psd(a: np.ndarray, tol: Tolerance, what: str) -> None:
-    kind = validate_hermitian_psd(a, tol)
-    if kind is not PsdClass.PSD:
-        raise DomainError(f"{what} must be PSD, classified {kind.value!r}")
+def _psd_root(a: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
+    """PSD square root of a validated input, from one eigensolve.
+
+    Hermiticity is judged as in :func:`validate_hermitian_psd`;
+    :func:`psd_sqrt` then rejects a too-negative spectrum at the same
+    threshold with :class:`DomainError`.
+    """
+    if frobenius(a - dagger(a)) > tol.slack(frobenius(a)):
+        raise DomainError(f"{what} must be PSD, classified 'not_hermitian'")
+    return psd_sqrt(a, tol)
+
+
+def _polar(x: np.ndarray) -> np.ndarray:
+    """Isometric polar factor ``U V*`` of a tall matrix ``X = U diag(s) V*``."""
+    try:
+        left, _, right_h = np.linalg.svd(x, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed on a {x.shape[0]}x{x.shape[1]} factor: {exc}") from exc
+    return left @ right_h
 
 
 def corner_unitary(m, offset: int) -> np.ndarray:
     """Unitary U with ``M M* = U embed(M*M, offset) U*`` for tall M.
 
     ``embed(X, offset)`` places the q x q matrix X on the diagonal of a
-    p x p zero matrix starting at ``offset``. Built from the SVD
-    ``M = P diag(s) Q*``: a coordinate permutation routes the leading
-    singular directions into the requested slot and Q aligns the bases.
-    Handles rank deficiency for free since the SVD basis is complete.
+    p x p zero matrix starting at ``offset``. From the full SVD
+    ``M = P diag(s) Q*``, the slot columns of U are the polar factor
+    ``P[:, :q] Q*`` and the remaining columns of P fill the other
+    coordinates in order. Handles rank deficiency for free since the SVD
+    basis is complete.
     """
     a = as_matrix(m)
     p, q = a.shape
@@ -132,16 +154,8 @@ def corner_unitary(m, offset: int) -> np.ndarray:
         left, _, right_h = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed on a {p}x{q} corner factor: {exc}") from exc
-    qhat = np.eye(p, dtype=np.complex128)
-    qhat[offset : offset + q, offset : offset + q] = dagger(right_h)
-    dest = np.array(
-        list(range(offset, offset + q))
-        + list(range(0, offset))
-        + list(range(offset + q, p))
-    )
-    pi = np.zeros((p, p), dtype=np.complex128)
-    pi[dest, np.arange(p)] = 1.0
-    return left @ pi.T @ dagger(qhat)
+    rest = left[:, q:]
+    return np.hstack([rest[:, :offset], left[:, :q] @ right_h, rest[:, offset:]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,8 +283,7 @@ def two_corner_decomposition(
         raise ValueError("corner widths must be positive")
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
         raise ValueError(f"expected a square matrix of side {n + m}, got {a.shape}")
-    _require_psd(a, tol, "corner decomposition input")
-    root = psd_sqrt(a, tol)
+    root = _psd_root(a, tol, "corner decomposition input")
     u = corner_unitary(root[:, :n], 0)
     v = corner_unitary(root[:, n:], n)
     core = np.zeros_like(a)
@@ -296,8 +309,7 @@ def corner_decomposition_general(
     Hermitian blocks are not required, only positivity.
     """
     n, alpha = h.block_dim, h.block_count
-    _require_psd(h.data, tol, "corner decomposition input")
-    root = psd_sqrt(h.data, tol)
+    root = _psd_root(h.data, tol, "corner decomposition input")
     factors = []
     core = np.zeros_like(h.data)
     for s in range(alpha):
@@ -340,12 +352,10 @@ def two_block_isometries(
     """Average of two isometry conjugates of A+B reconstructing a PSD
     2x2-block matrix with Hermitian blocks.
 
-    Pipeline: the congruence by W equalizes the diagonal blocks at
-    (A+B)/2, a two-corner decomposition splits the transformed matrix,
-    and the active block column of each corner unitary (first for the
-    slot-1 core, second for the slot-2 core) is pulled back through W.
-    Produces 2n x n isometries U, V with
-    ``H = (U (A+B) U* + V (A+B) V*)/2``.
+    With W the balancing congruence of :func:`two_block_congruence`, both
+    diagonal blocks of ``W* H W`` equal (A+B)/2, so the polar factors of
+    ``sqrt(H) W[:, :n]`` and ``sqrt(H) W[:, n:]`` are 2n x n isometries
+    U, V with ``H = (U (A+B) U* + V (A+B) V*)/2``.
     """
     if h.block_count != 2:
         raise ValueError("two-block decomposition needs exactly 2x2 blocks")
@@ -354,93 +364,48 @@ def two_block_isometries(
         raise HypothesisError(
             f"off-diagonal blocks must be Hermitian; offending (s, t, defect): {report.offending}"
         )
-    _require_psd(h.data, tol, "two-block decomposition input")
+    root = _psd_root(h.data, tol, "two-block decomposition input")
     n = h.block_dim
-    w, k = two_block_congruence(h)
-    root = psd_sqrt(k, tol)
-    u0 = corner_unitary(root[:, :n], 0)
-    v0 = corner_unitary(root[:, n:], n)
-    u = w @ u0[:, :n]
-    v = w @ v0[:, n:]
+    w, _ = two_block_congruence(h)
+    x = root @ w
     core = hermitian_part(np.asarray(get_block(h, 1, 1) + get_block(h, 2, 2)))
     cert = DecompositionCertificate(
         kind="two_block_isometry",
         target=h.data.copy(),
         weight=Fraction(1, 2),
         core=core,
-        factors=(u, v),
+        factors=(_polar(x[:, :n]), _polar(x[:, n:])),
     )
     return _certified(cert)
+
+
+_SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class QuaternionStageTrace:
     """Intermediate matrices of the quaternion route, kept for stage checks.
 
-    ``omega = w @ g @ w*`` has skew-Hermitian off-diagonal 2n-blocks;
-    ``phi = r2 @ omega @ r2*`` has all four diagonal 2n-blocks equal to
-    ``d``, a quarter of the doubled partial trace.
+    ``g`` is the block-duplicated (zero-padded) input, ``w`` the direct
+    sum of the four inflated quaternion units and ``r2`` the sign-pattern
+    unitary. ``omega = w @ g @ w*`` has skew-Hermitian off-diagonal
+    2n-blocks; ``phi = r2 @ omega @ r2*`` has all four diagonal 2n-blocks
+    equal to ``d``, a quarter of the doubled partial trace. Both are
+    computed on first access only.
     """
 
     g: np.ndarray
     w: np.ndarray
-    omega: np.ndarray
     r2: np.ndarray
-    phi: np.ndarray
     d: np.ndarray
 
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        return hermitian_part(self.w @ self.g @ dagger(self.w))
 
-def _zero_pad_blocks(h: BlockMatrix, new_count: int) -> BlockMatrix:
-    n = h.block_dim
-    side = new_count * n
-    data = np.zeros((side, side), dtype=np.complex128)
-    data[: h.side, : h.side] = h.data
-    return BlockMatrix(data, block_dim=n, block_count=new_count)
-
-
-def _restrict_rows(
-    factor: np.ndarray,
-    keep: np.ndarray,
-    drop: np.ndarray,
-    core: np.ndarray,
-    tol: Tolerance,
-) -> np.ndarray:
-    """Delete padded rows of an isometry, restoring orthonormality on the
-    kernel of the core when the deleted rows carried weight there.
-
-    Components of the deleted rows on ran(core) are already negligible
-    (the padded coordinates of the target vanish, and the isometry defect
-    is quadratic in the row norms); components on ker(core) are free and
-    get re-orthonormalized, which cannot change ``V core V*``.
-    """
-    trimmed = factor[keep, :]
-    dropped = factor[drop, :]
-    row_norms = np.linalg.norm(dropped, axis=1)
-    if row_norms.size == 0 or float(row_norms.max()) <= tol.atol:
-        return trimmed
-    cols = trimmed.shape[1]
-    defect = frobenius(dagger(trimmed) @ trimmed - np.eye(cols))
-    if tol.allows(defect, 1.0):
-        return trimmed
-    spectrum = hermitian_eig(core)
-    threshold = tol.slack(float(abs(spectrum.values).max()))
-    kernel_mask = spectrum.values <= threshold
-    kdim = int(kernel_mask.sum())
-    if kdim == 0:
-        raise NumericalError(
-            "padded rows carry weight outside the core kernel; cannot restore isometry"
-        )
-    b_ker = spectrum.vectors[:, kernel_mask]
-    b_ran = spectrum.vectors[:, ~kernel_mask]
-    rows = trimmed.shape[0]
-    if b_ran.shape[1] == 0:
-        # core vanishes: any isometry reconstructs it, take coordinate columns
-        fresh = np.eye(rows, dtype=np.complex128)[:, :kdim]
-        return fresh @ dagger(b_ker)
-    ran_part = trimmed @ b_ran
-    completion = unitary_completion(ran_part, tol)
-    fresh = completion[:, b_ran.shape[1] : b_ran.shape[1] + kdim]
-    return ran_part @ dagger(b_ran) + fresh @ dagger(b_ker)
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        return hermitian_part(self.r2 @ self.omega @ dagger(self.r2))
 
 
 def quaternion_pipeline(
@@ -449,14 +414,15 @@ def quaternion_pipeline(
     """Decompose ``H (+) H`` as a quarter of four isometry conjugates of
     the doubled partial trace, for 3 or 4 Hermitian blocks.
 
-    Stages: duplicate every block, conjugate by the direct sum of the
-    four inflated quaternion units (off-diagonal blocks become
-    skew-Hermitian), then by the sign-pattern unitary R2 (all diagonal
-    blocks collapse onto a quarter of the doubled partial trace), corner
-    decompose, and pull the active column blocks back through the
-    congruences. For beta = 3 the computation runs on a zero-padded
-    fourth block and the padded rows are deleted afterwards; beta = 4
-    with a 3x3 partition keeps the padded target instead.
+    With H zero-padded to four blocks, let ``M = R2 W P``: P duplicates
+    every block, W is the direct sum of the four inflated quaternion
+    units and R2 the sign-pattern unitary. Every diagonal 2n-block of
+    ``M (H (+) H) M*`` is a quarter of the doubled partial trace, so
+    factor k is the polar factor of ``sqrt(H (+) H)`` times column block
+    k of ``M*``. M* is assembled from signed unit blocks and a row
+    gather, never as a matrix product. For beta = 3 the padded rows of
+    ``sqrt(H (+) H)`` are zero and are left out, giving 6n x 2n factors;
+    beta = 4 with a 3x3 partition keeps the padded target instead.
 
     Returns the stage trace alongside the certificate.
     """
@@ -472,43 +438,31 @@ def quaternion_pipeline(
         raise HypothesisError(
             f"all blocks must be Hermitian; offending (s, t, defect): {report.offending}"
         )
-    _require_psd(h.data, tol, "quaternion decomposition input")
-    padded = h if alpha == 4 else _zero_pad_blocks(h, 4)
-    g = duplicate_blocks(padded)
-    w = np.zeros((8 * n, 8 * n), dtype=np.complex128)
-    for i, unit in enumerate(quaternion_unit_blocks(n)):
-        w[2 * n * i : 2 * n * (i + 1), 2 * n * i : 2 * n * (i + 1)] = unit
-    omega = hermitian_part(w @ g.data @ dagger(w))
-    sign = np.array(
-        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
-    )
-    r2 = np.kron(sign, np.eye(2 * n)).astype(np.complex128) / 2.0
-    phi = hermitian_part(r2 @ omega @ dagger(r2))
+    root = _psd_root(h.data, tol, "quaternion decomposition input")
+    rows = beta * n
+    padded_root = np.zeros((rows, 4 * n), dtype=np.complex128)
+    padded_root[: h.side, : h.side] = root
+    units = quaternion_unit_blocks(n)
+    m_star = np.vstack(
+        [np.kron(_SIGN4[a : a + 1] / 2.0, dagger(unit)) for a, unit in enumerate(units)]
+    )[np.asarray(interleave_permutation(4, n).image)]
+    x = np.vstack([padded_root @ m_star[: 4 * n], padded_root @ m_star[4 * n :]])
+    padded = np.zeros((4 * n, 4 * n), dtype=np.complex128)
+    padded[: h.side, : h.side] = h.data
     delta = partial_trace(h)
     core = direct_sum(delta, delta)
-    inner = corner_decomposition_general(
-        BlockMatrix(phi, block_dim=2 * n, block_count=4), tol
-    )
-    pre = interleave_permutation(4, n).matrix().T @ dagger(w) @ dagger(r2)
-    factors = [
-        pre @ uk[:, 2 * n * k : 2 * n * (k + 1)] for k, uk in enumerate(inner.factors)
-    ]
-    if beta == 3:
-        keep = np.r_[0 : 3 * n, 4 * n : 7 * n]
-        drop = np.r_[3 * n : 4 * n, 7 * n : 8 * n]
-        factors = [_restrict_rows(f, keep, drop, core, tol) for f in factors]
-        target = direct_sum(h.data, h.data)
-    else:
-        target = direct_sum(padded.data, padded.data)
     cert = DecompositionCertificate(
         kind="quaternion",
-        target=target,
+        target=direct_sum(padded[:rows, :rows], padded[:rows, :rows]),
         weight=Fraction(1, 4),
         core=core,
-        factors=tuple(factors),
+        factors=tuple(_polar(x[:, 2 * n * k : 2 * n * (k + 1)]) for k in range(4)),
     )
     trace = QuaternionStageTrace(
-        g=g.data, w=w, omega=omega, r2=r2, phi=phi, d=core / 4.0
+        g=duplicate_blocks(BlockMatrix(padded, block_dim=n, block_count=4)).data,
+        w=functools.reduce(direct_sum, units),
+        r2=np.kron(_SIGN4, np.eye(2 * n)).astype(np.complex128) / 2.0,
+        d=core / 4.0,
     )
     return trace, _certified(cert)
 

@@ -8,7 +8,10 @@ from psdblocks import (
     BlockMatrix,
     GeneratorSpec,
     HypothesisError,
+    NumericalError,
     Tolerance,
+    compare_eq,
+    compare_le,
     dagger,
     det_sandwich,
     direct_sum,
@@ -330,6 +333,14 @@ class TestReportConventions:
         assert "trace_concave_log1p" in names
         for item in obj["checks"]:
             assert set(item) == {"name", "lhs", "rhs", "margin", "passed"}
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_side_is_numerical_error(self, bad):
+        for lhs, rhs in ((bad, 1.0), (1.0, bad), ([0.0, bad], [1.0, 1.0]), ([0.0, 1.0], [bad, 1.0])):
+            with pytest.raises(NumericalError):
+                compare_le("x", lhs, rhs)
+            with pytest.raises(NumericalError):
+                compare_eq("x", lhs, rhs)
 
     def test_tolerance_override(self):
         strict = Tolerance(atol=0.0, rtol=0.0)

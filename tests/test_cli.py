@@ -71,6 +71,11 @@ class TestCheckCommand:
         assert report["passed"] is True
         assert len(report["reports"]) == 4
 
+    def test_determinant_overflow_is_numerical_failure(self, capsys):
+        # the determinants of I + H overflow to inf at side 256: exit 3, not a false FAIL
+        assert run(["check", "--trials", 1, "--alpha", 2, "--n", 128, "--seed", 1]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_check_without_input_or_trials(self, capsys):
         assert run(["check"]) == 2
         assert "error" in capsys.readouterr().err

@@ -96,10 +96,17 @@ class TestCornerUnitary:
         recon = u @ embed(dagger(m) @ m, 2, 0) @ dagger(u)
         assert frobenius(m @ dagger(m) - recon) <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_seeded_tall_factor(self, seed):
+    @pytest.mark.parametrize(
+        "seed, inner",
+        [pytest.param(seed, 3, id=str(seed)) for seed in range(10)]
+        + [pytest.param(10, 1, id="rank_one")],
+    )
+    def test_seeded_tall_factor(self, seed, inner):
+        # inner = 1 builds the rank-one factor x @ y
         rng = np.random.default_rng(seed)
-        m = (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))) / np.sqrt(2)
+        x = rng.standard_normal((6, inner)) + 1j * rng.standard_normal((6, inner))
+        y = np.eye(3) if inner == 3 else rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+        m = x @ y / np.sqrt(2)
         offset = int(rng.integers(0, 4))
         u = corner_unitary(m, offset)
         assert frobenius(dagger(u) @ u - np.eye(6)) <= 1e-9
@@ -342,6 +349,22 @@ class TestQuaternionPipeline:
         )
         with pytest.raises(DomainError):
             quaternion_pipeline(BlockMatrix(data, block_dim=2, block_count=3), beta=3)
+
+
+@pytest.mark.parametrize("beta", [2, 3, 4])
+def test_rank_deficient_mid_size_round_trip(beta):
+    # rank 3 at n = 16: most singular values behind each polar factor vanish
+    n = 16
+    h = block_instance(40 + beta, alpha=beta, n=n, rank=3)
+    if beta == 2:
+        cert = two_block_isometries(h)
+        shape = (2 * n, n)
+    else:
+        _, cert = quaternion_pipeline(h, beta=beta)
+        shape = (2 * beta * n, 2 * n)
+    assert all(f.shape == shape for f in cert.factors)
+    back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
+    assert verify_certificate(back).passed
 
 
 def padded_sorted(values, length):
