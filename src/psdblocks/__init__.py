@@ -10,7 +10,6 @@ norm, eigenvalue, trace and determinant inequalities that follow.
 from .blocks import (
     BlockHermiticityReport,
     BlockMatrix,
-    PermutationMap,
     block_matrix_from_json,
     block_matrix_to_json,
     direct_sum,
@@ -85,7 +84,6 @@ from .kernel import (
     matrix_to_json,
     psd_sqrt,
     singular_values,
-    unitary_completion,
     validate_hermitian_psd,
 )
 

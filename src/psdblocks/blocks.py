@@ -26,7 +26,6 @@ from .kernel import (
 __all__ = [
     "BlockHermiticityReport",
     "BlockMatrix",
-    "PermutationMap",
     "block_matrix_from_json",
     "block_matrix_to_json",
     "direct_sum",
@@ -118,46 +117,19 @@ def validate_hermitian_blocks(
     return BlockHermiticityReport(ok=not bad, offending=tuple(bad))
 
 
-@dataclass(frozen=True)
-class PermutationMap:
-    """Permutation of {0, ..., size-1}; ``image[i]`` is where coordinate i goes."""
-
-    size: int
-    image: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(int(i) for i in self.image))
-        if sorted(self.image) != list(range(self.size)):
-            raise ValueError("image is not a bijection on {0, ..., size-1}")
-
-    def matrix(self) -> np.ndarray:
-        """Permutation matrix P with P[image[i], i] = 1."""
-        p = np.zeros((self.size, self.size), dtype=np.complex128)
-        p[np.asarray(self.image), np.arange(self.size)] = 1.0
-        return p
-
-    def inverse(self) -> "PermutationMap":
-        inv = np.argsort(np.asarray(self.image))
-        return PermutationMap(self.size, tuple(int(i) for i in inv))
-
-
-def interleave_permutation(alpha: int, n: int) -> PermutationMap:
+def interleave_permutation(alpha: int, n: int) -> np.ndarray:
     """Permutation aligning two stacked copies block-by-block.
 
     Coordinate (copy c, block s, inner j), stored at ``c*alpha*n + s*n + j``
     in a direct sum of two copies, is sent to ``s*2n + c*n + j`` so both
-    copies of block s become adjacent. Conjugating ``H (+) H`` by the
-    matrix of this map yields exactly :func:`duplicate_blocks`.
+    copies of block s become adjacent. Returns the integer index array
+    ``image`` with ``image[i]`` the destination of coordinate i.
+    Conjugating ``H (+) H`` by the matrix P with ``P[image[i], i] = 1``
+    yields exactly :func:`duplicate_blocks`.
     """
     if alpha < 1 or n < 1:
         raise ValueError("alpha and n must be positive")
-    size = 2 * alpha * n
-    image = [0] * size
-    for c in range(2):
-        for s in range(alpha):
-            for j in range(n):
-                image[c * alpha * n + s * n + j] = s * 2 * n + c * n + j
-    return PermutationMap(size, tuple(image))
+    return np.arange(2 * alpha * n).reshape(alpha, 2, n).transpose(1, 0, 2).ravel()
 
 
 def duplicate_blocks(h: BlockMatrix) -> BlockMatrix:
@@ -167,10 +139,8 @@ def duplicate_blocks(h: BlockMatrix) -> BlockMatrix:
     ``H (+) H`` by the interleave permutation, entry for entry.
     """
     n, alpha = h.block_dim, h.block_count
-    hh = direct_sum(h.data, h.data)
-    inv = interleave_permutation(alpha, n).inverse().image
-    idx = np.asarray(inv)
-    g = hh[np.ix_(idx, idx)]
+    idx = np.argsort(interleave_permutation(alpha, n))
+    g = direct_sum(h.data, h.data)[np.ix_(idx, idx)]
     return BlockMatrix(g, block_dim=2 * n, block_count=alpha)
 
 

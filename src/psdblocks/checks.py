@@ -198,7 +198,11 @@ def eigen_step_check(h: BlockMatrix, step: int, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def _det_one_plus(values: np.ndarray) -> float:
-    return float(np.prod(1.0 + values))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return float(np.prod(1.0 + values))
+    except FloatingPointError as exc:
+        raise NumericalError(f"det(I + X) over {values.size} eigenvalues is not finite: {exc}") from exc
 
 
 def det_sandwich(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

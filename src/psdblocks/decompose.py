@@ -1,10 +1,13 @@
 """Constructive decompositions of PSD block matrices.
 
-Three families, all emitting replayable certificates:
+Three families, all emitting replayable certificates of one shape,
+``target = weight * sum_k F_k core_k F_k*`` with isometries F_k:
 
-* corner decompositions: a PSD matrix as a sum of unitary conjugates of
-  its diagonal blocks embedded at their slots (two slots of free widths,
-  or alpha equal slots);
+* corner decompositions: a PSD matrix as a sum of isometry conjugates of
+  its diagonal blocks (two slots of free widths, or alpha equal slots);
+  ``F_s`` is the polar factor of slot s's columns of ``sqrt(H)``, that
+  is, the slot columns of the corner lemma's unitary
+  :func:`corner_unitary`;
 * the two-isometry average for Hermitian-block 2x2 partitions, where the
   matrix becomes half of ``U (A+B) U* + V (A+B) V*``;
 * the quaternion-unit route for 3 or 4 Hermitian blocks, decomposing
@@ -20,9 +23,12 @@ padded to four blocks) and C = M* with ``M = R2 W P``. With
 is ``core / count``, so factor k is the isometric polar factor of X_k,
 whatever the rank.
 
-A certificate stores the target, the conjugated core, the factor list
-and its measured defects; :func:`verify_certificate` recomputes the
-defects from scratch so third parties can replay acceptance.
+A certificate stores the target, the factor list and its measured
+defects. The cores are not stored: each is a function of the target
+(its diagonal blocks, or their sum), so a certificate cannot pair
+factors with a core of its own choosing. :func:`verify_certificate`
+derives the cores and recomputes the defects from scratch so third
+parties can replay acceptance.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .blocks import (
     BlockMatrix,
     direct_sum,
     duplicate_blocks,
-    get_block,
     interleave_permutation,
     partial_trace,
     validate_hermitian_blocks,
@@ -162,17 +167,19 @@ def corner_unitary(m, offset: int) -> np.ndarray:
 class DecompositionCertificate:
     """Replayable decomposition: ``target ~= weight * sum_k F_k core_k F_k*``.
 
-    For the corner kinds ``core`` is the block-diagonal matrix of the
-    target's diagonal blocks and ``core_k`` masks it to slot k (slot
-    widths in ``slots``); the isometry kinds share ``core`` across all
-    factors. ``defects`` holds the measured reconstruction residual and
-    per-factor isometry defects.
+    Every factor is a ``side x w_k`` isometry, where ``w_k`` is the side
+    of ``core_k``. The cores are derived from the target, never stored
+    (see :attr:`cores`): for the corner kinds ``core_k`` is the
+    Hermitian part of diagonal slot k (slot widths in ``slots``) and
+    ``F_k`` holds the slot columns of the corner lemma's unitary; the
+    two-block kind has ``A + B`` for both factors; the quaternion kind
+    has the doubled partial trace for all four. ``defects`` holds the
+    measured reconstruction residual and per-factor isometry defects.
     """
 
     kind: str
     target: np.ndarray
     weight: Fraction
-    core: np.ndarray
     factors: tuple[np.ndarray, ...]
     defects: dict | None = None
     slots: tuple[int, ...] | None = None
@@ -181,70 +188,73 @@ class DecompositionCertificate:
         if self.kind not in KINDS:
             raise MalformedCertificateError(f"unknown certificate kind {self.kind!r}")
         object.__setattr__(self, "target", as_matrix(self.target))
-        object.__setattr__(self, "core", as_matrix(self.core))
         object.__setattr__(self, "weight", Fraction(self.weight))
         object.__setattr__(self, "factors", tuple(as_matrix(f) for f in self.factors))
         if self.slots is not None:
             object.__setattr__(self, "slots", tuple(int(w) for w in self.slots))
 
+    @functools.cached_property
+    def cores(self) -> tuple[np.ndarray, ...]:
+        """Per-factor cores, derived from the target; raises
+        :class:`MalformedCertificateError` when the target does not have
+        the structure its kind requires."""
+        return _derive_cores(self)
+
+
+def _derive_cores(cert: DecompositionCertificate) -> tuple[np.ndarray, ...]:
+    t = cert.target
+    side = t.shape[0]
+    if t.shape[1] != side:
+        raise MalformedCertificateError("target must be square")
+    if cert.kind in CORNER_KINDS:
+        if cert.slots is None:
+            raise MalformedCertificateError("corner certificates need slot widths")
+        if sum(cert.slots) != side or min(cert.slots) < 1:
+            raise MalformedCertificateError("slot widths must tile the target side")
+        edges = np.cumsum((0,) + cert.slots)
+        return tuple(hermitian_part(t[a:b, a:b]) for a, b in zip(edges[:-1], edges[1:]))
+    if cert.kind == "two_block_isometry":
+        if side % 2:
+            raise MalformedCertificateError(f"two-block target side {side} must be even")
+        n = side // 2
+        core = hermitian_part(t[:n, :n] + t[n:, n:])
+        return core, core
+    # quaternion: the target is t (+) t, t of 3 or 4 blocks of side q/2
+    half, n = side // 2, (cert.factors[0].shape[1] // 2 if cert.factors else 0)
+    if side % 2 or n < 1 or half % n or half // n not in (3, 4):
+        raise MalformedCertificateError(
+            f"quaternion target of side {side} does not fit 3 or 4 doubled blocks of the factor width"
+        )
+    copy = t[:half, :half]
+    if t[:half, half:].any() or t[half:, :half].any() or not np.array_equal(t[half:, half:], copy):
+        raise MalformedCertificateError("quaternion target must be two equal diagonal copies")
+    delta = partial_trace(BlockMatrix(copy, block_dim=n, block_count=half // n))
+    return (direct_sum(delta, delta),) * 4
+
 
 def _validate_certificate(cert: DecompositionCertificate) -> None:
-    side = cert.target.shape[0]
-    if cert.target.shape[0] != cert.target.shape[1]:
-        raise MalformedCertificateError("target must be square")
-    if cert.core.shape[0] != cert.core.shape[1]:
-        raise MalformedCertificateError("core must be square")
     if cert.weight != _EXPECTED_WEIGHT[cert.kind]:
         raise MalformedCertificateError(
             f"kind {cert.kind!r} carries weight {cert.weight}, expected {_EXPECTED_WEIGHT[cert.kind]}"
         )
-    if cert.kind in CORNER_KINDS:
-        if cert.slots is None:
-            raise MalformedCertificateError("corner certificates need slot widths")
-        if len(cert.slots) != len(cert.factors):
-            raise MalformedCertificateError("one slot width per factor required")
-        if sum(cert.slots) != side or cert.core.shape[0] != side:
-            raise MalformedCertificateError("slot widths must tile the target side")
-        for f in cert.factors:
-            if f.shape != (side, side):
-                raise MalformedCertificateError(
-                    f"corner factors must be {side}x{side} unitaries, got {f.shape}"
-                )
-    else:
-        expected = 2 if cert.kind == "two_block_isometry" else 4
-        if len(cert.factors) != expected:
+    cores = cert.cores
+    if len(cert.factors) != len(cores):
+        raise MalformedCertificateError(
+            f"kind {cert.kind!r} needs {len(cores)} factors, got {len(cert.factors)}"
+        )
+    side = cert.target.shape[0]
+    for f, core in zip(cert.factors, cores):
+        if f.shape != (side, core.shape[0]):
             raise MalformedCertificateError(
-                f"kind {cert.kind!r} needs {expected} factors, got {len(cert.factors)}"
+                f"factors must be {side}x{core.shape[0]} isometries, got {f.shape}"
             )
-        q = cert.core.shape[0]
-        for f in cert.factors:
-            if f.shape != (side, q):
-                raise MalformedCertificateError(
-                    f"factors must be {side}x{q} isometries, got {f.shape}"
-                )
-
-
-def _per_factor_cores(cert: DecompositionCertificate) -> list[np.ndarray]:
-    if cert.kind in CORNER_KINDS:
-        side = cert.target.shape[0]
-        cores = []
-        offset = 0
-        for width in cert.slots:
-            masked = np.zeros((side, side), dtype=np.complex128)
-            masked[offset : offset + width, offset : offset + width] = cert.core[
-                offset : offset + width, offset : offset + width
-            ]
-            cores.append(masked)
-            offset += width
-        return cores
-    return [cert.core] * len(cert.factors)
 
 
 def reconstruction_residual(cert: DecompositionCertificate) -> float:
     """``||target - weight * sum_k F_k core_k F_k*||_F``, recomputed."""
     _validate_certificate(cert)
     acc = np.zeros_like(cert.target)
-    for f, core in zip(cert.factors, _per_factor_cores(cert)):
+    for f, core in zip(cert.factors, cert.cores):
         acc += f @ core @ dagger(f)
     return frobenius(cert.target - float(cert.weight) * acc)
 
@@ -271,12 +281,13 @@ def _certified(cert: DecompositionCertificate) -> DecompositionCertificate:
 def two_corner_decomposition(
     h, n: int, m: int, tol: Tolerance = DEFAULT_TOL
 ) -> DecompositionCertificate:
-    """Write a PSD matrix of side n+m as ``U (A (+) 0) U* + V (0 (+) B) V*``.
+    """Write a PSD matrix of side n+m as ``U A U* + V B V*``.
 
     A and B are the diagonal corners of H; no hypothesis is placed on the
     off-diagonal block. Realization: column-split the PSD square root
-    ``S = [M N]`` (so ``M*M = A``, ``N*N = B`` and ``H = MM* + NN*``) and
-    route each Gram factor into its slot with :func:`corner_unitary`.
+    ``S = [M N]`` (so ``M*M = A``, ``N*N = B`` and ``H = MM* + NN*``);
+    U and V are the polar factors of M and N, the slot columns of the
+    unitaries :func:`corner_unitary` builds.
     """
     a = as_matrix(h)
     if n < 1 or m < 1:
@@ -284,17 +295,11 @@ def two_corner_decomposition(
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
         raise ValueError(f"expected a square matrix of side {n + m}, got {a.shape}")
     root = _psd_root(a, tol, "corner decomposition input")
-    u = corner_unitary(root[:, :n], 0)
-    v = corner_unitary(root[:, n:], n)
-    core = np.zeros_like(a)
-    core[:n, :n] = hermitian_part(a[:n, :n])
-    core[n:, n:] = hermitian_part(a[n:, n:])
     cert = DecompositionCertificate(
         kind="two_corner",
         target=a,
         weight=Fraction(1),
-        core=core,
-        factors=(u, v),
+        factors=(_polar(root[:, :n]), _polar(root[:, n:])),
         slots=(n, m),
     )
     return _certified(cert)
@@ -304,26 +309,18 @@ def corner_decomposition_general(
     h: BlockMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> DecompositionCertificate:
     """Columnwise corner decomposition over all alpha diagonal slots:
-    ``H = sum_s U_s embed(A_ss, s) U_s*`` with unitary U_s.
+    ``H = sum_s F_s A_ss F_s*`` with ``F_s`` the polar factor of slot s's
+    columns of ``sqrt(H)``, a ``side x n`` isometry.
 
     Hermitian blocks are not required, only positivity.
     """
     n, alpha = h.block_dim, h.block_count
     root = _psd_root(h.data, tol, "corner decomposition input")
-    factors = []
-    core = np.zeros_like(h.data)
-    for s in range(alpha):
-        offset = s * n
-        factors.append(corner_unitary(root[:, offset : offset + n], offset))
-        core[offset : offset + n, offset : offset + n] = hermitian_part(
-            h.data[offset : offset + n, offset : offset + n]
-        )
     cert = DecompositionCertificate(
         kind="corner_general",
         target=h.data.copy(),
         weight=Fraction(1),
-        core=core,
-        factors=tuple(factors),
+        factors=tuple(_polar(root[:, s * n : (s + 1) * n]) for s in range(alpha)),
         slots=(n,) * alpha,
     )
     return _certified(cert)
@@ -368,12 +365,10 @@ def two_block_isometries(
     n = h.block_dim
     w, _ = two_block_congruence(h)
     x = root @ w
-    core = hermitian_part(np.asarray(get_block(h, 1, 1) + get_block(h, 2, 2)))
     cert = DecompositionCertificate(
         kind="two_block_isometry",
         target=h.data.copy(),
         weight=Fraction(1, 2),
-        core=core,
         factors=(_polar(x[:, :n]), _polar(x[:, n:])),
     )
     return _certified(cert)
@@ -445,26 +440,25 @@ def quaternion_pipeline(
     units = quaternion_unit_blocks(n)
     m_star = np.vstack(
         [np.kron(_SIGN4[a : a + 1] / 2.0, dagger(unit)) for a, unit in enumerate(units)]
-    )[np.asarray(interleave_permutation(4, n).image)]
+    )[interleave_permutation(4, n)]
     x = np.vstack([padded_root @ m_star[: 4 * n], padded_root @ m_star[4 * n :]])
     padded = np.zeros((4 * n, 4 * n), dtype=np.complex128)
     padded[: h.side, : h.side] = h.data
-    delta = partial_trace(h)
-    core = direct_sum(delta, delta)
-    cert = DecompositionCertificate(
-        kind="quaternion",
-        target=direct_sum(padded[:rows, :rows], padded[:rows, :rows]),
-        weight=Fraction(1, 4),
-        core=core,
-        factors=tuple(_polar(x[:, 2 * n * k : 2 * n * (k + 1)]) for k in range(4)),
+    cert = _certified(
+        DecompositionCertificate(
+            kind="quaternion",
+            target=direct_sum(padded[:rows, :rows], padded[:rows, :rows]),
+            weight=Fraction(1, 4),
+            factors=tuple(_polar(x[:, 2 * n * k : 2 * n * (k + 1)]) for k in range(4)),
+        )
     )
     trace = QuaternionStageTrace(
         g=duplicate_blocks(BlockMatrix(padded, block_dim=n, block_count=4)).data,
         w=functools.reduce(direct_sum, units),
         r2=np.kron(_SIGN4, np.eye(2 * n)).astype(np.complex128) / 2.0,
-        d=core / 4.0,
+        d=cert.cores[0] / 4.0,
     )
-    return trace, _certified(cert)
+    return trace, cert
 
 
 def verify_certificate(
@@ -488,7 +482,6 @@ def certificate_to_json(cert: DecompositionCertificate) -> dict:
         "kind": cert.kind,
         "weight": str(cert.weight),
         "target": matrix_to_json(cert.target),
-        "core": matrix_to_json(cert.core),
         "factors": [matrix_to_json(f) for f in cert.factors],
         "defects": {
             "reconstruction": float(cert.defects["reconstruction"]),
@@ -509,7 +502,6 @@ def certificate_from_json(obj) -> DecompositionCertificate:
         kind = obj["kind"]
         weight = Fraction(obj["weight"])
         target = matrix_from_json(obj["target"])
-        core = matrix_from_json(obj["core"])
         factors = tuple(matrix_from_json(f) for f in obj["factors"])
     except MalformedCertificateError:
         raise
@@ -521,7 +513,6 @@ def certificate_from_json(obj) -> DecompositionCertificate:
         kind=kind,
         target=target,
         weight=weight,
-        core=core,
         factors=factors,
         defects=defects,
         slots=slots,

@@ -28,7 +28,6 @@ __all__ = [
     "matrix_to_json",
     "psd_sqrt",
     "singular_values",
-    "unitary_completion",
     "validate_hermitian_psd",
 ]
 
@@ -176,29 +175,6 @@ def singular_values(m) -> np.ndarray:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on shape {a.shape}: {exc}") from exc
-
-
-def unitary_completion(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Extend an isometry V (p x q, V*V = I) to a p x p unitary whose
-    first q columns are V.
-
-    The completion columns are an orthonormal basis of the orthogonal
-    complement of ran(V); any such basis is acceptable.
-    """
-    a = as_matrix(v)
-    p, q = a.shape
-    if p < q:
-        raise ValueError(f"isometry must be tall, got shape {p}x{q}")
-    defect = frobenius(dagger(a) @ a - np.eye(q))
-    if not tol.allows(defect, 1.0):
-        raise DomainError(f"input is not an isometry: ||V*V - I||_F = {defect:.6e}")
-    if p == q:
-        return a.copy()
-    try:
-        left, _, _ = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge on shape {a.shape}: {exc}") from exc
-    return np.hstack([a, left[:, q:]])
 
 
 def matrix_to_json(m) -> dict:

@@ -89,7 +89,7 @@ def test_criterion_2_two_block_isometries():
             cert = two_block_isometries(h)
             assert cert.weight == Fraction(1, 2)
             block_sum = np.asarray(get_block(h, 1, 1) + get_block(h, 2, 2))
-            assert np.allclose(cert.core, block_sum, atol=1e-12)
+            assert all(np.allclose(core, block_sum, atol=1e-12) for core in cert.cores)
             assert cert.defects["reconstruction"] <= 1e-8
             assert max(cert.defects["isometry"]) <= 1e-9
             assert all(f.shape == (2 * n, n) for f in cert.factors)
@@ -129,7 +129,8 @@ def test_criterion_3_quaternion_pipeline():
                 assert equal <= 1e-9
                 assert cert.weight == Fraction(1, 4)
                 delta = partial_trace(h)
-                assert np.allclose(cert.core, direct_sum(delta, delta), atol=1e-12)
+                doubled = direct_sum(delta, delta)
+                assert all(np.allclose(core, doubled, atol=1e-12) for core in cert.cores)
                 assert cert.defects["reconstruction"] <= 1e-8 * (1 + frobenius(h.data))
                 assert max(cert.defects["isometry"]) <= 1e-9
                 assert all(f.shape == (2 * beta * n, 2 * n) for f in cert.factors)

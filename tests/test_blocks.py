@@ -5,7 +5,6 @@ import pytest
 
 from psdblocks import (
     BlockMatrix,
-    PermutationMap,
     block_matrix_from_json,
     block_matrix_to_json,
     dagger,
@@ -130,10 +129,10 @@ class TestValidateHermitianBlocks:
 
 class TestInterleavePermutation:
     def test_degenerate_single_block(self):
-        assert interleave_permutation(1, 1).image == (0, 1)
+        assert np.array_equal(interleave_permutation(1, 1), [0, 1])
 
     def test_two_blocks_scalar(self):
-        assert interleave_permutation(2, 1).image == (0, 2, 1, 3)
+        assert np.array_equal(interleave_permutation(2, 1), [0, 2, 1, 3])
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -141,18 +140,21 @@ class TestInterleavePermutation:
         h = seeded_instance(alpha * 10 + n, alpha=max(alpha, 2), n=n)
         if alpha == 1:
             h = BlockMatrix(np.asarray(get_block(h, 1, 1)), block_dim=n, block_count=1)
-        pi = interleave_permutation(h.block_count, n).matrix()
+        image = interleave_permutation(h.block_count, n)
+        pi = np.zeros((image.size, image.size))
+        pi[image, np.arange(image.size)] = 1.0
         expected = pi @ direct_sum(h.data, h.data) @ pi.T
         assert np.array_equal(duplicate_blocks(h).data, expected)
 
-    def test_bijection_enforced(self):
-        with pytest.raises(ValueError):
-            PermutationMap(3, (0, 0, 2))
+    def test_output_is_permutation_of_range(self):
+        image = interleave_permutation(3, 2)
+        assert np.array_equal(np.sort(image), np.arange(12))
 
-    def test_inverse_composes_to_identity(self):
-        perm = interleave_permutation(3, 2)
-        inv = perm.inverse()
-        assert np.array_equal(perm.matrix() @ inv.matrix(), np.eye(perm.size))
+    def test_argsort_round_trip(self):
+        image = interleave_permutation(3, 2)
+        inv = np.argsort(image)
+        assert np.array_equal(image[inv], np.arange(image.size))
+        assert np.array_equal(inv[image], np.arange(image.size))
 
 
 class TestDuplicateBlocks:

@@ -1,10 +1,26 @@
 """CLI tests: end-to-end pipelines, exit codes, idempotent reports."""
 
 import json
+import warnings
 
+import numpy as np
 import pytest
 
-from psdblocks import block_matrix_to_json, nonhermitian_counterexample
+from psdblocks import (
+    GeneratorSpec,
+    block_matrix_to_json,
+    certificate_to_json,
+    corner_unitary,
+    direct_sum,
+    matrix_to_json,
+    nonhermitian_counterexample,
+    psd_sqrt,
+    quaternion_pipeline,
+    random_block_psd,
+    random_psd,
+    two_block_isometries,
+    two_corner_decomposition,
+)
 from psdblocks.cli import main
 
 
@@ -73,7 +89,10 @@ class TestCheckCommand:
 
     def test_determinant_overflow_is_numerical_failure(self, capsys):
         # the determinants of I + H overflow to inf at side 256: exit 3, not a false FAIL
-        assert run(["check", "--trials", 1, "--alpha", 2, "--n", 128, "--seed", 1]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["check", "--trials", 1, "--alpha", 2, "--n", 128, "--seed", 1]) == 3
+        assert not caught
         assert "numerical failure" in capsys.readouterr().err
 
     def test_check_without_input_or_trials(self, capsys):
@@ -104,6 +123,47 @@ class TestErrorPaths:
         bad = tmp_path / "bad.json"
         write_counterexample(bad)
         assert run(["decompose", "--two-block", bad, "-o", tmp_path / "c.json"]) == 2
+
+
+def forge_core(cert):
+    """Certificate JSON that stores ``diag(w)`` as its core and ``F_k V`` as
+    its factors, where the true core is ``V diag(w) V*``. Each
+    ``F_k V diag(w) V* F_k*`` equals ``F_k core F_k*``, so the forgery
+    only fails when the core is derived from the target."""
+    w, v = np.linalg.eigh(cert.cores[0])
+    obj = certificate_to_json(cert)
+    obj["core"] = matrix_to_json(np.diag(w))
+    obj["factors"] = [matrix_to_json(f @ v) for f in cert.factors]
+    return obj
+
+
+class TestUntrustedCertificates:
+    def test_forged_two_block_core_fails(self, tmp_path):
+        h = random_block_psd(GeneratorSpec(seed=4, alpha=2, n=3, rank=3))
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(forge_core(two_block_isometries(h))))
+        assert run(["verify", path]) == 1
+
+    def test_forged_quaternion_core_fails(self, tmp_path):
+        h = random_block_psd(GeneratorSpec(seed=4, alpha=4, n=2, rank=3))
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(forge_core(quaternion_pipeline(h, beta=4)[1])))
+        assert run(["verify", path]) == 1
+
+    def test_corner_certificate_with_unitary_factors_is_malformed(self, tmp_path):
+        # the layout of earlier corner certificates: side x side unitaries and a stored core
+        h = random_psd(5, rank=3, seed=5)
+        root = psd_sqrt(h)
+        cert = two_corner_decomposition(h, 2, 3)
+        obj = certificate_to_json(cert)
+        obj["core"] = matrix_to_json(direct_sum(*cert.cores))
+        obj["factors"] = [
+            matrix_to_json(corner_unitary(root[:, :2], 0)),
+            matrix_to_json(corner_unitary(root[:, 2:], 2)),
+        ]
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(obj))
+        assert run(["verify", path]) == 2
 
 
 class TestIdempotence:

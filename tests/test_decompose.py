@@ -128,8 +128,8 @@ class TestTwoCornerDecomposition:
     def test_rank_one_witness(self):
         cert = two_corner_decomposition(nonhermitian_counterexample().data, 2, 2)
         assert cert.defects["reconstruction"] <= 1e-12
-        assert np.allclose(cert.core[:2, :2], np.diag([1.0, 0.0]))
-        assert np.allclose(cert.core[2:, 2:], np.diag([0.0, 1.0]))
+        assert np.allclose(cert.cores[0], np.diag([1.0, 0.0]))
+        assert np.allclose(cert.cores[1], np.diag([0.0, 1.0]))
 
     @pytest.mark.parametrize("seed", range(100))
     def test_seeded_reconstruction(self, seed):
@@ -166,7 +166,8 @@ class TestCornerDecompositionGeneral:
         pair = two_corner_decomposition(h.data, 3, 3)
         assert general.defects["reconstruction"] <= 1e-10 * (1 + frobenius(h.data))
         assert pair.defects["reconstruction"] <= 1e-10 * (1 + frobenius(h.data))
-        assert np.allclose(general.core, pair.core, atol=1e-12)
+        for g, p in zip(general.cores, pair.cores, strict=True):
+            assert np.allclose(g, p, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_seeded_alpha_four(self, seed):
@@ -213,7 +214,7 @@ class TestTwoBlockIsometries:
         cert = two_block_isometries(h)
         assert cert.defects["reconstruction"] <= 1e-12
         assert np.allclose(hermitian_eigvalues(h.data), [10.0, 5.0, 0.0, 0.0], atol=1e-9)
-        assert np.allclose(cert.core, np.diag([5.0, 10.0]))
+        assert all(np.allclose(core, np.diag([5.0, 10.0])) for core in cert.cores)
         assert cert.factors[0].shape == (4, 2)
 
     @pytest.mark.parametrize("seed", range(100))
@@ -392,14 +393,29 @@ class TestCertificates:
         assert not report.check("isometry_defect_1").passed
 
     def test_perturbed_target_fails_reconstruction(self):
-        _, cert = self.fresh()
+        h, cert = self.fresh()
+        n = h.block_dim
+        # [0, 0] lies in a diagonal block, so the bump also moves the derived core
         bumped = cert.target.copy()
         bumped[0, 0] += 1e-3
-        broken = replace(cert, target=bumped)
-        report = verify_certificate(broken)
+        assert not verify_certificate(replace(cert, target=bumped)).passed
+        # [0, n] lies outside the diagonal blocks: the cores stay put
+        bumped = cert.target.copy()
+        bumped[0, n] += 1e-3
+        report = verify_certificate(replace(cert, target=bumped))
         assert not report.passed
         measured = report.check("reconstruction_defect").lhs
         assert measured == pytest.approx(1e-3, rel=1e-3)
+
+    def test_quaternion_target_copies_must_agree(self):
+        _, cert = quaternion_pipeline(block_instance(8, alpha=4, n=2), beta=4)
+        bumped = cert.target.copy()
+        bumped[-1, -1] += 1e-3
+        broken = replace(cert, target=bumped)
+        with pytest.raises(MalformedCertificateError):
+            broken.cores
+        with pytest.raises(MalformedCertificateError):
+            verify_certificate(broken)
 
     def test_malformed_factor_shape(self):
         _, cert = self.fresh()
@@ -448,16 +464,9 @@ class TestCertificates:
         for cert in certs:
             side = cert.target.shape[0]
             lam_target = hermitian_eigvalues(cert.target)
-            if cert.kind in ("two_corner", "corner_general"):
-                totals = np.zeros(side)
-                offset = 0
-                for width in cert.slots:
-                    block = cert.core[offset : offset + width, offset : offset + width]
-                    totals += padded_sorted(hermitian_eigvalues(block), side)
-                    offset += width
-            else:
-                lam_core = padded_sorted(hermitian_eigvalues(cert.core), side)
-                totals = float(cert.weight) * len(cert.factors) * lam_core
+            totals = float(cert.weight) * sum(
+                padded_sorted(hermitian_eigvalues(core), side) for core in cert.cores
+            )
             gaps = np.cumsum(totals) - np.cumsum(lam_target)
             assert gaps.min() >= -1e-8 * (1 + frobenius(cert.target))
 

@@ -1,4 +1,4 @@
-"""Matrix kernel tests: classification, spectra, roots, completions, JSON."""
+"""Matrix kernel tests: classification, spectra, roots, JSON."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from psdblocks import (
     random_hermitian,
     random_psd,
     singular_values,
-    unitary_completion,
     validate_hermitian_psd,
 )
 
@@ -134,39 +133,6 @@ class TestSingularValues:
     def test_psd_singular_values_equal_eigenvalues(self, seed):
         m = random_psd(5, rank=5, seed=seed)
         assert np.abs(singular_values(m) - hermitian_eigvalues(m)).max() <= 1e-9
-
-
-class TestUnitaryCompletion:
-    def test_standard_basis_column(self):
-        v = np.zeros((3, 1), dtype=complex)
-        v[0, 0] = 1.0
-        q = unitary_completion(v)
-        assert q.shape == (3, 3)
-        assert np.allclose(q[:, 0], v[:, 0])
-        assert frobenius(dagger(q) @ q - np.eye(3)) <= 1e-12
-
-    def test_already_square_returns_input(self):
-        q = unitary_completion(np.eye(4))
-        assert np.array_equal(q, np.eye(4))
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_isometries(self, seed):
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(2, 9))
-        q_cols = int(rng.integers(1, p + 1))
-        iso, _ = np.linalg.qr(crandn(rng, (p, q_cols)))
-        assert frobenius(dagger(iso) @ iso - np.eye(q_cols)) <= 1e-12
-        full = unitary_completion(iso)
-        assert frobenius(dagger(full) @ full - np.eye(p)) <= 1e-9
-        assert np.allclose(full[:, :q_cols], iso, atol=1e-12)
-
-    def test_rejects_non_isometry(self):
-        with pytest.raises(DomainError):
-            unitary_completion(np.ones((3, 2)))
-
-    def test_rejects_wide_input(self):
-        with pytest.raises(ValueError):
-            unitary_completion(np.eye(3)[:2, :])
 
 
 class TestTolerance:
