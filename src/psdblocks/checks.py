@@ -357,19 +357,16 @@ def run_inequality_suite(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
     """Every inequality check that applies to a block matrix, merged.
 
     Stepped eigenvalue checks join in for 2 to 4 blocks; the
-    trace-concave route (log1p against the zero-padded partial trace)
-    always runs, mirroring the right determinant bound.
+    trace-concave route (log1p of H against the partial trace, whose
+    shorter spectrum :func:`trace_concave_check` pads with zeros) always
+    runs, mirroring the right determinant bound.
     """
     report = hiroshima_check(h, tol).merged_with(det_sandwich(h, tol))
     if h.block_count == 2:
         report = report.merged_with(eigen_step_check(h, 2, tol))
     elif h.block_count in (3, 4):
         report = report.merged_with(eigen_step_check(h, 4, tol))
-    delta = partial_trace(h)
-    padded = np.zeros_like(h.data)
-    padded[: h.block_dim, : h.block_dim] = delta
-    report = report.merged_with(trace_concave_check(h.data, padded, "log1p", tol))
-    return report
+    return report.merged_with(trace_concave_check(h.data, partial_trace(h), "log1p", tol))
 
 
 def report_to_json(report: CheckReport) -> dict:

@@ -270,18 +270,7 @@ def _cmd_demo(cfg: RunConfig) -> int:
     spec = GeneratorSpec(seed=cfg.seed, alpha=4, n=2, rank=3)
     h = random_block_psd(spec)
     trace, cert = quaternion_pipeline(h, beta=4, tol=tol)
-    n2 = 2 * h.block_dim
-    skew = 0.0
-    for s in range(4):
-        for t in range(4):
-            if s == t:
-                continue
-            blk = trace.omega[s * n2 : (s + 1) * n2, t * n2 : (t + 1) * n2]
-            skew = max(skew, frobenius(blk + blk.conj().T))
-    equal = max(
-        frobenius(trace.phi[k * n2 : (k + 1) * n2, k * n2 : (k + 1) * n2] - trace.d)
-        for k in range(4)
-    )
+    skew, equal = trace.skew_defect, trace.equal_diagonal_defect
     print(f"  off-diagonal skew defect {_fmt(skew)}")
     print(f"  equal-diagonal defect {_fmt(equal)}")
     print(f"  reconstruction defect {_fmt(cert.defects['reconstruction'])}")

@@ -14,17 +14,18 @@ Three families, all emitting replayable certificates of one shape,
   ``H (+) H`` into a quarter of four isometry conjugates of the doubled
   partial trace.
 
-The two isometry routes are one construction. Take a target T and a
-fixed unitary C whose column blocks satisfy ``C_k* T C_k = core / count``:
-for two blocks T = H and C is the balancing unitary of
-:func:`two_block_congruence`; for the quaternion route T = H (+) H (H
-padded to four blocks) and C = M* with ``M = R2 W P``. With
-``X_k = sqrt(T) C_k`` the ``X_k X_k*`` sum to T and every ``X_k* X_k``
-is ``core / count``, so factor k is the isometric polar factor of X_k,
-whatever the rank.
+All four kinds are one construction, built by ``_isometry_average``.
+Take a target T and a fixed unitary C whose column blocks satisfy
+``C_k* T C_k = weight * core_k``: C is the identity, cut into the
+slots, for the corner kinds; for two blocks T = H and C is the
+balancing unitary of :func:`two_block_congruence`; for the quaternion
+route T = H (+) H (H padded to four blocks) and C = M* with
+``M = R2 W P``. With ``X_k = sqrt(T) C_k`` the ``X_k X_k*`` sum to T and
+every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
+polar factor of X_k, whatever the rank.
 
 A certificate stores the target, the factor list and its measured
-defects. The cores are not stored: each is a function of the target
+defects, and is validated when it is constructed. The cores are not stored: each is a function of the target
 (its diagonal blocks, or their sum), so a certificate cannot pair
 factors with a core of its own choosing. :func:`verify_certificate`
 derives the cores and recomputes the defects from scratch so third
@@ -34,7 +35,7 @@ parties can replay acceptance.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,7 @@ class DecompositionCertificate:
     two-block kind has ``A + B`` for both factors; the quaternion kind
     has the doubled partial trace for all four. ``defects`` holds the
     measured reconstruction residual and per-factor isometry defects.
+    Construction validates the weight, the target and the factor shapes.
     """
 
     kind: str
@@ -192,6 +194,7 @@ class DecompositionCertificate:
         object.__setattr__(self, "factors", tuple(as_matrix(f) for f in self.factors))
         if self.slots is not None:
             object.__setattr__(self, "slots", tuple(int(w) for w in self.slots))
+        _validate_certificate(self)
 
     @functools.cached_property
     def cores(self) -> tuple[np.ndarray, ...]:
@@ -237,22 +240,16 @@ def _validate_certificate(cert: DecompositionCertificate) -> None:
         raise MalformedCertificateError(
             f"kind {cert.kind!r} carries weight {cert.weight}, expected {_EXPECTED_WEIGHT[cert.kind]}"
         )
-    cores = cert.cores
-    if len(cert.factors) != len(cores):
+    expected = [(cert.target.shape[0], core.shape[0]) for core in cert.cores]
+    shapes = [f.shape for f in cert.factors]
+    if shapes != expected:
         raise MalformedCertificateError(
-            f"kind {cert.kind!r} needs {len(cores)} factors, got {len(cert.factors)}"
+            f"kind {cert.kind!r} needs isometries of shapes {expected}, got {shapes}"
         )
-    side = cert.target.shape[0]
-    for f, core in zip(cert.factors, cores):
-        if f.shape != (side, core.shape[0]):
-            raise MalformedCertificateError(
-                f"factors must be {side}x{core.shape[0]} isometries, got {f.shape}"
-            )
 
 
 def reconstruction_residual(cert: DecompositionCertificate) -> float:
     """``||target - weight * sum_k F_k core_k F_k*||_F``, recomputed."""
-    _validate_certificate(cert)
     acc = np.zeros_like(cert.target)
     for f, core in zip(cert.factors, cert.cores):
         acc += f @ core @ dagger(f)
@@ -261,7 +258,6 @@ def reconstruction_residual(cert: DecompositionCertificate) -> float:
 
 def isometry_defects(cert: DecompositionCertificate) -> tuple[float, ...]:
     """``||F*F - I||_F`` for each factor."""
-    _validate_certificate(cert)
     return tuple(
         frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors
     )
@@ -274,8 +270,31 @@ def measure_defects(cert: DecompositionCertificate) -> dict:
     }
 
 
-def _certified(cert: DecompositionCertificate) -> DecompositionCertificate:
-    return replace(cert, defects=measure_defects(cert))
+def _isometry_average(
+    kind: str, target: np.ndarray, x: np.ndarray, widths: tuple[int, ...]
+) -> DecompositionCertificate:
+    """The one construction behind every kind: factor k is the polar factor
+    of column block k (``widths[k]`` columns) of ``x = sqrt(target) C``,
+    C a fixed unitary (the identity for the corner kinds)."""
+    edges = np.cumsum((0,) + widths)
+    cert = DecompositionCertificate(
+        kind=kind,
+        target=target,
+        weight=_EXPECTED_WEIGHT[kind],
+        factors=tuple(_polar(x[:, a:b]) for a, b in zip(edges[:-1], edges[1:])),
+        slots=widths if kind in CORNER_KINDS else None,
+    )
+    # the certificate is not shared yet: record its defects without re-validating a copy
+    object.__setattr__(cert, "defects", measure_defects(cert))
+    return cert
+
+
+def _hermitian_block_root(h: BlockMatrix, tol: Tolerance, what: str) -> np.ndarray:
+    """:func:`_psd_root` of an input that must also have Hermitian blocks."""
+    report = validate_hermitian_blocks(h, tol)
+    if not report.ok:
+        raise HypothesisError(f"{what} needs Hermitian blocks; offending (s, t, defect): {report.offending}")
+    return _psd_root(h.data, tol, what)
 
 
 def two_corner_decomposition(
@@ -295,14 +314,7 @@ def two_corner_decomposition(
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
         raise ValueError(f"expected a square matrix of side {n + m}, got {a.shape}")
     root = _psd_root(a, tol, "corner decomposition input")
-    cert = DecompositionCertificate(
-        kind="two_corner",
-        target=a,
-        weight=Fraction(1),
-        factors=(_polar(root[:, :n]), _polar(root[:, n:])),
-        slots=(n, m),
-    )
-    return _certified(cert)
+    return _isometry_average("two_corner", a, root, (n, m))
 
 
 def corner_decomposition_general(
@@ -314,16 +326,13 @@ def corner_decomposition_general(
 
     Hermitian blocks are not required, only positivity.
     """
-    n, alpha = h.block_dim, h.block_count
     root = _psd_root(h.data, tol, "corner decomposition input")
-    cert = DecompositionCertificate(
-        kind="corner_general",
-        target=h.data.copy(),
-        weight=Fraction(1),
-        factors=tuple(_polar(root[:, s * n : (s + 1) * n]) for s in range(alpha)),
-        slots=(n,) * alpha,
-    )
-    return _certified(cert)
+    return _isometry_average("corner_general", h.data.copy(), root, (h.block_dim,) * h.block_count)
+
+
+def _balancing_unitary(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
 
 
 def two_block_congruence(h: BlockMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -336,11 +345,8 @@ def two_block_congruence(h: BlockMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     if h.block_count != 2:
         raise ValueError("two-block congruence needs exactly 2x2 blocks")
-    n = h.block_dim
-    eye = np.eye(n)
-    w = np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
-    k = hermitian_part(dagger(w) @ h.data @ w)
-    return w, k
+    w = _balancing_unitary(h.block_dim)
+    return w, hermitian_part(dagger(w) @ h.data @ w)
 
 
 def two_block_isometries(
@@ -356,22 +362,9 @@ def two_block_isometries(
     """
     if h.block_count != 2:
         raise ValueError("two-block decomposition needs exactly 2x2 blocks")
-    report = validate_hermitian_blocks(h, tol)
-    if not report.ok:
-        raise HypothesisError(
-            f"off-diagonal blocks must be Hermitian; offending (s, t, defect): {report.offending}"
-        )
-    root = _psd_root(h.data, tol, "two-block decomposition input")
+    root = _hermitian_block_root(h, tol, "two-block decomposition input")
     n = h.block_dim
-    w, _ = two_block_congruence(h)
-    x = root @ w
-    cert = DecompositionCertificate(
-        kind="two_block_isometry",
-        target=h.data.copy(),
-        weight=Fraction(1, 2),
-        factors=(_polar(x[:, :n]), _polar(x[:, n:])),
-    )
-    return _certified(cert)
+    return _isometry_average("two_block_isometry", h.data.copy(), root @ _balancing_unitary(n), (n, n))
 
 
 _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
@@ -379,20 +372,30 @@ _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
 
 @dataclass(frozen=True, eq=False)
 class QuaternionStageTrace:
-    """Intermediate matrices of the quaternion route, kept for stage checks.
+    """Stages of the quaternion route, each computed on first read from
+    ``padded`` (the input zero-padded to four blocks) and ``d``.
 
-    ``g`` is the block-duplicated (zero-padded) input, ``w`` the direct
-    sum of the four inflated quaternion units and ``r2`` the sign-pattern
-    unitary. ``omega = w @ g @ w*`` has skew-Hermitian off-diagonal
-    2n-blocks; ``phi = r2 @ omega @ r2*`` has all four diagonal 2n-blocks
-    equal to ``d``, a quarter of the doubled partial trace. Both are
-    computed on first access only.
+    ``g`` duplicates every block of ``padded``, ``w`` is the direct sum of
+    the inflated quaternion units and ``r2`` the sign-pattern unitary.
+    ``omega = w g w*`` has skew-Hermitian off-diagonal 2n-blocks and
+    ``phi = r2 omega r2*`` four diagonal 2n-blocks equal to ``d``, a
+    quarter of the doubled partial trace.
     """
 
-    g: np.ndarray
-    w: np.ndarray
-    r2: np.ndarray
+    padded: BlockMatrix
     d: np.ndarray
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        return duplicate_blocks(self.padded).data
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        return functools.reduce(direct_sum, quaternion_unit_blocks(self.padded.block_dim))
+
+    @functools.cached_property
+    def r2(self) -> np.ndarray:
+        return np.kron(_SIGN4, np.eye(2 * self.padded.block_dim)).astype(np.complex128) / 2.0
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
@@ -401,6 +404,21 @@ class QuaternionStageTrace:
     @functools.cached_property
     def phi(self) -> np.ndarray:
         return hermitian_part(self.r2 @ self.omega @ dagger(self.r2))
+
+    def _block(self, m: np.ndarray, s: int, t: int) -> np.ndarray:
+        width = 2 * self.padded.block_dim
+        return m[s * width : (s + 1) * width, t * width : (t + 1) * width]
+
+    @property
+    def skew_defect(self) -> float:
+        """Largest ``||B + B*||_F`` over the off-diagonal 2n-blocks B of omega."""
+        blocks = (self._block(self.omega, s, t) for s in range(4) for t in range(4) if s != t)
+        return max(frobenius(b + dagger(b)) for b in blocks)
+
+    @property
+    def equal_diagonal_defect(self) -> float:
+        """Largest ``||phi_kk - d||_F`` over the diagonal 2n-blocks of phi."""
+        return max(frobenius(self._block(self.phi, k, k) - self.d) for k in range(4))
 
 
 def quaternion_pipeline(
@@ -428,37 +446,18 @@ def quaternion_pipeline(
         raise ValueError("partition must have 3 or 4 block rows")
     if beta == 3 and alpha != 3:
         raise ValueError("beta = 3 requires a 3x3 partition")
-    report = validate_hermitian_blocks(h, tol)
-    if not report.ok:
-        raise HypothesisError(
-            f"all blocks must be Hermitian; offending (s, t, defect): {report.offending}"
-        )
-    root = _psd_root(h.data, tol, "quaternion decomposition input")
+    root = _hermitian_block_root(h, tol, "quaternion decomposition input")
     rows = beta * n
-    padded_root = np.zeros((rows, 4 * n), dtype=np.complex128)
-    padded_root[: h.side, : h.side] = root
+    padded_root = np.pad(root, ((0, rows - h.side), (0, 4 * n - h.side)))
     units = quaternion_unit_blocks(n)
     m_star = np.vstack(
         [np.kron(_SIGN4[a : a + 1] / 2.0, dagger(unit)) for a, unit in enumerate(units)]
     )[interleave_permutation(4, n)]
     x = np.vstack([padded_root @ m_star[: 4 * n], padded_root @ m_star[4 * n :]])
-    padded = np.zeros((4 * n, 4 * n), dtype=np.complex128)
-    padded[: h.side, : h.side] = h.data
-    cert = _certified(
-        DecompositionCertificate(
-            kind="quaternion",
-            target=direct_sum(padded[:rows, :rows], padded[:rows, :rows]),
-            weight=Fraction(1, 4),
-            factors=tuple(_polar(x[:, 2 * n * k : 2 * n * (k + 1)]) for k in range(4)),
-        )
-    )
-    trace = QuaternionStageTrace(
-        g=duplicate_blocks(BlockMatrix(padded, block_dim=n, block_count=4)).data,
-        w=functools.reduce(direct_sum, units),
-        r2=np.kron(_SIGN4, np.eye(2 * n)).astype(np.complex128) / 2.0,
-        d=cert.cores[0] / 4.0,
-    )
-    return trace, cert
+    padded = BlockMatrix(np.pad(h.data, (0, 4 * n - h.side)), block_dim=n, block_count=4)
+    copy = padded.data[:rows, :rows]
+    cert = _isometry_average("quaternion", direct_sum(copy, copy), x, (2 * n,) * 4)
+    return QuaternionStageTrace(padded=padded, d=cert.cores[0] / 4.0), cert
 
 
 def verify_certificate(
@@ -503,19 +502,16 @@ def certificate_from_json(obj) -> DecompositionCertificate:
         weight = Fraction(obj["weight"])
         target = matrix_from_json(obj["target"])
         factors = tuple(matrix_from_json(f) for f in obj["factors"])
-    except MalformedCertificateError:
-        raise
+        slots = obj.get("slots")
+        if "slots" in obj and not (isinstance(slots, list) and all(type(w) is int for w in slots)):
+            raise ValueError(f"slots must be a list of integers, got {slots!r}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedCertificateError(f"malformed certificate JSON: {exc}") from exc
-    defects = obj.get("defects")
-    slots = tuple(int(w) for w in obj["slots"]) if "slots" in obj else None
-    cert = DecompositionCertificate(
+    return DecompositionCertificate(
         kind=kind,
         target=target,
         weight=weight,
         factors=factors,
-        defects=defects,
+        defects=obj.get("defects"),
         slots=slots,
     )
-    _validate_certificate(cert)
-    return cert

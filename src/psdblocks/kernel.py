@@ -184,6 +184,9 @@ def matrix_to_json(m) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
+_NUMBER = (int, float)  # by exact type, so bool and str entries are rejected
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format, validating shape and finiteness."""
     if not isinstance(obj, dict):
@@ -198,11 +201,13 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
+    # a loop: np.asarray over the nested lists peaks at three times the result's memory
     flat = np.empty(rows * cols, dtype=np.complex128)
     try:
         for i, pair in enumerate(entries):
-            re, im = pair
-            flat[i] = complex(float(re), float(im))
-    except (TypeError, ValueError) as exc:
+            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) in _NUMBER and type(pair[1]) in _NUMBER):
+                raise ValueError(f"expected a pair of numbers [re, im], got {pair!r:.60}")
+            flat[i] = complex(pair[0], pair[1])
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry at index {i}: {exc}") from exc
     return as_matrix(flat.reshape(rows, cols))

@@ -99,22 +99,6 @@ def test_criterion_2_two_block_isometries():
             assert frobenius(congruated[n:, n:] - half) <= 1e-9
 
 
-def _stage_defects(trace, n):
-    width = 2 * n
-    skew = 0.0
-    for s in range(4):
-        for t in range(4):
-            if s == t:
-                continue
-            blk = trace.omega[s * width : (s + 1) * width, t * width : (t + 1) * width]
-            skew = max(skew, frobenius(blk + dagger(blk)))
-    equal = max(
-        frobenius(trace.phi[k * width : (k + 1) * width, k * width : (k + 1) * width] - trace.d)
-        for k in range(4)
-    )
-    return skew, equal
-
-
 def test_criterion_3_quaternion_pipeline():
     with criterion(3, "quaternion pipeline, beta in {3, 4}"):
         for beta in (4, 3):
@@ -124,9 +108,8 @@ def test_criterion_3_quaternion_pipeline():
                 )
                 n = h.block_dim
                 trace, cert = quaternion_pipeline(h, beta=beta)
-                skew, equal = _stage_defects(trace, n)
-                assert skew <= 1e-9
-                assert equal <= 1e-9
+                assert trace.skew_defect <= 1e-9
+                assert trace.equal_diagonal_defect <= 1e-9
                 assert cert.weight == Fraction(1, 4)
                 delta = partial_trace(h)
                 doubled = direct_sum(delta, delta)

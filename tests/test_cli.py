@@ -166,6 +166,35 @@ class TestUntrustedCertificates:
         assert run(["verify", path]) == 2
 
 
+class TestMalformedFields:
+    """Malformed fields of a certificate file are usage errors (exit 2)."""
+
+    def corner_json(self, tmp_path, edit):
+        obj = certificate_to_json(two_corner_decomposition(random_psd(5, rank=3, seed=5), 2, 3))
+        edit(obj)
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_well_formed_corner_certificate_passes(self, tmp_path):
+        assert run(["verify", self.corner_json(tmp_path, lambda obj: None)]) == 0
+
+    @pytest.mark.parametrize("slots", [5, [2.9, 3.1], [True, 4], None], ids=["int", "floats", "bool", "null"])
+    def test_slots_not_a_list_of_integers(self, tmp_path, capsys, slots):
+        path = self.corner_json(tmp_path, lambda obj: obj.update(slots=slots))
+        assert run(["verify", path]) == 2
+        assert "slots must be a list of integers" in capsys.readouterr().err
+
+    def test_string_matrix_entry(self, tmp_path):
+        # a zero target whose first entry is the string "00": it used to parse as 0+0j
+        zero = two_corner_decomposition(np.zeros((4, 4)), 2, 2)
+        obj = certificate_to_json(zero)
+        obj["target"]["entries"][0] = "00"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(obj))
+        assert run(["verify", path]) == 2
+
+
 class TestIdempotence:
     def test_verify_reports_identical_modulo_timestamp(self, tmp_path):
         h_path = tmp_path / "H.json"

@@ -3,6 +3,7 @@ pipeline stages, certificate verification and serialization."""
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from psdblocks import (
     BlockMatrix,
     DEFAULT_TOL,
+    DecompositionCertificate,
     DomainError,
     GeneratorSpec,
     HypothesisError,
     MalformedCertificateError,
+    QuaternionStageTrace,
     certificate_from_json,
     certificate_to_json,
     corner_decomposition_general,
@@ -235,26 +238,6 @@ class TestTwoBlockIsometries:
             two_block_isometries(BlockMatrix(data, block_dim=2, block_count=2))
 
 
-def omega_offdiag_skew_defect(trace, n):
-    width = 2 * n
-    worst = 0.0
-    for s in range(4):
-        for t in range(4):
-            if s == t:
-                continue
-            blk = trace.omega[s * width : (s + 1) * width, t * width : (t + 1) * width]
-            worst = max(worst, frobenius(blk + dagger(blk)))
-    return worst
-
-
-def phi_equal_diagonal_defect(trace, n):
-    width = 2 * n
-    return max(
-        frobenius(trace.phi[k * width : (k + 1) * width, k * width : (k + 1) * width] - trace.d)
-        for k in range(4)
-    )
-
-
 class TestQuaternionPipeline:
     def test_identity_four_blocks(self):
         h = BlockMatrix(np.eye(4), block_dim=1, block_count=4)
@@ -276,8 +259,8 @@ class TestQuaternionPipeline:
         h = block_instance(seed, alpha=4, n=1 + seed % 3)
         trace, cert = quaternion_pipeline(h, beta=4)
         scale = 1 + frobenius(h.data)
-        assert omega_offdiag_skew_defect(trace, h.block_dim) <= 1e-9 * scale
-        assert phi_equal_diagonal_defect(trace, h.block_dim) <= 1e-9 * scale
+        assert trace.skew_defect <= 1e-9 * scale
+        assert trace.equal_diagonal_defect <= 1e-9 * scale
         side = trace.w.shape[0]
         assert frobenius(dagger(trace.w) @ trace.w - np.eye(side)) <= 1e-12
         assert frobenius(trace.r2 @ dagger(trace.r2) - np.eye(side)) <= 1e-12
@@ -285,6 +268,37 @@ class TestQuaternionPipeline:
         assert max(cert.defects["isometry"]) <= 1e-9
         n = h.block_dim
         assert all(f.shape == (8 * n, 2 * n) for f in cert.factors)
+
+    def test_stages_built_only_when_read(self):
+        trace, _ = quaternion_pipeline(block_instance(5, alpha=4, n=2), beta=4)
+        stages = ("g", "w", "r2", "omega", "phi")
+        assert not any(name in trace.__dict__ for name in stages)
+        trace.r2
+        assert "r2" in trace.__dict__ and "g" not in trace.__dict__
+        trace.phi
+        assert all(name in trace.__dict__ for name in stages)
+
+    def test_stage_defects_match_blockwise_definition(self):
+        # blocks that are not Hermitian break both stage invariants, so the
+        # defects are far from zero; the trace itself does not validate
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        padded = BlockMatrix(x @ dagger(x), block_dim=2, block_count=4)
+        d = partial_trace(padded) / 4.0
+        trace = QuaternionStageTrace(padded=padded, d=direct_sum(d, d))
+        width = 4
+        skew = 0.0
+        for s in range(4):
+            for t in range(4):
+                if s != t:
+                    blk = trace.omega[s * width : (s + 1) * width, t * width : (t + 1) * width]
+                    skew = max(skew, frobenius(blk + dagger(blk)))
+        equal = max(
+            frobenius(trace.phi[k * width : (k + 1) * width, k * width : (k + 1) * width] - trace.d)
+            for k in range(4)
+        )
+        assert trace.skew_defect == skew > 1.0
+        assert trace.equal_diagonal_defect == equal > 1.0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_beta_three_trims_to_six_n(self, seed):
@@ -411,11 +425,22 @@ class TestCertificates:
         _, cert = quaternion_pipeline(block_instance(8, alpha=4, n=2), beta=4)
         bumped = cert.target.copy()
         bumped[-1, -1] += 1e-3
-        broken = replace(cert, target=bumped)
         with pytest.raises(MalformedCertificateError):
-            broken.cores
+            replace(cert, target=bumped)
+
+    @pytest.mark.parametrize("flaw", ["weight", "factor_count", "factor_shape"])
+    def test_inconsistent_certificate_is_not_constructed(self, flaw):
+        _, cert = self.fresh()
+        u, v = cert.factors
+        fields = {"kind": cert.kind, "target": cert.target, "weight": cert.weight, "factors": (u, v)}
+        DecompositionCertificate(**fields)  # consistent as given
+        changed = {
+            "weight": {"weight": Fraction(1, 4)},
+            "factor_count": {"factors": (u, v, u)},
+            "factor_shape": {"factors": (u, v[:, :2])},
+        }[flaw]
         with pytest.raises(MalformedCertificateError):
-            verify_certificate(broken)
+            DecompositionCertificate(**{**fields, **changed})
 
     def test_malformed_factor_shape(self):
         _, cert = self.fresh()
@@ -424,8 +449,6 @@ class TestCertificates:
 
     def test_wrong_weight_is_malformed(self):
         _, cert = self.fresh()
-        from fractions import Fraction
-
         with pytest.raises(MalformedCertificateError):
             verify_certificate(replace(cert, weight=Fraction(1, 3)))
 

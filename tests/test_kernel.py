@@ -167,9 +167,28 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json(obj)
 
-    def test_malformed_entry(self):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param("oops", id="oops"),
+            pytest.param("00", id="two_char_string"),
+            pytest.param({"1": 0, "2": 0}, id="object"),
+            pytest.param([True, "2"], id="bool_and_string"),
+            pytest.param([1.0, False], id="bool_imaginary"),
+            pytest.param(["1", "2"], id="numeric_strings"),
+            pytest.param([1.0], id="one_number"),
+            pytest.param([1.0, 0.0, 0.0], id="three_numbers"),
+            pytest.param((1.0, 0.0), id="tuple"),
+            pytest.param([10**400, 0], id="int_beyond_float"),
+        ],
+    )
+    def test_malformed_entry(self, entry):
         with pytest.raises(ValueError):
-            matrix_from_json({"rows": 1, "cols": 1, "entries": ["oops"]})
+            matrix_from_json({"rows": 1, "cols": 1, "entries": [entry]})
+
+    def test_integer_entries_accepted(self):
+        back = matrix_from_json({"rows": 1, "cols": 2, "entries": [[1, -2], [0, 3.5]]})
+        assert np.array_equal(back, np.array([[1 - 2j, 3.5j]]))
 
     def test_not_an_object(self):
         with pytest.raises(ValueError):
