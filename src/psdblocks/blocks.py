@@ -166,8 +166,9 @@ def block_matrix_from_json(obj) -> BlockMatrix:
         raise ValueError("block matrix JSON must be an object")
     data = matrix_from_json(obj)
     try:
-        n = int(obj["block_dim"])
-        alpha = int(obj["block_count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed block matrix JSON: {exc}") from exc
+        n, alpha = obj["block_dim"], obj["block_count"]
+    except KeyError as exc:
+        raise ValueError(f"malformed block matrix JSON: missing {exc}") from exc
+    if type(n) is not int or type(alpha) is not int:
+        raise ValueError(f"block_dim and block_count must be integers, got {n!r:.20} and {alpha!r:.20}")
     return BlockMatrix(data, block_dim=n, block_count=alpha)

@@ -3,10 +3,12 @@
 Subcommands: ``gen`` (seeded instance to JSON), ``decompose`` (two-block
 or quaternion certificate), ``verify`` (replay a certificate's defects),
 ``check`` (inequality suite on a file or on generated trials) and
-``demo`` (guided tour of the named instances). Every artifact embeds its
-fully resolved configuration for reproducibility; timestamps live only
-there. Exit codes: 0 all checks passed, 1 a mathematical check failed,
-2 input or usage error, 3 numerical failure.
+``demo`` (guided tour of the named instances). The parsed arguments are
+the configuration: every artifact echoes its command's own flags under
+``"config"`` (``decompose`` with the beta it used), plus the command
+name and a timestamp, which lives only there. Exit codes: 0 all checks
+passed, 1 a mathematical check failed, 2 input or usage error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .blocks import BlockMatrix, block_matrix_from_json, block_matrix_to_json, partial_trace
@@ -48,32 +49,13 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved invocation, echoed into every artifact."""
+def _tolerance(args: argparse.Namespace) -> Tolerance:
+    return Tolerance(atol=args.tol_abs, rtol=args.tol_rel)
 
-    command: str
-    input_path: str | None = None
-    out_path: str | None = None
-    tol_abs: float = 1e-10
-    tol_rel: float = 1e-8
-    seed: int = 0
-    trials: int = 0
-    alpha: int = 2
-    n: int = 2
-    rank: int = 3
-    scale: float = 1.0
-    beta: int | None = None
-    mode: str | None = None
 
-    @property
-    def tolerance(self) -> Tolerance:
-        return Tolerance(atol=self.tol_abs, rtol=self.tol_rel)
-
-    def resolved(self) -> dict:
-        echo = asdict(self)
-        echo["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        return echo
+def _config(args: argparse.Namespace) -> dict:
+    """The command's own parsed arguments, echoed into its artifact."""
+    return {**vars(args), "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
 
 
 def _fmt(x: float) -> str:
@@ -98,32 +80,31 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rank", type=int, default=3, help="number of Gram summands")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("-o", "--out", required=True, help="output JSON path")
-    _add_tol_flags(gen)
+    gen.add_argument("-o", "--out", dest="out_path", required=True, help="output JSON path")
 
     dec = sub.add_parser("decompose", help="decompose an instance into a certificate")
-    dec.add_argument("input", help="BlockMatrix JSON path")
+    dec.add_argument("input_path", metavar="input", help="BlockMatrix JSON path")
     mode = dec.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--two-block", action="store_true", help="two-isometry average of A+B")
-    mode.add_argument("--quaternion", action="store_true", help="four-isometry average of the doubled partial trace")
+    mode.add_argument("--two-block", dest="mode", action="store_const", const="two_block", help="two-isometry average of A+B")
+    mode.add_argument("--quaternion", dest="mode", action="store_const", const="quaternion", help="four-isometry average of the doubled partial trace")
     dec.add_argument("--beta", type=int, default=None, help="3 or 4 (quaternion mode; defaults to the block count)")
-    dec.add_argument("-o", "--out", required=True)
+    dec.add_argument("-o", "--out", dest="out_path", required=True)
     _add_tol_flags(dec)
 
     ver = sub.add_parser("verify", help="recompute a certificate's defects")
-    ver.add_argument("input", help="certificate JSON path")
-    ver.add_argument("-o", "--out", default=None, help="report JSON path")
+    ver.add_argument("input_path", metavar="input", help="certificate JSON path")
+    ver.add_argument("-o", "--out", dest="out_path", default=None, help="report JSON path")
     _add_tol_flags(ver)
 
     chk = sub.add_parser("check", help="run the inequality suite")
-    chk.add_argument("input", nargs="?", default=None, help="BlockMatrix JSON path")
+    chk.add_argument("input_path", metavar="input", nargs="?", default=None, help="BlockMatrix JSON path")
     chk.add_argument("--trials", type=int, default=0, help="generate and check this many seeded instances instead of reading a file")
     chk.add_argument("--alpha", type=int, default=2)
     chk.add_argument("--n", type=int, default=2)
     chk.add_argument("--rank", type=int, default=3)
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--scale", type=float, default=1.0)
-    chk.add_argument("-o", "--out", default=None)
+    chk.add_argument("-o", "--out", dest="out_path", default=None)
     _add_tol_flags(chk)
 
     demo = sub.add_parser("demo", help="walk through the named instances")
@@ -131,20 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol_flags(demo)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.tol_abs = args.tol_abs
-    cfg.tol_rel = args.tol_rel
-    for field in ("seed", "trials", "alpha", "n", "rank", "scale", "beta"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    cfg.input_path = getattr(args, "input", None)
-    cfg.out_path = getattr(args, "out", None)
-    if args.command == "decompose":
-        cfg.mode = "two_block" if args.two_block else "quaternion"
-    return cfg
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -163,79 +130,81 @@ def _print_report(report_obj: dict) -> None:
         print(f"  warning: {note}")
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    spec = GeneratorSpec(seed=cfg.seed, alpha=cfg.alpha, n=cfg.n, rank=cfg.rank, scale=cfg.scale)
+def _cmd_gen(args: argparse.Namespace) -> int:
+    spec = GeneratorSpec(seed=args.seed, alpha=args.alpha, n=args.n, rank=args.rank, scale=args.scale)
     h = random_block_psd(spec)
     payload = block_matrix_to_json(h)
-    payload["config"] = cfg.resolved()
-    _write_json(cfg.out_path, payload)
-    print(f"wrote {cfg.alpha}x{cfg.alpha} blocks of side {cfg.n} (rank {cfg.rank}) to {cfg.out_path}")
+    payload["config"] = _config(args)
+    _write_json(args.out_path, payload)
+    print(f"wrote {args.alpha}x{args.alpha} blocks of side {args.n} (rank {args.rank}) to {args.out_path}")
     return EXIT_OK
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    h = block_matrix_from_json(_load_json(cfg.input_path))
-    tol = cfg.tolerance
-    if cfg.mode == "two_block":
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    h = block_matrix_from_json(_load_json(args.input_path))
+    tol = _tolerance(args)
+    if args.mode == "two_block":
+        args.beta = None  # the two-block route takes no beta
         cert = two_block_isometries(h, tol)
     else:
-        beta = cfg.beta if cfg.beta is not None else h.block_count
-        _, cert = quaternion_pipeline(h, beta, tol)
+        if args.beta is None:
+            args.beta = h.block_count
+        _, cert = quaternion_pipeline(h, args.beta, tol)
     payload = certificate_to_json(cert)
-    payload["config"] = cfg.resolved()
-    _write_json(cfg.out_path, payload)
+    payload["config"] = _config(args)
+    _write_json(args.out_path, payload)
     worst = max(cert.defects["isometry"], default=0.0)
     print(
         f"{cert.kind} certificate: reconstruction defect {_fmt(cert.defects['reconstruction'])}, "
-        f"max isometry defect {_fmt(worst)} -> {cfg.out_path}"
+        f"max isometry defect {_fmt(worst)} -> {args.out_path}"
     )
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    cert = certificate_from_json(_load_json(cfg.input_path))
-    report = verify_certificate(cert, cfg.tolerance)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    cert = certificate_from_json(_load_json(args.input_path))
+    report = verify_certificate(cert, _tolerance(args))
     payload = report_to_json(report)
-    payload["config"] = cfg.resolved()
-    if cfg.out_path:
-        _write_json(cfg.out_path, payload)
+    payload["config"] = _config(args)
+    if args.out_path:
+        _write_json(args.out_path, payload)
     print(f"certificate kind {cert.kind}: {'PASS' if report.passed else 'FAIL'}")
     _print_report(payload)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    tol = cfg.tolerance
-    if cfg.input_path is not None:
-        h = block_matrix_from_json(_load_json(cfg.input_path))
+def _cmd_check(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
+    if args.input_path is not None:
+        h = block_matrix_from_json(_load_json(args.input_path))
         reports = [run_inequality_suite(h, tol)]
-        labels = [cfg.input_path]
-    elif cfg.trials > 0:
+        labels = [args.input_path]
+    elif args.trials > 0:
         reports = []
         labels = []
-        for i in range(cfg.trials):
+        for i in range(args.trials):
             spec = GeneratorSpec(
-                seed=cfg.seed + i, alpha=cfg.alpha, n=cfg.n, rank=cfg.rank, scale=cfg.scale
+                seed=args.seed + i, alpha=args.alpha, n=args.n, rank=args.rank, scale=args.scale
             )
             reports.append(run_inequality_suite(random_block_psd(spec), tol))
             labels.append(f"trial {i} (seed {spec.seed})")
     else:
         raise ValueError("check needs an input file or --trials N")
     payload = {
-        "config": cfg.resolved(),
+        "config": _config(args),
         "reports": [report_to_json(r) for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    if cfg.out_path:
-        _write_json(cfg.out_path, payload)
+    if args.out_path:
+        _write_json(args.out_path, payload)
     for label, rep in zip(labels, payload["reports"]):
         print(f"{label}: {'PASS' if rep['passed'] else 'FAIL'}")
         _print_report(rep)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def _cmd_demo(cfg: RunConfig) -> int:
-    tol = cfg.tolerance
+def _cmd_demo(args: argparse.Namespace) -> int:
+    tol = _tolerance(args)
     ok = True
 
     print("== determinant sandwich on the commuting equality witness ==")
@@ -250,7 +219,7 @@ def _cmd_demo(cfg: RunConfig) -> int:
     print(f"  lower bound attained: margin {_fmt(lower.margin)}")
     ok &= rep.passed and abs(lower.margin) <= 1e-6
 
-    seeded = equality_case_instance(3, cfg.seed)
+    seeded = equality_case_instance(3, args.seed)
     rep = det_sandwich(seeded, tol)
     lower = rep.check("partial_trace_bound")
     print(f"  seeded equality case (n=3): lower margin {_fmt(lower.margin)}")
@@ -267,7 +236,7 @@ def _cmd_demo(cfg: RunConfig) -> int:
     ok &= not rep.passed
 
     print("== quaternion route, stage by stage ==")
-    spec = GeneratorSpec(seed=cfg.seed, alpha=4, n=2, rank=3)
+    spec = GeneratorSpec(seed=args.seed, alpha=4, n=2, rank=3)
     h = random_block_psd(spec)
     trace, cert = quaternion_pipeline(h, beta=4, tol=tol)
     skew, equal = trace.skew_defect, trace.equal_diagonal_defect
@@ -280,7 +249,7 @@ def _cmd_demo(cfg: RunConfig) -> int:
     ok &= cert.defects["reconstruction"] <= 1e-8 * scale
     ok &= max(cert.defects["isometry"]) <= 1e-9
 
-    spec3 = GeneratorSpec(seed=cfg.seed + 1, alpha=3, n=2, rank=3)
+    spec3 = GeneratorSpec(seed=args.seed + 1, alpha=3, n=2, rank=3)
     h3 = random_block_psd(spec3)
     _, cert3 = quaternion_pipeline(h3, beta=3, tol=tol)
     print(
@@ -308,25 +277,16 @@ _HANDLERS = {
 }
 
 
-def dispatch(cfg: RunConfig) -> int:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return dispatch(cfg)
 
 
 if __name__ == "__main__":

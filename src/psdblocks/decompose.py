@@ -50,7 +50,6 @@ from .blocks import (
 )
 from .checks import CheckReport, compare_le
 from .errors import (
-    DomainError,
     HypothesisError,
     MalformedCertificateError,
     NumericalError,
@@ -117,18 +116,6 @@ def quaternion_unit_blocks(n: int) -> tuple[np.ndarray, ...]:
     multiple of the n x n identity)."""
     eye = np.eye(n)
     return tuple(np.kron(u, eye) for u in quaternion_units())
-
-
-def _psd_root(a: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
-    """PSD square root of a validated input, from one eigensolve.
-
-    Hermiticity is judged as in :func:`validate_hermitian_psd`;
-    :func:`psd_sqrt` then rejects a too-negative spectrum at the same
-    threshold with :class:`DomainError`.
-    """
-    if frobenius(a - dagger(a)) > tol.slack(frobenius(a)):
-        raise DomainError(f"{what} must be PSD, classified 'not_hermitian'")
-    return psd_sqrt(a, tol)
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -290,11 +277,11 @@ def _isometry_average(
 
 
 def _hermitian_block_root(h: BlockMatrix, tol: Tolerance, what: str) -> np.ndarray:
-    """:func:`_psd_root` of an input that must also have Hermitian blocks."""
+    """:func:`psd_sqrt` of an input that must also have Hermitian blocks."""
     report = validate_hermitian_blocks(h, tol)
     if not report.ok:
         raise HypothesisError(f"{what} needs Hermitian blocks; offending (s, t, defect): {report.offending}")
-    return _psd_root(h.data, tol, what)
+    return psd_sqrt(h.data, tol)
 
 
 def two_corner_decomposition(
@@ -313,7 +300,7 @@ def two_corner_decomposition(
         raise ValueError("corner widths must be positive")
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
         raise ValueError(f"expected a square matrix of side {n + m}, got {a.shape}")
-    root = _psd_root(a, tol, "corner decomposition input")
+    root = psd_sqrt(a, tol)
     return _isometry_average("two_corner", a, root, (n, m))
 
 
@@ -326,7 +313,7 @@ def corner_decomposition_general(
 
     Hermitian blocks are not required, only positivity.
     """
-    root = _psd_root(h.data, tol, "corner decomposition input")
+    root = psd_sqrt(h.data, tol)
     return _isometry_average("corner_general", h.data.copy(), root, (h.block_dim,) * h.block_count)
 
 
@@ -498,8 +485,10 @@ def certificate_from_json(obj) -> DecompositionCertificate:
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     try:
-        kind = obj["kind"]
-        weight = Fraction(obj["weight"])
+        kind, weight = obj["kind"], obj["weight"]
+        if type(weight) is not str:
+            raise ValueError(f"weight must be an exact fraction string such as \"1/4\", got {weight!r:.20}")
+        weight = Fraction(weight)
         target = matrix_from_json(obj["target"])
         factors = tuple(matrix_from_json(f) for f in obj["factors"])
         slots = obj.get("slots")

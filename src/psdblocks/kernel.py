@@ -38,8 +38,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm as a Python float."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm as a Python float.
+
+    ``np.linalg.norm`` squares the entries, so above about 1e154 it
+    overflows; only then is the norm recomputed on the matrix scaled by a
+    power of two (exact), so the common path is unchanged.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+        if norm == np.inf:
+            a = np.asarray(m)
+            exponent = np.frexp(np.max(np.abs(a)))[1]
+            norm = float(np.ldexp(np.linalg.norm(a * np.ldexp(1.0, -exponent)), exponent))
+    return norm
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -152,12 +163,18 @@ def hermitian_eigvalues(m) -> np.ndarray:
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root of a PSD matrix.
 
-    Eigenvalues in ``[-(atol + rtol*||M||_F), 0)`` are clamped to zero
-    before rooting; anything more negative raises :class:`DomainError`.
+    The input is accepted as :func:`validate_hermitian_psd` accepts it:
+    ``||M - M*||_F`` within ``atol + rtol*||M||_F``, and eigenvalues in
+    ``[-(atol + rtol*||M||_F), 0)`` are clamped to zero before rooting.
+    Anything else raises :class:`DomainError`.
     """
     a = as_matrix(m)
+    slack = tol.slack(frobenius(a))
+    skew = frobenius(a - dagger(a))
+    if skew > slack:
+        raise DomainError(f"matrix is not Hermitian within tolerance: ||M - M*||_F {skew:.6e} > {slack:.6e}")
     spectrum = hermitian_eig(hermitian_part(a))
-    floor = -tol.slack(frobenius(a))
+    floor = -slack
     smallest = float(spectrum.values[-1])
     if smallest < floor:
         raise DomainError(
@@ -192,11 +209,11 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except KeyError as exc:
+        raise ValueError(f"malformed matrix JSON: missing {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"matrix rows and cols must be integers, got {rows!r:.20} and {cols!r:.20}")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows * cols:

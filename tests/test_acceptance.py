@@ -16,7 +16,10 @@ from oracles import charpoly_eigenvalues
 
 from psdblocks import (
     BlockMatrix,
+    DEFAULT_TOL,
     GeneratorSpec,
+    HypothesisError,
+    NumericalError,
     dagger,
     det_sandwich,
     direct_sum,
@@ -36,9 +39,12 @@ from psdblocks import (
     random_commuting_family,
     random_hermitian,
     random_psd,
+    run_inequality_suite,
     two_block_congruence,
     two_block_isometries,
     two_corner_decomposition,
+    validate_hermitian_blocks,
+    verify_certificate,
 )
 
 
@@ -250,3 +256,100 @@ def test_criterion_9_cross_oracle():
             fast = hermitian_eigvalues(m)
             slow = charpoly_eigenvalues(m)
             assert np.abs(fast - slow).max() <= 1e-7
+
+
+def _certificates(h):
+    """Every construction that applies to h's block count."""
+    if h.block_count == 2:
+        return [two_block_isometries(h)]
+    certs = [quaternion_pipeline(h, beta=h.block_count)[1]]
+    if h.block_count == 3:
+        certs.append(quaternion_pipeline(h, beta=4)[1])
+    return certs
+
+
+def _decomposes_and_verifies(h):
+    for cert in _certificates(h):
+        assert verify_certificate(cert).passed
+
+
+def test_criterion_10_large_sides():
+    with criterion(10, "large sides: two-block at side 256, quaternion at 8n = 512"):
+        _decomposes_and_verifies(random_block_psd(GeneratorSpec(seed=10000, alpha=2, n=128, rank=3)))
+        _decomposes_and_verifies(random_block_psd(GeneratorSpec(seed=10001, alpha=4, n=64, rank=3)))
+
+
+def test_criterion_11_extreme_scales():
+    with criterion(11, "scales 1e-150 to 1e153"):
+        for scale in (1e-150, 1e150, 1e153):
+            for i, (alpha, n) in enumerate(((2, 3), (3, 2), (4, 2), (2, 16), (4, 8))):
+                h = random_block_psd(GeneratorSpec(seed=11000 + i, alpha=alpha, n=n, rank=3, scale=scale))
+                if scale == 1e153 and n >= 8:
+                    # the plain norm squares entries: this one overflows it
+                    assert frobenius(h.data) > 1.4e154
+                _decomposes_and_verifies(h)
+                try:
+                    report = run_inequality_suite(h)
+                except NumericalError:
+                    continue  # det(I + H) overflows: undecided, never a false FAIL
+                assert report.passed
+
+
+def _rank_one_instance(seed, alpha, n):
+    """``(c c^T) (x) (w w*)`` for real c and complex w: rank one, and
+    block (s, t) is the Hermitian ``c_s c_t w w*``."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(alpha)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return BlockMatrix(np.kron(np.outer(c, c), np.outer(w, w.conj())), block_dim=n, block_count=alpha)
+
+
+def test_criterion_12_rank_one_large_sides():
+    with criterion(12, "rank one at sides 128 and above"):
+        for i, (alpha, n) in enumerate(((2, 64), (3, 43), (4, 32), (4, 64))):
+            h = _rank_one_instance(12000 + i, alpha, n)
+            assert h.side >= 128
+            assert validate_hermitian_blocks(h).ok
+            assert hermitian_eigvalues(h.data)[1] <= 1e-10 * frobenius(h.data)
+            _decomposes_and_verifies(h)
+
+
+def _block_defect_instance(seed, alpha, multiple):
+    """A PSD Hermitian-block instance whose blocks (1, 2) and (2, 1) are
+    then made non-Hermitian by ``multiple`` times the tolerance slack.
+
+    Adding the anti-Hermitian ``E`` to block (1, 2) and ``E* = -E`` to
+    block (2, 1) keeps H Hermitian; each block's defect is ``||2E||_F``.
+    Full rank keeps H positive definite well beyond the perturbation.
+    """
+    h = random_block_psd(GeneratorSpec(seed=seed, alpha=alpha, n=3, rank=3 * alpha))
+    n = h.block_dim
+    skew = 1j * random_hermitian(n, seed)
+    skew *= multiple * DEFAULT_TOL.slack(frobenius(h.data)) / frobenius(2 * skew)
+    data = h.data.copy()
+    data[:n, n : 2 * n] += skew
+    data[n : 2 * n, :n] -= skew
+    return BlockMatrix(data, block_dim=n, block_count=alpha)
+
+
+def test_criterion_13_block_defect_within_slack():
+    with criterion(13, "blocks Hermitian up to 0.1x slack are accepted"):
+        for alpha in (2, 3, 4):
+            for i in range(5):
+                h = _block_defect_instance(13000 + 10 * alpha + i, alpha, 0.1)
+                assert validate_hermitian_blocks(h).ok
+                assert not hiroshima_check(h).warnings
+                _decomposes_and_verifies(h)
+
+
+def test_criterion_14_block_defect_beyond_slack():
+    with criterion(14, "blocks non-Hermitian by 10x slack are rejected"):
+        for alpha in (2, 3, 4):
+            for i in range(5):
+                h = _block_defect_instance(14000 + 10 * alpha + i, alpha, 10.0)
+                offending = validate_hermitian_blocks(h).offending
+                assert [(s, t) for s, t, _ in offending] == [(1, 2), (2, 1)]
+                with pytest.raises(HypothesisError):
+                    _certificates(h)
+                warnings = run_inequality_suite(h).warnings
+                assert any("Hermitian-block hypothesis violated at blocks (1,2), (2,1)" in w for w in warnings)

@@ -206,3 +206,18 @@ class TestBlockMatrixJson:
         del obj["block_dim"]
         with pytest.raises(ValueError):
             block_matrix_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [
+            pytest.param({"block_dim": 1.5, "block_count": "2"}, id="float_and_string"),
+            pytest.param({"block_dim": 1.0, "block_count": 2}, id="integral_float"),
+            pytest.param({"block_dim": True, "block_count": 2}, id="bool"),
+            pytest.param({"block_dim": 1, "block_count": None}, id="null"),
+        ],
+    )
+    def test_metadata_must_be_integers(self, metadata):
+        # side 2: the first three used to load as block_dim 1, block_count 2
+        obj = {**block_matrix_to_json(seeded_instance(1, n=1)), **metadata}
+        with pytest.raises(ValueError, match="must be integers"):
+            block_matrix_from_json(obj)

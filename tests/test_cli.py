@@ -1,5 +1,6 @@
 """CLI tests: end-to-end pipelines, exit codes, idempotent reports."""
 
+import argparse
 import json
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from psdblocks import (
+    BlockMatrix,
     GeneratorSpec,
     block_matrix_to_json,
     certificate_to_json,
@@ -21,7 +23,7 @@ from psdblocks import (
     two_block_isometries,
     two_corner_decomposition,
 )
-from psdblocks.cli import main
+from psdblocks.cli import build_parser, main
 
 
 def run(argv):
@@ -185,6 +187,22 @@ class TestMalformedFields:
         assert run(["verify", path]) == 2
         assert "slots must be a list of integers" in capsys.readouterr().err
 
+    def test_weight_not_a_string(self, tmp_path, capsys):
+        # true used to be read as the corner weight 1
+        path = self.corner_json(tmp_path, lambda obj: obj.update(weight=True))
+        assert run(["verify", path]) == 2
+        assert "weight must be" in capsys.readouterr().err
+
+    def test_non_integer_block_dim(self, tmp_path, capsys):
+        # side 2: block_dim 1.5 used to load as 1, a partition the file never stated
+        path = tmp_path / "H.json"
+        assert run(["gen", "--alpha", 2, "--n", 1, "-o", path]) == 0
+        obj = json.loads(path.read_text())
+        obj["block_dim"] = 1.5
+        path.write_text(json.dumps(obj))
+        assert run(["check", path]) == 2
+        assert "must be integers" in capsys.readouterr().err
+
     def test_string_matrix_entry(self, tmp_path):
         # a zero target whose first entry is the string "00": it used to parse as 0+0j
         zero = two_corner_decomposition(np.zeros((4, 4)), 2, 2)
@@ -193,6 +211,65 @@ class TestMalformedFields:
         path = tmp_path / "zero.json"
         path.write_text(json.dumps(obj))
         assert run(["verify", path]) == 2
+
+
+class TestOverflow:
+    """Inputs past 1e154, where a squared Frobenius norm overflows: the
+    tolerance slack stays finite, so validation stays on."""
+
+    def write(self, path, data):
+        path.write_text(json.dumps(block_matrix_to_json(BlockMatrix(data, block_dim=2, block_count=2))))
+        return path
+
+    def test_negative_definite_input_rejected(self, tmp_path):
+        path = self.write(tmp_path / "neg.json", -1e160 * np.eye(4))
+        assert run(["decompose", "--two-block", path, "-o", tmp_path / "c.json"]) == 2
+        assert not (tmp_path / "c.json").exists()
+
+    def test_scaled_counterexample_rejected(self, tmp_path):
+        path = self.write(tmp_path / "bad.json", 1e160 * nonhermitian_counterexample().data)
+        assert run(["decompose", "--two-block", path, "-o", tmp_path / "c.json"]) == 2
+
+    def test_large_scale_certificate_verifies(self, tmp_path):
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "c.json"
+        assert run(["gen", "--alpha", 2, "--n", 64, "--scale", "1e153", "--seed", 1, "-o", h_path]) == 0
+        assert run(["decompose", "--two-block", h_path, "-o", cert_path]) == 0
+        assert run(["verify", cert_path]) == 0
+
+
+class TestConfigEcho:
+    """An artifact's "config" is its command's parsed arguments."""
+
+    def test_config_keys_are_the_command_flags(self, tmp_path):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        artifacts = {
+            "gen": (["gen", "--alpha", 3, "-o", h_path], h_path),
+            "decompose": (["decompose", "--quaternion", h_path, "-o", cert_path], cert_path),
+            "verify": (["verify", cert_path, "-o", tmp_path / "r.json"], tmp_path / "r.json"),
+            "check": (["check", h_path, "-o", tmp_path / "k.json"], tmp_path / "k.json"),
+        }
+        assert set(artifacts) == set(sub.choices) - {"demo"}  # demo writes no artifact
+        for command, (argv, path) in artifacts.items():
+            assert run(argv) == 0
+            config = json.loads(path.read_text())["config"]
+            dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+            assert set(config) == dests | {"command", "timestamp"}, command
+            assert config["command"] == command
+        # without --beta the quaternion route uses, and echoes, the block count
+        assert json.loads(cert_path.read_text())["config"]["beta"] == 3
+
+    def test_two_block_echoes_no_beta(self, tmp_path):
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        assert run(["gen", "-o", h_path]) == 0
+        assert run(["decompose", "--two-block", "--beta", 4, h_path, "-o", cert_path]) == 0
+        config = json.loads(cert_path.read_text())["config"]
+        assert config["mode"] == "two_block" and config["beta"] is None
+
+    def test_gen_has_no_tolerance_flags(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen", "--tol-abs", "1e-9", "-o", tmp_path / "H.json"])
+        assert exc.value.code == 2
 
 
 class TestIdempotence:

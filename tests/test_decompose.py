@@ -473,6 +473,14 @@ class TestCertificates:
         with pytest.raises(MalformedCertificateError):
             certificate_from_json({"kind": "quaternion"})
 
+    @pytest.mark.parametrize("weight", [True, 1.0, 1, None], ids=["bool", "float", "int", "null"])
+    def test_weight_must_be_a_fraction_string(self, weight):
+        obj = certificate_to_json(two_corner_decomposition(random_psd(5, rank=3, seed=5), 2, 3))
+        assert obj["weight"] == "1"
+        obj["weight"] = weight
+        with pytest.raises(MalformedCertificateError, match="weight must be"):
+            certificate_from_json(obj)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_spectral_consequence(self, seed):
         """Eigenvalues of the target are weakly majorized by the

@@ -86,6 +86,21 @@ class TestHermitianEig:
         assert np.abs(hermitian_eigvalues(m) - charpoly_eigenvalues(m)).max() <= 1e-8
 
 
+class TestFrobenius:
+    def test_matches_numpy_norm(self):
+        m = crandn(np.random.default_rng(5), (6, 6))
+        assert frobenius(m) == float(np.linalg.norm(m))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e200j, 1e300])
+    def test_no_overflow_past_1e154(self, scale):
+        # np.linalg.norm squares the entries: inf (and a RuntimeWarning) here
+        assert frobenius(scale * np.ones((2, 2))) == 2 * abs(scale)
+
+    def test_huge_and_tiny_entries(self):
+        m = np.diag([3e200, 4e200, 1e-300])
+        assert frobenius(m) == pytest.approx(5e200, rel=1e-15)
+
+
 class TestPsdSqrt:
     def test_diagonal(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
@@ -115,6 +130,16 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(DomainError):
             psd_sqrt(np.diag([1.0, -1.0]))
+
+    def test_rejects_non_hermitian(self):
+        # the rule of validate_hermitian_psd, not the root of the Hermitian part
+        assert validate_hermitian_psd([[1, 1], [0, 1]]) is PsdClass.NOT_HERMITIAN
+        with pytest.raises(DomainError, match="not Hermitian"):
+            psd_sqrt([[1, 1], [0, 1]])
+
+    def test_accepts_hermitian_within_slack(self):
+        m = np.array([[1.0, 1e-12], [0.0, 1.0]])
+        assert np.allclose(psd_sqrt(m), np.eye(2))
 
 
 class TestSingularValues:
@@ -193,3 +218,18 @@ class TestMatrixJson:
     def test_not_an_object(self):
         with pytest.raises(ValueError):
             matrix_from_json([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            pytest.param({"rows": 1.9, "cols": True}, id="float_and_bool"),
+            pytest.param({"rows": "1", "cols": 1}, id="string_rows"),
+            pytest.param({"rows": 1, "cols": 1.0}, id="integral_float_cols"),
+            pytest.param({"rows": None, "cols": 1}, id="null_rows"),
+            pytest.param({"cols": 1}, id="missing_rows"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, sizes):
+        # each of these used to load as a 1 x 1 matrix
+        with pytest.raises(ValueError):
+            matrix_from_json({**sizes, "entries": [[1.0, 0.0]]})
