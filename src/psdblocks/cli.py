@@ -2,13 +2,13 @@
 
 Subcommands: ``gen`` (seeded instance to JSON), ``decompose`` (two-block
 or quaternion certificate), ``verify`` (replay a certificate's defects),
-``check`` (inequality suite on a file or on generated trials) and
+``check`` (inequality suite on a file or on generated trials, not both) and
 ``demo`` (guided tour of the named instances). The parsed arguments are
 the configuration: every artifact echoes its command's own flags under
 ``"config"`` (``decompose`` with the beta it used), plus the command
-name and a timestamp, which lives only there. Exit codes: 0 all checks
-passed, 1 a mathematical check failed, 2 input or usage error,
-3 numerical failure.
+name and a timestamp, which lives only there. Artifacts are written as
+compact single-line JSON. Exit codes: 0 all checks passed, 1 a
+mathematical check failed, 2 input or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def _load_json(path: str) -> dict:
@@ -173,9 +173,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+_GENERATOR_FLAGS = ("trials", "alpha", "n", "rank", "seed", "scale")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     if args.input_path is not None:
+        defaults = vars(build_parser().parse_args(["check"]))
+        ignored = [f"--{flag}" for flag in _GENERATOR_FLAGS if getattr(args, flag) != defaults[flag]]
+        if ignored:
+            raise ValueError(f"check takes an input file or generated trials, not both: {', '.join(ignored)} given with {args.input_path}")
         h = block_matrix_from_json(_load_json(args.input_path))
         reports = [run_inequality_suite(h, tol)]
         labels = [args.input_path]

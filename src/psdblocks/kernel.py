@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -197,11 +198,23 @@ def singular_values(m) -> np.ndarray:
 def matrix_to_json(m) -> dict:
     """Wire format: {"rows", "cols", "entries": [[re, im], ...]} row-major."""
     a = as_matrix(m)
-    entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
+    entries = np.stack([a.real.ravel(), a.imag.ravel()], -1).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
 
 
-_NUMBER = (int, float)  # by exact type, so bool and str entries are rejected
+_NUMBER = {int, float}  # by exact type, so bool and str entries are rejected
+
+
+def _malformed_entry(entries: list) -> ValueError:
+    """The error naming the first bad entry; built on the rejection path only."""
+    for i, pair in enumerate(entries):
+        if not (type(pair) is list and len(pair) == 2 and {type(pair[0]), type(pair[1])} <= _NUMBER):
+            return ValueError(f"malformed matrix entry at index {i}: expected a pair of numbers [re, im], got {pair!r:.60}")
+        try:
+            complex(pair[0], pair[1])
+        except OverflowError as exc:
+            return ValueError(f"malformed matrix entry at index {i}: {exc}")
+    return ValueError("malformed matrix entries")
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -218,13 +231,17 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix dimensions must be positive")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    # a loop: np.asarray over the nested lists peaks at three times the result's memory
-    flat = np.empty(rows * cols, dtype=np.complex128)
+    # exact-type checks in C-level passes, then one preallocated fill: np.array
+    # over the nested lists would coerce [1.0, false] and peak at three times
+    # the result's memory
+    if (
+        set(map(type, entries)) != {list}
+        or set(map(len, entries)) != {2}
+        or not set(map(type, chain.from_iterable(entries))) <= _NUMBER
+    ):
+        raise _malformed_entry(entries)
     try:
-        for i, pair in enumerate(entries):
-            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) in _NUMBER and type(pair[1]) in _NUMBER):
-                raise ValueError(f"expected a pair of numbers [re, im], got {pair!r:.60}")
-            flat[i] = complex(pair[0], pair[1])
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed matrix entry at index {i}: {exc}") from exc
-    return as_matrix(flat.reshape(rows, cols))
+        flat = np.fromiter(chain.from_iterable(entries), np.float64, count=2 * rows * cols)
+    except OverflowError:
+        raise _malformed_entry(entries) from None
+    return as_matrix(flat.view(np.complex128).reshape(rows, cols))

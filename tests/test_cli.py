@@ -20,8 +20,11 @@ from psdblocks import (
     quaternion_pipeline,
     random_block_psd,
     random_psd,
+    report_to_json,
+    run_inequality_suite,
     two_block_isometries,
     two_corner_decomposition,
+    verify_certificate,
 )
 from psdblocks.cli import build_parser, main
 
@@ -100,6 +103,15 @@ class TestCheckCommand:
     def test_check_without_input_or_trials(self, capsys):
         assert run(["check"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--trials", 3), ("--alpha", 3)])
+    def test_input_file_with_generator_flag(self, tmp_path, capsys, flag, value):
+        # the flag would be ignored yet echoed in the report's config
+        h_path, report_path = tmp_path / "H.json", tmp_path / "k.json"
+        assert run(["gen", "-o", h_path]) == 0
+        assert run(["check", h_path, flag, value, "-o", report_path]) == 2
+        assert f"{flag} given with" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 class TestErrorPaths:
@@ -270,6 +282,35 @@ class TestConfigEcho:
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--tol-abs", "1e-9", "-o", tmp_path / "H.json"])
         assert exc.value.code == 2
+
+
+class TestCompactArtifacts:
+    """Every artifact is one line of compact JSON holding the library's payload."""
+
+    def test_artifacts_are_single_line_library_payloads(self, tmp_path):
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        verify_path, check_path = tmp_path / "r.json", tmp_path / "k.json"
+        assert run(["gen", "--alpha", 3, "--n", 2, "--seed", 4, "-o", h_path]) == 0
+        assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
+        assert run(["verify", cert_path, "-o", verify_path]) == 0
+        assert run(["check", h_path, "-o", check_path]) == 0
+
+        h = random_block_psd(GeneratorSpec(seed=4, alpha=3, n=2, rank=3))
+        cert = quaternion_pipeline(h, beta=3)[1]
+        suite = run_inequality_suite(h)
+        expected = {
+            h_path: block_matrix_to_json(h),
+            cert_path: certificate_to_json(cert),
+            verify_path: report_to_json(verify_certificate(cert)),
+            check_path: {"reports": [report_to_json(suite)], "passed": suite.passed},
+        }
+        for path, payload in expected.items():
+            text = path.read_text()
+            assert text.endswith("\n") and text.count("\n") == 1, path.name
+            obj = json.loads(text)
+            del obj["config"]
+            assert obj == payload, path.name
+            assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", path.name
 
 
 class TestIdempotence:

@@ -1,5 +1,7 @@
 """Matrix kernel tests: classification, spectra, roots, JSON."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,23 +195,52 @@ class TestMatrixJson:
             matrix_from_json(obj)
 
     @pytest.mark.parametrize(
-        "entry",
+        "entry, good_before",
         [
-            pytest.param("oops", id="oops"),
-            pytest.param("00", id="two_char_string"),
-            pytest.param({"1": 0, "2": 0}, id="object"),
-            pytest.param([True, "2"], id="bool_and_string"),
-            pytest.param([1.0, False], id="bool_imaginary"),
-            pytest.param(["1", "2"], id="numeric_strings"),
-            pytest.param([1.0], id="one_number"),
-            pytest.param([1.0, 0.0, 0.0], id="three_numbers"),
-            pytest.param((1.0, 0.0), id="tuple"),
-            pytest.param([10**400, 0], id="int_beyond_float"),
+            pytest.param("oops", 0, id="oops"),
+            pytest.param("00", 0, id="two_char_string"),
+            pytest.param({"1": 0, "2": 0}, 0, id="object"),
+            pytest.param([True, "2"], 0, id="bool_and_string"),
+            pytest.param([1.0, False], 0, id="bool_imaginary"),
+            pytest.param(["1", "2"], 0, id="numeric_strings"),
+            pytest.param([1.0], 0, id="one_number"),
+            pytest.param([1.0, 0.0, 0.0], 0, id="three_numbers"),
+            pytest.param((1.0, 0.0), 0, id="tuple"),
+            pytest.param([10**400, 0], 0, id="int_beyond_float"),
+            pytest.param([True, 1.0], 0, id="bool_real"),
+            pytest.param([None, 0.0], 0, id="null_real"),
+            pytest.param([[1.0], 0.0], 0, id="nested_list"),
+            pytest.param(5, 0, id="bare_number"),
+            pytest.param([0.5, True], 3, id="after_good_entries"),
         ],
     )
-    def test_malformed_entry(self, entry):
-        with pytest.raises(ValueError):
-            matrix_from_json({"rows": 1, "cols": 1, "entries": [entry]})
+    def test_malformed_entry(self, entry, good_before):
+        entries = [[1.0, -2.0]] * good_before + [entry]
+        with pytest.raises(ValueError, match=rf"at index {good_before}:"):
+            matrix_from_json({"rows": 1, "cols": len(entries), "entries": entries})
+
+    def test_integer_beyond_int64_accepted(self):
+        # within float range, so it decodes as complex(2**70, 0) does
+        back = matrix_from_json({"rows": 1, "cols": 1, "entries": [[2**70, 0]]})
+        assert back[0, 0] == complex(2**70, 0)
+
+    def test_encode_matches_per_entry_floats(self):
+        values = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1 / 3]
+        m = np.array([complex(re, im) for re in values for im in values]).reshape(len(values), -1)
+        reference = [[float(z.real), float(z.imag)] for z in m.ravel()]
+        entries = matrix_to_json(m)["entries"]
+        assert [list(map(repr, e)) for e in entries] == [list(map(repr, e)) for e in reference]
+
+    def test_decode_peak_memory(self):
+        obj = matrix_to_json(crandn(np.random.default_rng(8), (256, 256)))
+        tracemalloc.start()
+        try:
+            back = matrix_from_json(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.nbytes == 16 * 256 * 256
+        assert peak < 2 * back.nbytes
 
     def test_integer_entries_accepted(self):
         back = matrix_from_json({"rows": 1, "cols": 2, "entries": [[1, -2], [0, 3.5]]})
