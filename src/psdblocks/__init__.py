@@ -73,11 +73,9 @@ from .generate import (
 from .kernel import (
     DEFAULT_TOL,
     PsdClass,
-    Spectrum,
     Tolerance,
     dagger,
     frobenius,
-    hermitian_eig,
     hermitian_eigvalues,
     hermitian_part,
     matrix_from_json,

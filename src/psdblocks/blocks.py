@@ -1,14 +1,16 @@
 """Block partition layer.
 
 A :class:`BlockMatrix` is a square complex matrix carved into
-``block_count`` x ``block_count`` blocks of equal side ``block_dim``,
-with the partial trace (sum of diagonal blocks) and the block
-duplication / coordinate interleaving machinery the quaternion
-decomposition route relies on.
+``block_count`` x ``block_count`` blocks of equal side ``block_dim``
+(its spectrum and its partial trace's computed once), with the partial
+trace (sum of diagonal blocks), the coordinate interleaving the
+quaternion decomposition route relies on and the block duplication it
+realises.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ from .kernel import (
     as_matrix,
     dagger,
     frobenius,
+    hermitian_eigvalues,
     matrix_from_json,
     matrix_to_json,
 )
@@ -72,6 +75,21 @@ class BlockMatrix:
     @property
     def side(self) -> int:
         return self.block_dim * self.block_count
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``data``, non-increasing (read-only, computed once)."""
+        return _frozen(hermitian_eigvalues(self.data))
+
+    @functools.cached_property
+    def partial_trace_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the partial trace, non-increasing (read-only, computed once)."""
+        return _frozen(hermitian_eigvalues(partial_trace(self)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def get_block(h: BlockMatrix, s: int, t: int) -> np.ndarray:

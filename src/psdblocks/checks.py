@@ -162,10 +162,8 @@ def hiroshima_check(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport
         warnings = (
             f"Hermitian-block hypothesis violated at blocks {offending}; dominance may fail",
         )
-    lam_h = hermitian_eigvalues(h.data)
     delta = partial_trace(h)
-    lam_d = hermitian_eigvalues(delta)
-    sd, td = _pad_pair(lam_h, lam_d)
+    sd, td = _pad_pair(h.eigenvalues, h.partial_trace_eigenvalues)
     sums = compare_le("eigenvalue_partial_sums", np.cumsum(sd), np.cumsum(td), tol)
     traces = compare_eq(
         "trace_equality",
@@ -189,8 +187,7 @@ def eigen_step_check(h: BlockMatrix, step: int, tol: Tolerance = DEFAULT_TOL) ->
     else:
         raise ValueError("step must be 2 or 4")
     n = h.block_dim
-    lam_h = hermitian_eigvalues(h.data)
-    lam_d = hermitian_eigvalues(partial_trace(h))
+    lam_h, lam_d = h.eigenvalues, h.partial_trace_eigenvalues
     lhs = [float(lam_h[step * k]) if step * k < lam_h.size else 0.0 for k in range(n)]
     rhs = [float(lam_d[k]) for k in range(n)]
     item = compare_le("stepped_eigenvalues", lhs, rhs, tol)
@@ -216,8 +213,8 @@ def det_sandwich(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     for s in range(1, h.block_count + 1):
         lam = hermitian_eigvalues(hermitian_part(np.asarray(get_block(h, s, s))))
         block_product *= _det_one_plus(lam)
-    det_h = _det_one_plus(hermitian_eigvalues(h.data))
-    det_delta = _det_one_plus(hermitian_eigvalues(partial_trace(h)))
+    det_h = _det_one_plus(h.eigenvalues)
+    det_delta = _det_one_plus(h.partial_trace_eigenvalues)
     upper = compare_le("fisher_product_bound", det_h, block_product, tol)
     lower = compare_le("partial_trace_bound", det_delta, det_h, tol)
     return CheckReport(checks=(upper, lower), tolerance=tol)
@@ -253,9 +250,14 @@ def trace_concave_check(
     but not trace equality (or not even those), the result is advisory
     and a warning says so. ``cap`` parameterizes the ``min`` entry.
     """
+    return _trace_concave(hermitian_eigvalues(s_mat), hermitian_eigvalues(t_mat), fid, tol, cap)
+
+
+def _trace_concave(lam_s, lam_t, fid: str, tol: Tolerance, cap: float = 1.0) -> CheckReport:
+    """:func:`trace_concave_check` on the two non-increasing spectra."""
     f = _concave_function(fid, cap)
-    lam_s = np.clip(hermitian_eigvalues(as_matrix(s_mat)), 0.0, None)
-    lam_t = np.clip(hermitian_eigvalues(as_matrix(t_mat)), 0.0, None)
+    lam_s = np.clip(lam_s, 0.0, None)
+    lam_t = np.clip(lam_t, 0.0, None)
     warnings: tuple[str, ...] = ()
     sd, td = _pad_pair(lam_s, lam_t)
     partial = compare_le("_premise", np.cumsum(sd), np.cumsum(td), tol)
@@ -359,14 +361,15 @@ def run_inequality_suite(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
     Stepped eigenvalue checks join in for 2 to 4 blocks; the
     trace-concave route (log1p of H against the partial trace, whose
     shorter spectrum :func:`trace_concave_check` pads with zeros) always
-    runs, mirroring the right determinant bound.
+    runs, mirroring the right determinant bound. The checks share the
+    spectra cached on ``h``.
     """
     report = hiroshima_check(h, tol).merged_with(det_sandwich(h, tol))
     if h.block_count == 2:
         report = report.merged_with(eigen_step_check(h, 2, tol))
     elif h.block_count in (3, 4):
         report = report.merged_with(eigen_step_check(h, 4, tol))
-    return report.merged_with(trace_concave_check(h.data, partial_trace(h), "log1p", tol))
+    return report.merged_with(_trace_concave(h.eigenvalues, h.partial_trace_eigenvalues, "log1p", tol))
 
 
 def report_to_json(report: CheckReport) -> dict:

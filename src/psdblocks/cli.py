@@ -5,10 +5,11 @@ or quaternion certificate), ``verify`` (replay a certificate's defects),
 ``check`` (inequality suite on a file or on generated trials, not both) and
 ``demo`` (guided tour of the named instances). The parsed arguments are
 the configuration: every artifact echoes its command's own flags under
-``"config"`` (``decompose`` with the beta it used), plus the command
-name and a timestamp, which lives only there. Artifacts are written as
-compact single-line JSON. Exit codes: 0 all checks passed, 1 a
-mathematical check failed, 2 input or usage error, 3 numerical failure.
+``"config"`` (``decompose`` with the beta it used; ``--two-block``
+takes none), plus the command name and a timestamp, which lives only
+there. Tolerances must be finite. Artifacts are written as compact
+single-line JSON. Exit codes: 0 all checks passed, 1 a mathematical
+check failed, 2 input or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -141,15 +142,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    h = block_matrix_from_json(_load_json(args.input_path))
+    if args.mode == "two_block" and args.beta is not None:
+        raise ValueError(f"decompose takes --beta with --quaternion only: --beta {args.beta} given with --two-block")
     tol = _tolerance(args)
+    h = block_matrix_from_json(_load_json(args.input_path))
     if args.mode == "two_block":
-        args.beta = None  # the two-block route takes no beta
         cert = two_block_isometries(h, tol)
     else:
         if args.beta is None:
             args.beta = h.block_count
-        _, cert = quaternion_pipeline(h, args.beta, tol)
+        cert = quaternion_pipeline(h, args.beta, tol)[1]  # the stage trace is freed at once
     payload = certificate_to_json(cert)
     payload["config"] = _config(args)
     _write_json(args.out_path, payload)

@@ -22,7 +22,8 @@ balancing unitary of :func:`two_block_congruence`; for the quaternion
 route T = H (+) H (H padded to four blocks) and C = M* with
 ``M = R2 W P``. With ``X_k = sqrt(T) C_k`` the ``X_k X_k*`` sum to T and
 every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
-polar factor of X_k, whatever the rank.
+polar factor of X_k, whatever the rank. The quaternion stage trace reads
+its stages off that same X, so M is built once.
 
 A certificate stores the target, the factor list and its measured
 defects, and is validated when it is constructed. The cores are not stored: each is a function of the target
@@ -43,7 +44,6 @@ import numpy as np
 from .blocks import (
     BlockMatrix,
     direct_sum,
-    duplicate_blocks,
     interleave_permutation,
     partial_trace,
     validate_hermitian_blocks,
@@ -359,41 +359,28 @@ _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
 
 @dataclass(frozen=True, eq=False)
 class QuaternionStageTrace:
-    """Stages of the quaternion route, each computed on first read from
-    ``padded`` (the input zero-padded to four blocks) and ``d``.
+    """Stages of the quaternion route, each computed on first read from the
+    construction's own ``x = sqrt(H (+) H) M*`` and ``d = (D (+) D)/4``.
 
-    ``g`` duplicates every block of ``padded``, ``w`` is the direct sum of
-    the inflated quaternion units and ``r2`` the sign-pattern unitary.
-    ``omega = w g w*`` has skew-Hermitian off-diagonal 2n-blocks and
-    ``phi = r2 omega r2*`` four diagonal 2n-blocks equal to ``d``, a
-    quarter of the doubled partial trace.
+    ``phi = x* x = M (H (+) H) M*`` has four diagonal 2n-blocks equal to
+    d. R2 is real, symmetric and its own inverse, so ``omega = R2 phi R2
+    = W P (H (+) H) P* W*``; its off-diagonal 2n-blocks are skew-Hermitian.
     """
 
-    padded: BlockMatrix
+    x: np.ndarray
     d: np.ndarray
 
     @functools.cached_property
-    def g(self) -> np.ndarray:
-        return duplicate_blocks(self.padded).data
-
-    @functools.cached_property
-    def w(self) -> np.ndarray:
-        return functools.reduce(direct_sum, quaternion_unit_blocks(self.padded.block_dim))
-
-    @functools.cached_property
-    def r2(self) -> np.ndarray:
-        return np.kron(_SIGN4, np.eye(2 * self.padded.block_dim)).astype(np.complex128) / 2.0
+    def phi(self) -> np.ndarray:
+        return hermitian_part(dagger(self.x) @ self.x)
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
-        return hermitian_part(self.w @ self.g @ dagger(self.w))
-
-    @functools.cached_property
-    def phi(self) -> np.ndarray:
-        return hermitian_part(self.r2 @ self.omega @ dagger(self.r2))
+        r2 = np.kron(_SIGN4, np.eye(self.d.shape[0])) / 2.0
+        return hermitian_part(r2 @ self.phi @ r2)
 
     def _block(self, m: np.ndarray, s: int, t: int) -> np.ndarray:
-        width = 2 * self.padded.block_dim
+        width = self.d.shape[0]
         return m[s * width : (s + 1) * width, t * width : (t + 1) * width]
 
     @property
@@ -424,7 +411,8 @@ def quaternion_pipeline(
     ``sqrt(H (+) H)`` are zero and are left out, giving 6n x 2n factors;
     beta = 4 with a 3x3 partition keeps the padded target instead.
 
-    Returns the stage trace alongside the certificate.
+    Returns the stage trace, which keeps ``sqrt(H (+) H) M*``, alongside
+    the certificate.
     """
     alpha, n = h.block_count, h.block_dim
     if beta not in (3, 4):
@@ -441,10 +429,9 @@ def quaternion_pipeline(
         [np.kron(_SIGN4[a : a + 1] / 2.0, dagger(unit)) for a, unit in enumerate(units)]
     )[interleave_permutation(4, n)]
     x = np.vstack([padded_root @ m_star[: 4 * n], padded_root @ m_star[4 * n :]])
-    padded = BlockMatrix(np.pad(h.data, (0, 4 * n - h.side)), block_dim=n, block_count=4)
-    copy = padded.data[:rows, :rows]
+    copy = np.pad(h.data, (0, rows - h.side))
     cert = _isometry_average("quaternion", direct_sum(copy, copy), x, (2 * n,) * 4)
-    return QuaternionStageTrace(padded=padded, d=cert.cores[0] / 4.0), cert
+    return QuaternionStageTrace(x=x, d=cert.cores[0] / 4.0), cert
 
 
 def verify_certificate(

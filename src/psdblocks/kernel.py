@@ -17,12 +17,10 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "DEFAULT_TOL",
     "PsdClass",
-    "Spectrum",
     "Tolerance",
     "as_matrix",
     "dagger",
     "frobenius",
-    "hermitian_eig",
     "hermitian_eigvalues",
     "hermitian_part",
     "matrix_from_json",
@@ -70,8 +68,8 @@ class Tolerance:
     rtol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.atol >= 0.0 and self.rtol >= 0.0):
-            raise ValueError("tolerance components must be nonnegative reals")
+        if not (0.0 <= self.atol < np.inf and 0.0 <= self.rtol < np.inf):
+            raise ValueError(f"tolerance components must be finite nonnegative reals, got atol={self.atol}, rtol={self.rtol}")
 
     def slack(self, scale: float = 0.0) -> float:
         return self.atol + self.rtol * abs(scale)
@@ -123,41 +121,13 @@ def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL) -> PsdClass:
     return PsdClass.PSD
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in non-increasing order; ``vectors`` columns, when
-    present, are the matching orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray | None = None
-
-
-def hermitian_eig(m) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    The caller is responsible for Hermiticity (only one triangle is read).
-    Eigenvalues come out non-increasing, eigenvector columns in matching
-    order.
-    """
-    a = as_matrix(m)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}"
-        ) from exc
-    return Spectrum(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
-
-
 def hermitian_eigvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, non-increasing, no vectors."""
     a = as_matrix(m)
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}"
-        ) from exc
+        raise NumericalError(f"eigensolver did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
     return w[::-1].copy()
 
 
@@ -174,15 +144,16 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     skew = frobenius(a - dagger(a))
     if skew > slack:
         raise DomainError(f"matrix is not Hermitian within tolerance: ||M - M*||_F {skew:.6e} > {slack:.6e}")
-    spectrum = hermitian_eig(hermitian_part(a))
-    floor = -slack
-    smallest = float(spectrum.values[-1])
-    if smallest < floor:
-        raise DomainError(
-            f"matrix is not PSD within tolerance: min eigenvalue {smallest:.6e} < {floor:.6e}"
-        )
-    roots = np.sqrt(np.clip(spectrum.values, 0.0, None))
-    v = spectrum.vectors
+    try:
+        w, v = np.linalg.eigh(as_matrix(hermitian_part(a)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
+    # non-increasing order, copied contiguous: the roots stay bit-for-bit stable
+    values, v = w[::-1].copy(), v[:, ::-1].copy()
+    smallest = float(values[-1])
+    if smallest < -slack:
+        raise DomainError(f"matrix is not PSD within tolerance: min eigenvalue {smallest:.6e} < {-slack:.6e}")
+    roots = np.sqrt(np.clip(values, 0.0, None))
     return hermitian_part((v * roots) @ dagger(v))
 
 

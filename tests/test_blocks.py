@@ -46,6 +46,17 @@ class TestBlockMatrix:
         with pytest.raises(ValueError):
             blk[0, 0] = 1.0
 
+    def test_spectra_cached_and_read_only(self):
+        h = seeded_instance(3, alpha=3, n=2)
+        assert np.array_equal(h.eigenvalues, hermitian_eigvalues(h.data))
+        assert np.array_equal(h.partial_trace_eigenvalues, hermitian_eigvalues(partial_trace(h)))
+        assert h.eigenvalues is h.eigenvalues
+        assert h.partial_trace_eigenvalues is h.partial_trace_eigenvalues
+        with pytest.raises(ValueError):
+            h.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            h.partial_trace_eigenvalues[0] = 0.0
+
 
 class TestGetBlock:
     def test_identity_off_diagonal_is_zero(self):

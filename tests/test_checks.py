@@ -358,6 +358,32 @@ class TestReportConventions:
         report = run_inequality_suite(block_instance(seed, alpha=alpha, n=2))
         assert report.passed
 
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_suite_eigensolves_each_matrix_once(self, alpha, monkeypatch):
+        # H and its partial trace once each, then every diagonal block once
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert run_inequality_suite(block_instance(alpha, alpha=alpha, n=2)).passed
+        assert shapes == [(2 * alpha, 2 * alpha), (2, 2)] + [(2, 2)] * alpha
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 5])
+    def test_suite_equals_its_checks_on_fresh_instances(self, alpha):
+        h = block_instance(alpha, alpha=alpha, n=3)
+        fresh = block_instance(alpha, alpha=alpha, n=3)
+        expected = hiroshima_check(fresh).merged_with(det_sandwich(fresh))
+        if alpha <= 4:
+            expected = expected.merged_with(eigen_step_check(fresh, 2 if alpha == 2 else 4))
+        expected = expected.merged_with(
+            trace_concave_check(fresh.data, partial_trace(fresh), "log1p")
+        )
+        assert report_to_json(run_inequality_suite(h)) == report_to_json(expected)
+
     def test_equality_case_margin_zero_at_rank(self):
         h = equality_case_instance(3, 5)
         report = hiroshima_check(h)

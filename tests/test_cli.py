@@ -113,6 +113,26 @@ class TestCheckCommand:
         assert f"{flag} given with" in capsys.readouterr().err
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    def test_infinite_tolerance_is_usage_error(self, tmp_path, capsys, flag):
+        # an infinite slack would pass the counterexample without a warning
+        bad, report_path = tmp_path / "bad.json", tmp_path / "k.json"
+        write_counterexample(bad)
+        assert run(["check", bad, flag, "inf", "-o", report_path]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not report_path.exists()
+
+
+class TestDecomposeCommand:
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    def test_infinite_tolerance_is_usage_error(self, tmp_path, capsys, flag):
+        # an infinite slack would certify the counterexample's two-block split
+        bad, cert_path = tmp_path / "bad.json", tmp_path / "cert.json"
+        write_counterexample(bad)
+        assert run(["decompose", "--two-block", bad, flag, "inf", "-o", cert_path]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not cert_path.exists()
+
 
 class TestErrorPaths:
     def test_truncated_json_is_usage_error(self, tmp_path):
@@ -271,12 +291,17 @@ class TestConfigEcho:
         # without --beta the quaternion route uses, and echoes, the block count
         assert json.loads(cert_path.read_text())["config"]["beta"] == 3
 
-    def test_two_block_echoes_no_beta(self, tmp_path):
+    def test_two_block_echoes_no_beta(self, tmp_path, capsys):
         h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
         assert run(["gen", "-o", h_path]) == 0
-        assert run(["decompose", "--two-block", "--beta", 4, h_path, "-o", cert_path]) == 0
+        assert run(["decompose", "--two-block", h_path, "-o", cert_path]) == 0
         config = json.loads(cert_path.read_text())["config"]
         assert config["mode"] == "two_block" and config["beta"] is None
+        # --beta would be ignored: a usage error, and nothing is written
+        cert_path.unlink()
+        assert run(["decompose", "--two-block", "--beta", 4, h_path, "-o", cert_path]) == 2
+        assert "--beta 4 given with --two-block" in capsys.readouterr().err
+        assert not cert_path.exists()
 
     def test_gen_has_no_tolerance_flags(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

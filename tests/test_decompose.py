@@ -1,6 +1,7 @@
 """Decomposition tests: corner routes, two-isometry average, quaternion
 pipeline stages, certificate verification and serialization."""
 
+import functools
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -23,10 +24,12 @@ from psdblocks import (
     corner_unitary,
     dagger,
     direct_sum,
+    duplicate_blocks,
     frobenius,
     geometric_mean_instance,
     get_block,
     hermitian_eigvalues,
+    interleave_permutation,
     isometry_defects,
     nonhermitian_counterexample,
     partial_trace,
@@ -247,13 +250,6 @@ class TestQuaternionPipeline:
         assert frobenius(acc - np.eye(8)) <= 1e-12
         assert cert.defects["reconstruction"] <= 1e-12
 
-    def test_unit_blocks_inside_w(self):
-        h = block_instance(3, alpha=4, n=2)
-        trace, _ = quaternion_pipeline(h, beta=4)
-        for i, unit in enumerate(quaternion_unit_blocks(2)):
-            blk = trace.w[4 * i : 4 * (i + 1), 4 * i : 4 * (i + 1)]
-            assert np.array_equal(blk, unit)
-
     @pytest.mark.parametrize("seed", range(25))
     def test_stage_invariants_beta_four(self, seed):
         h = block_instance(seed, alpha=4, n=1 + seed % 3)
@@ -261,9 +257,6 @@ class TestQuaternionPipeline:
         scale = 1 + frobenius(h.data)
         assert trace.skew_defect <= 1e-9 * scale
         assert trace.equal_diagonal_defect <= 1e-9 * scale
-        side = trace.w.shape[0]
-        assert frobenius(dagger(trace.w) @ trace.w - np.eye(side)) <= 1e-12
-        assert frobenius(trace.r2 @ dagger(trace.r2) - np.eye(side)) <= 1e-12
         assert cert.defects["reconstruction"] <= 1e-8 * scale
         assert max(cert.defects["isometry"]) <= 1e-9
         n = h.block_dim
@@ -271,21 +264,18 @@ class TestQuaternionPipeline:
 
     def test_stages_built_only_when_read(self):
         trace, _ = quaternion_pipeline(block_instance(5, alpha=4, n=2), beta=4)
-        stages = ("g", "w", "r2", "omega", "phi")
-        assert not any(name in trace.__dict__ for name in stages)
-        trace.r2
-        assert "r2" in trace.__dict__ and "g" not in trace.__dict__
+        assert not any(name in trace.__dict__ for name in ("omega", "phi"))
         trace.phi
-        assert all(name in trace.__dict__ for name in stages)
+        assert "phi" in trace.__dict__ and "omega" not in trace.__dict__
+        trace.omega
+        assert all(name in trace.__dict__ for name in ("omega", "phi"))
 
     def test_stage_defects_match_blockwise_definition(self):
-        # blocks that are not Hermitian break both stage invariants, so the
-        # defects are far from zero; the trace itself does not validate
+        # a random x is no construction's, so both stage invariants break
+        # and the defects are far from zero; the trace itself does not validate
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        padded = BlockMatrix(x @ dagger(x), block_dim=2, block_count=4)
-        d = partial_trace(padded) / 4.0
-        trace = QuaternionStageTrace(padded=padded, d=direct_sum(d, d))
+        x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        trace = QuaternionStageTrace(x=x, d=np.eye(4))
         width = 4
         skew = 0.0
         for s in range(4):
@@ -299,6 +289,30 @@ class TestQuaternionPipeline:
         )
         assert trace.skew_defect == skew > 1.0
         assert trace.equal_diagonal_defect == equal > 1.0
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(3, 3), (4, 4), (3, 4)], ids=["beta3", "beta4", "beta4_padded"]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stages_match_dense_reference(self, alpha, beta, n):
+        # M = R2 W P built densely: P the interleave permutation (whose
+        # conjugation is duplicate_blocks), W the inflated units, R2 the signs
+        h = block_instance(7 + n, alpha=alpha, n=n)
+        trace, _ = quaternion_pipeline(h, beta=beta)
+        padded = BlockMatrix(np.pad(h.data, (0, (4 - alpha) * n)), block_dim=n, block_count=4)
+        doubled = direct_sum(padded.data, padded.data)
+        p = np.zeros((8 * n, 8 * n))
+        p[interleave_permutation(4, n), np.arange(8 * n)] = 1.0
+        g = p @ doubled @ p.T
+        assert np.array_equal(g, duplicate_blocks(padded).data)
+        w = functools.reduce(direct_sum, quaternion_unit_blocks(n))
+        signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        r2 = np.kron(signs, np.eye(2 * n)) / 2.0
+        m = r2 @ w @ p
+        assert frobenius(m @ dagger(m) - np.eye(8 * n)) <= 1e-12
+        scale = 1 + frobenius(h.data)
+        assert frobenius(trace.phi - m @ doubled @ dagger(m)) <= 1e-12 * scale
+        assert frobenius(trace.omega - w @ g @ dagger(w)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("seed", range(25))
     def test_beta_three_trims_to_six_n(self, seed):

@@ -10,11 +10,11 @@ from oracles import charpoly_eigenvalues
 from psdblocks import (
     DEFAULT_TOL,
     DomainError,
+    NumericalError,
     PsdClass,
     Tolerance,
     dagger,
     frobenius,
-    hermitian_eig,
     hermitian_eigvalues,
     matrix_from_json,
     matrix_to_json,
@@ -57,26 +57,24 @@ class TestValidateHermitianPsd:
 
 class TestHermitianEig:
     def test_diagonal_sorted(self):
-        spec = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(spec.values, [3.0, 2.0, 1.0])
+        assert np.allclose(hermitian_eigvalues(np.diag([3.0, 1.0, 2.0])), [3.0, 2.0, 1.0])
 
     def test_two_by_two_closed_form(self):
-        spec = hermitian_eig([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(spec.values, [3.0, 1.0])
+        assert np.allclose(hermitian_eigvalues([[2.0, 1.0], [1.0, 2.0]]), [3.0, 1.0])
 
     def test_identity(self):
-        spec = hermitian_eig(np.eye(5))
-        assert np.allclose(spec.values, np.ones(5))
+        assert np.allclose(hermitian_eigvalues(np.eye(5)), np.ones(5))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_residual_and_orthonormality(self, seed):
+        # the values pair with eigh's vectors reversed, the basis psd_sqrt uses
         m = random_hermitian(6, seed)
-        spec = hermitian_eig(m)
-        v = spec.vectors
+        values = hermitian_eigvalues(m)
+        v = np.linalg.eigh(m)[1][:, ::-1]
         assert frobenius(dagger(v) @ v - np.eye(6)) <= 1e-12
-        residual = frobenius(m @ v - v @ np.diag(spec.values))
+        residual = frobenius(m @ v - v @ np.diag(values))
         assert residual <= 1e-12 * (1 + frobenius(m))
-        assert np.all(np.diff(spec.values) <= 1e-12)
+        assert np.all(np.diff(values) <= 0.0)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_bruteforce_charpoly(self, n):
@@ -143,6 +141,14 @@ class TestPsdSqrt:
         m = np.array([[1.0, 1e-12], [0.0, 1.0]])
         assert np.allclose(psd_sqrt(m), np.eye(2))
 
+    def test_eigensolver_failure_is_numerical(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge on a 2x2 matrix"):
+            psd_sqrt(np.eye(2))
+
 
 class TestSingularValues:
     def test_diagonal_absolute_values(self):
@@ -174,6 +180,13 @@ class TestTolerance:
             Tolerance(atol=-1.0)
         with pytest.raises(ValueError):
             Tolerance(rtol=-1e-3)
+
+    @pytest.mark.parametrize("field", ["atol", "rtol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite(self, field, value):
+        # an infinite slack would pass every check
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(**{field: value})
 
 
 class TestMatrixJson:
