@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
@@ -101,11 +102,16 @@ def get_block(h: BlockMatrix, s: int, t: int) -> np.ndarray:
 
 
 def partial_trace(h: BlockMatrix) -> np.ndarray:
-    """Sum of the diagonal blocks."""
+    """Sum of the diagonal blocks; a sum that overflows raises
+    :class:`NumericalError`."""
     n = h.block_dim
     out = np.zeros((n, n), dtype=np.complex128)
-    for s in range(1, h.block_count + 1):
-        out += get_block(h, s, s)
+    try:
+        with np.errstate(over="raise"):
+            for s in range(1, h.block_count + 1):
+                out += get_block(h, s, s)
+    except FloatingPointError as exc:
+        raise NumericalError(f"partial trace of {h.block_count} blocks of side {n} is not finite: {exc}") from exc
     return out
 
 

@@ -223,7 +223,7 @@ def det_sandwich(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
 CONCAVE_IDS = ("log1p", "sqrt", "pow_0.25", "pow_0.5", "pow_0.75", "min")
 
 
-def _concave_function(fid: str, cap: float):
+def _concave_function(fid: str):
     if fid == "log1p":
         return np.log1p
     if fid == "sqrt":
@@ -232,30 +232,24 @@ def _concave_function(fid: str, cap: float):
         power = float(fid.split("_")[1])
         return lambda t: np.power(t, power)
     if fid == "min":
-        return lambda t: np.minimum(t, cap)
+        return lambda t: np.minimum(t, 1.0)
     raise ValueError(f"unknown concave catalog id {fid!r}; known ids: {CONCAVE_IDS}")
 
 
-def trace_concave_check(
-    s_mat,
-    t_mat,
-    fid: str,
-    tol: Tolerance = DEFAULT_TOL,
-    cap: float = 1.0,
-) -> CheckReport:
+def trace_concave_check(s_mat, t_mat, fid: str, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Trace of f(S) above trace of f(T) for a concave catalog function,
     valid when the spectrum of S is majorized by that of T.
 
     The majorization premise is checked; if only the partial sums hold
     but not trace equality (or not even those), the result is advisory
-    and a warning says so. ``cap`` parameterizes the ``min`` entry.
+    and a warning says so. The ``min`` entry is ``min(t, 1)``.
     """
-    return _trace_concave(hermitian_eigvalues(s_mat), hermitian_eigvalues(t_mat), fid, tol, cap)
+    return _trace_concave(hermitian_eigvalues(s_mat), hermitian_eigvalues(t_mat), fid, tol)
 
 
-def _trace_concave(lam_s, lam_t, fid: str, tol: Tolerance, cap: float = 1.0) -> CheckReport:
+def _trace_concave(lam_s, lam_t, fid: str, tol: Tolerance) -> CheckReport:
     """:func:`trace_concave_check` on the two non-increasing spectra."""
-    f = _concave_function(fid, cap)
+    f = _concave_function(fid)
     lam_s = np.clip(lam_s, 0.0, None)
     lam_t = np.clip(lam_t, 0.0, None)
     warnings: tuple[str, ...] = ()

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .blocks import BlockMatrix, block_matrix_from_json, block_matrix_to_json, partial_trace
+from .blocks import block_matrix_from_json, block_matrix_to_json
 from .checks import (
     det_sandwich,
     hiroshima_check,
@@ -42,7 +42,7 @@ from .generate import (
     nonhermitian_counterexample,
     random_block_psd,
 )
-from .kernel import Tolerance, frobenius, hermitian_eigvalues
+from .kernel import Tolerance, frobenius
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -267,8 +267,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     )
     ok &= cert3.defects["reconstruction"] <= 1e-8 * (1.0 + frobenius(h3.data))
 
-    lam = hermitian_eigvalues(geo.data)
-    lam_d = hermitian_eigvalues(partial_trace(geo))
+    lam, lam_d = geo.eigenvalues, geo.partial_trace_eigenvalues
     print("== tightness witness ==")
     print(f"  top eigenvalue of H {_fmt(lam[0])} equals top of partial trace {_fmt(lam_d[0])}")
     ok &= abs(lam[0] - lam_d[0]) <= 1e-8

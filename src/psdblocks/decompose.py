@@ -25,12 +25,15 @@ every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
 polar factor of X_k, whatever the rank. The quaternion stage trace reads
 its stages off that same X, so M is built once.
 
-A certificate stores the target, the factor list and its measured
-defects, and is validated when it is constructed. The cores are not stored: each is a function of the target
-(its diagonal blocks, or their sum), so a certificate cannot pair
-factors with a core of its own choosing. :func:`verify_certificate`
-derives the cores and recomputes the defects from scratch so third
-parties can replay acceptance.
+A certificate is its kind, its target and its factors, validated when
+it is constructed; the paper fixes everything else. The weight is one
+over the number of conjugates averaged (1, 1/2 or 1/4), the slots of a
+corner certificate are its factor widths, and the cores are functions
+of the target (its diagonal blocks, or their sum), so a certificate
+cannot pair factors with a core of its own choosing. The defects are
+measured on first read. :func:`verify_certificate` derives the cores
+and recomputes the defects from scratch so third parties can replay
+acceptance.
 """
 
 from __future__ import annotations
@@ -87,15 +90,15 @@ __all__ = [
     "verify_certificate",
 ]
 
-KINDS = ("two_corner", "corner_general", "two_block_isometry", "quaternion")
-CORNER_KINDS = ("two_corner", "corner_general")
-
-_EXPECTED_WEIGHT = {
+# one over the number of conjugates each kind averages
+_WEIGHT = {
     "two_corner": Fraction(1),
     "corner_general": Fraction(1),
     "two_block_isometry": Fraction(1, 2),
     "quaternion": Fraction(1, 4),
 }
+KINDS = tuple(_WEIGHT)
+CORNER_KINDS = ("two_corner", "corner_general")
 
 
 def quaternion_units() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -155,106 +158,101 @@ def corner_unitary(m, offset: int) -> np.ndarray:
 class DecompositionCertificate:
     """Replayable decomposition: ``target ~= weight * sum_k F_k core_k F_k*``.
 
-    Every factor is a ``side x w_k`` isometry, where ``w_k`` is the side
-    of ``core_k``. The cores are derived from the target, never stored
-    (see :attr:`cores`): for the corner kinds ``core_k`` is the
-    Hermitian part of diagonal slot k (slot widths in ``slots``) and
-    ``F_k`` holds the slot columns of the corner lemma's unitary; the
-    two-block kind has ``A + B`` for both factors; the quaternion kind
-    has the doubled partial trace for all four. ``defects`` holds the
-    measured reconstruction residual and per-factor isometry defects.
-    Construction validates the weight, the target and the factor shapes.
+    Only the kind, target and factors are stored; construction validates
+    the kind, the target's structure and the factor shapes. The rest is
+    derived: ``weight`` from the kind, ``slots`` (corner kinds) are the
+    factor widths, each factor is a ``side x w_k`` isometry with ``w_k``
+    the side of ``core_k`` (see :attr:`cores`), and ``defects`` are
+    measured on first read.
     """
 
     kind: str
     target: np.ndarray
-    weight: Fraction
     factors: tuple[np.ndarray, ...]
-    defects: dict | None = None
-    slots: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise MalformedCertificateError(f"unknown certificate kind {self.kind!r}")
         object.__setattr__(self, "target", as_matrix(self.target))
-        object.__setattr__(self, "weight", Fraction(self.weight))
         object.__setattr__(self, "factors", tuple(as_matrix(f) for f in self.factors))
-        if self.slots is not None:
-            object.__setattr__(self, "slots", tuple(int(w) for w in self.slots))
-        _validate_certificate(self)
+        t, widths = self.target, [f.shape[1] for f in self.factors]
+        side = t.shape[0]
+        if t.shape[1] != side:
+            raise MalformedCertificateError("target must be square")
+        if self.kind in CORNER_KINDS:
+            if sum(widths) != side:
+                raise MalformedCertificateError(f"factor widths {widths} must tile the target side {side}")
+        elif self.kind == "two_block_isometry":
+            if side % 2:
+                raise MalformedCertificateError(f"two-block target side {side} must be even")
+            widths = [side // 2] * 2
+        else:  # quaternion: the target is t (+) t, t of 3 or 4 blocks of side q/2
+            half, n = side // 2, (widths[0] // 2 if widths else 0)
+            if side % 2 or n < 1 or half % n or half // n not in (3, 4):
+                raise MalformedCertificateError(f"quaternion target of side {side} does not fit 3 or 4 doubled blocks of the factor width")
+            copy = t[:half, :half]
+            if t[:half, half:].any() or t[half:, :half].any() or not np.array_equal(t[half:, half:], copy):
+                raise MalformedCertificateError("quaternion target must be two equal diagonal copies")
+            widths = [2 * n] * 4
+        expected, shapes = [(side, w) for w in widths], [f.shape for f in self.factors]
+        if shapes != expected:
+            raise MalformedCertificateError(f"kind {self.kind!r} needs isometries of shapes {expected}, got {shapes}")
+
+    @property
+    def weight(self) -> Fraction:
+        return _WEIGHT[self.kind]
+
+    @property
+    def slots(self) -> tuple[int, ...] | None:
+        return tuple(f.shape[1] for f in self.factors) if self.kind in CORNER_KINDS else None
 
     @functools.cached_property
     def cores(self) -> tuple[np.ndarray, ...]:
-        """Per-factor cores, derived from the target; raises
-        :class:`MalformedCertificateError` when the target does not have
-        the structure its kind requires."""
-        return _derive_cores(self)
+        """Per-factor cores from the target: the Hermitian part of each
+        diagonal slot (corner kinds), of ``A + B`` (two blocks), or the
+        doubled partial trace (quaternion). A sum that overflows raises
+        :class:`NumericalError`."""
+        t = self.target
+        if self.kind in CORNER_KINDS:
+            edges = np.cumsum((0,) + self.slots)
+            return tuple(hermitian_part(t[a:b, a:b]) for a, b in zip(edges[:-1], edges[1:]))
+        if self.kind == "two_block_isometry":
+            core = hermitian_part(partial_trace(BlockMatrix(t, block_dim=t.shape[0] // 2, block_count=2)))
+            return core, core
+        half, n = t.shape[0] // 2, self.factors[0].shape[1] // 2
+        delta = partial_trace(BlockMatrix(t[:half, :half], block_dim=n, block_count=half // n))
+        return (direct_sum(delta, delta),) * 4
 
-
-def _derive_cores(cert: DecompositionCertificate) -> tuple[np.ndarray, ...]:
-    t = cert.target
-    side = t.shape[0]
-    if t.shape[1] != side:
-        raise MalformedCertificateError("target must be square")
-    if cert.kind in CORNER_KINDS:
-        if cert.slots is None:
-            raise MalformedCertificateError("corner certificates need slot widths")
-        if sum(cert.slots) != side or min(cert.slots) < 1:
-            raise MalformedCertificateError("slot widths must tile the target side")
-        edges = np.cumsum((0,) + cert.slots)
-        return tuple(hermitian_part(t[a:b, a:b]) for a, b in zip(edges[:-1], edges[1:]))
-    if cert.kind == "two_block_isometry":
-        if side % 2:
-            raise MalformedCertificateError(f"two-block target side {side} must be even")
-        n = side // 2
-        core = hermitian_part(t[:n, :n] + t[n:, n:])
-        return core, core
-    # quaternion: the target is t (+) t, t of 3 or 4 blocks of side q/2
-    half, n = side // 2, (cert.factors[0].shape[1] // 2 if cert.factors else 0)
-    if side % 2 or n < 1 or half % n or half // n not in (3, 4):
-        raise MalformedCertificateError(
-            f"quaternion target of side {side} does not fit 3 or 4 doubled blocks of the factor width"
-        )
-    copy = t[:half, :half]
-    if t[:half, half:].any() or t[half:, :half].any() or not np.array_equal(t[half:, half:], copy):
-        raise MalformedCertificateError("quaternion target must be two equal diagonal copies")
-    delta = partial_trace(BlockMatrix(copy, block_dim=n, block_count=half // n))
-    return (direct_sum(delta, delta),) * 4
-
-
-def _validate_certificate(cert: DecompositionCertificate) -> None:
-    if cert.weight != _EXPECTED_WEIGHT[cert.kind]:
-        raise MalformedCertificateError(
-            f"kind {cert.kind!r} carries weight {cert.weight}, expected {_EXPECTED_WEIGHT[cert.kind]}"
-        )
-    expected = [(cert.target.shape[0], core.shape[0]) for core in cert.cores]
-    shapes = [f.shape for f in cert.factors]
-    if shapes != expected:
-        raise MalformedCertificateError(
-            f"kind {cert.kind!r} needs isometries of shapes {expected}, got {shapes}"
-        )
+    @functools.cached_property
+    def defects(self) -> dict:
+        """The measured defects, :func:`measure_defects` of this certificate."""
+        return measure_defects(self)
 
 
 def reconstruction_residual(cert: DecompositionCertificate) -> float:
-    """``||target - weight * sum_k F_k core_k F_k*||_F``, recomputed."""
+    """``||target - weight * sum_k F_k core_k F_k*||_F``, recomputed. The
+    power-of-two weight scales each term, so the sum overflows no sooner
+    than the target; in the normal range that is exact either way."""
+    weight = float(cert.weight)
     acc = np.zeros_like(cert.target)
     for f, core in zip(cert.factors, cert.cores):
-        acc += f @ core @ dagger(f)
-    return frobenius(cert.target - float(cert.weight) * acc)
+        acc += weight * (f @ core @ dagger(f))
+    return frobenius(cert.target - acc)
 
 
 def isometry_defects(cert: DecompositionCertificate) -> tuple[float, ...]:
     """``||F*F - I||_F`` for each factor."""
-    return tuple(
-        frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors
-    )
+    return tuple(frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors)
 
 
 def measure_defects(cert: DecompositionCertificate) -> dict:
-    return {
-        "reconstruction": reconstruction_residual(cert),
-        "isometry": list(isometry_defects(cert)),
-    }
+    """Reconstruction residual and isometry defects, recomputed; a defect
+    that overflows raises :class:`NumericalError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, isometry = reconstruction_residual(cert), list(isometry_defects(cert))
+    if not np.isfinite([residual, *isometry]).all():
+        raise NumericalError(f"{cert.kind} defects are not finite: reconstruction {residual}, isometry {isometry}")
+    return {"reconstruction": residual, "isometry": isometry}
 
 
 def _isometry_average(
@@ -264,16 +262,7 @@ def _isometry_average(
     of column block k (``widths[k]`` columns) of ``x = sqrt(target) C``,
     C a fixed unitary (the identity for the corner kinds)."""
     edges = np.cumsum((0,) + widths)
-    cert = DecompositionCertificate(
-        kind=kind,
-        target=target,
-        weight=_EXPECTED_WEIGHT[kind],
-        factors=tuple(_polar(x[:, a:b]) for a, b in zip(edges[:-1], edges[1:])),
-        slots=widths if kind in CORNER_KINDS else None,
-    )
-    # the certificate is not shared yet: record its defects without re-validating a copy
-    object.__setattr__(cert, "defects", measure_defects(cert))
-    return cert
+    return DecompositionCertificate(kind, target, tuple(_polar(x[:, a:b]) for a, b in zip(edges[:-1], edges[1:])))
 
 
 def _hermitian_block_root(h: BlockMatrix, tol: Tolerance, what: str) -> np.ndarray:
@@ -442,10 +431,10 @@ def verify_certificate(
     The reconstruction bound scales with ``1 + ||target||_F``; isometry
     defects are judged at unit scale.
     """
-    residual = reconstruction_residual(cert)
+    defects = measure_defects(cert)
     bound = tol.slack(1.0 + frobenius(cert.target))
-    items = [compare_le("reconstruction_defect", residual, bound, tol)]
-    for k, defect in enumerate(isometry_defects(cert), start=1):
+    items = [compare_le("reconstruction_defect", defects["reconstruction"], bound, tol)]
+    for k, defect in enumerate(defects["isometry"], start=1):
         items.append(compare_le(f"isometry_defect_{k}", defect, tol.slack(1.0), tol))
     return CheckReport(checks=tuple(items), tolerance=tol)
 
@@ -456,12 +445,7 @@ def certificate_to_json(cert: DecompositionCertificate) -> dict:
         "weight": str(cert.weight),
         "target": matrix_to_json(cert.target),
         "factors": [matrix_to_json(f) for f in cert.factors],
-        "defects": {
-            "reconstruction": float(cert.defects["reconstruction"]),
-            "isometry": [float(d) for d in cert.defects["isometry"]],
-        }
-        if cert.defects is not None
-        else None,
+        "defects": {"reconstruction": cert.defects["reconstruction"], "isometry": list(cert.defects["isometry"])},
     }
     if cert.slots is not None:
         obj["slots"] = list(cert.slots)
@@ -469,6 +453,9 @@ def certificate_to_json(cert: DecompositionCertificate) -> dict:
 
 
 def certificate_from_json(obj) -> DecompositionCertificate:
+    """Parse and validate a certificate file. The stated weight, and a
+    corner certificate's slots, must equal what the kind and the factors
+    fix; stated ``"defects"`` (and an earlier ``"core"``) are ignored."""
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     try:
@@ -483,11 +470,9 @@ def certificate_from_json(obj) -> DecompositionCertificate:
             raise ValueError(f"slots must be a list of integers, got {slots!r}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedCertificateError(f"malformed certificate JSON: {exc}") from exc
-    return DecompositionCertificate(
-        kind=kind,
-        target=target,
-        weight=weight,
-        factors=factors,
-        defects=obj.get("defects"),
-        slots=slots,
-    )
+    cert = DecompositionCertificate(kind=kind, target=target, factors=factors)
+    if weight != cert.weight:
+        raise MalformedCertificateError(f"kind {kind!r} carries weight {weight}, expected {cert.weight}")
+    if cert.slots is not None and slots != list(cert.slots):
+        raise MalformedCertificateError(f"corner certificate slots {slots} must equal the factor widths {list(cert.slots)}")
+    return cert

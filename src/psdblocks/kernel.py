@@ -53,7 +53,13 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + dagger(m))
+    """``(M + M*)/2``, or ``M/2 + M*/2`` when the sum overflows, so every
+    finite M gives a finite result."""
+    try:
+        with np.errstate(over="raise"):
+            return 0.5 * (m + dagger(m))
+    except FloatingPointError:
+        return 0.5 * m + 0.5 * dagger(m)
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,26 @@ class TestMalformedFields:
         assert run(["verify", path]) == 2
         assert "slots must be a list of integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("two_corner", lambda obj: obj.pop("slots"), "slots None must equal the factor widths [2, 3]"),
+            ("two_corner", lambda obj: obj.update(slots=[3, 2]), "slots [3, 2] must equal the factor widths [2, 3]"),
+            ("quaternion", lambda obj: obj.update(weight="1/3"), "weight 1/3, expected 1/4"),
+        ],
+        ids=["corner_without_slots", "slots_reversed", "quaternion_weight_1_3"],
+    )
+    def test_field_not_fixed_by_kind_and_factors(self, tmp_path, capsys, kind, edit, message):
+        if kind == "two_corner":
+            path = self.corner_json(tmp_path, edit)
+        else:
+            obj = certificate_to_json(quaternion_pipeline(random_block_psd(GeneratorSpec(seed=2, alpha=3, n=1, rank=3)), beta=3)[1])
+            edit(obj)
+            path = tmp_path / "quaternion.json"
+            path.write_text(json.dumps(obj))
+        assert run(["verify", path]) == 2
+        assert message in capsys.readouterr().err
+
     def test_weight_not_a_string(self, tmp_path, capsys):
         # true used to be read as the corner weight 1
         path = self.corner_json(tmp_path, lambda obj: obj.update(weight=True))
@@ -267,6 +287,36 @@ class TestOverflow:
         assert run(["gen", "--alpha", 2, "--n", 64, "--scale", "1e153", "--seed", 1, "-o", h_path]) == 0
         assert run(["decompose", "--two-block", h_path, "-o", cert_path]) == 0
         assert run(["verify", cert_path]) == 0
+
+    @pytest.mark.parametrize(
+        "command, data, expected",
+        [
+            (["decompose", "--two-block"], 8.9e307 * np.eye(2), 0),
+            (["decompose", "--two-block"], np.diag([1.5e308, 1.0]), 0),
+            (["decompose", "--quaternion"], 5e307 * np.eye(4), 3),
+            (["check"], 5e307 * np.eye(4), 3),
+        ],
+        ids=["two_block_8.9e307", "two_block_1.5e308", "quaternion_5e307", "check_5e307"],
+    )
+    def test_entries_near_the_float_limit(self, tmp_path, capsys, command, data, expected):
+        # sums of these finite entries overflow: the run completes with
+        # finite defects or is a numerical failure, never NaN or exit 2
+        path = tmp_path / "H.json"
+        path.write_text(json.dumps(block_matrix_to_json(BlockMatrix(data, block_dim=1, block_count=len(data)))))
+        out = tmp_path / "out.json"
+        assert run([*command, path, "-o", out]) == expected
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        if expected == 3:
+            assert "numerical failure" in err
+            assert not out.exists()
+            return
+
+        def reject(constant):
+            raise AssertionError(f"artifact holds {constant}")
+
+        json.loads(out.read_text(), parse_constant=reject)
+        assert run(["verify", out]) == 0
 
 
 class TestConfigEcho:

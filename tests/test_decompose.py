@@ -3,12 +3,13 @@ pipeline stages, certificate verification and serialization."""
 
 import functools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import psdblocks.decompose as decompose_module
 from psdblocks import (
     BlockMatrix,
     DEFAULT_TOL,
@@ -31,6 +32,7 @@ from psdblocks import (
     hermitian_eigvalues,
     interleave_permutation,
     isometry_defects,
+    measure_defects,
     nonhermitian_counterexample,
     partial_trace,
     quaternion_pipeline,
@@ -442,19 +444,36 @@ class TestCertificates:
         with pytest.raises(MalformedCertificateError):
             replace(cert, target=bumped)
 
-    @pytest.mark.parametrize("flaw", ["weight", "factor_count", "factor_shape"])
+    @pytest.mark.parametrize("flaw", ["factor_count", "factor_shape"])
     def test_inconsistent_certificate_is_not_constructed(self, flaw):
         _, cert = self.fresh()
         u, v = cert.factors
-        fields = {"kind": cert.kind, "target": cert.target, "weight": cert.weight, "factors": (u, v)}
+        fields = {"kind": cert.kind, "target": cert.target, "factors": (u, v)}
         DecompositionCertificate(**fields)  # consistent as given
         changed = {
-            "weight": {"weight": Fraction(1, 4)},
             "factor_count": {"factors": (u, v, u)},
             "factor_shape": {"factors": (u, v[:, :2])},
         }[flaw]
         with pytest.raises(MalformedCertificateError):
             DecompositionCertificate(**{**fields, **changed})
+
+    def test_certificate_is_kind_target_and_factors(self):
+        assert [f.name for f in fields(DecompositionCertificate)] == ["kind", "target", "factors"]
+        corner = two_corner_decomposition(random_psd(5, rank=3, seed=5), 2, 3)
+        _, two_block = self.fresh()
+        _, quat = quaternion_pipeline(block_instance(8, alpha=4, n=2), beta=4)
+        derived = [(c.weight, c.slots) for c in (corner, two_block, quat)]
+        assert derived == [(Fraction(1), (2, 3)), (Fraction(1, 2), None), (Fraction(1, 4), None)]
+
+    def test_defects_measured_once_on_first_read(self, monkeypatch):
+        _, cert = self.fresh()
+        assert "defects" not in vars(cert)
+        calls = []
+        measure = decompose_module.measure_defects
+        monkeypatch.setattr(decompose_module, "measure_defects", lambda c: calls.append(c) or measure(c))
+        assert cert.defects is cert.defects
+        assert cert.defects == measure(cert)
+        assert calls == [cert]
 
     def test_malformed_factor_shape(self):
         _, cert = self.fresh()
@@ -462,9 +481,31 @@ class TestCertificates:
             verify_certificate(replace(cert, factors=(cert.factors[0][:, :2],)))
 
     def test_wrong_weight_is_malformed(self):
+        obj = certificate_to_json(self.fresh()[1])
+        obj["weight"] = "1/3"
+        with pytest.raises(MalformedCertificateError, match="weight 1/3, expected 1/2"):
+            certificate_from_json(obj)
+
+    def test_stated_defects_are_ignored(self):
         _, cert = self.fresh()
-        with pytest.raises(MalformedCertificateError):
-            verify_certificate(replace(cert, weight=Fraction(1, 3)))
+        obj = certificate_to_json(cert)
+        obj["defects"] = 5
+        back = certificate_from_json(obj)
+        assert certificate_to_json(back) == certificate_to_json(cert)
+        assert certificate_to_json(back)["defects"] == measure_defects(back)
+
+    @pytest.mark.parametrize("kind", ["two_corner", "corner_general", "two_block_isometry", "quaternion"])
+    def test_json_key_order(self, kind):
+        h = block_instance(3, alpha=4, n=2)
+        cert = {
+            "two_corner": lambda: two_corner_decomposition(h.data, 3, 5),
+            "corner_general": lambda: corner_decomposition_general(h),
+            "two_block_isometry": lambda: two_block_isometries(block_instance(3, alpha=2, n=2)),
+            "quaternion": lambda: quaternion_pipeline(h, beta=4)[1],
+        }[kind]()
+        assert cert.kind == kind
+        keys = ["kind", "weight", "target", "factors", "defects"]
+        assert list(certificate_to_json(cert)) == keys + (["slots"] if kind in decompose_module.CORNER_KINDS else [])
 
     def test_json_round_trip(self):
         h = block_instance(8, alpha=4, n=2)
