@@ -8,7 +8,6 @@ norm, eigenvalue, trace and determinant inequalities that follow.
 """
 
 from .blocks import (
-    BlockHermiticityReport,
     BlockMatrix,
     block_matrix_from_json,
     block_matrix_to_json,
@@ -72,7 +71,6 @@ from .generate import (
 )
 from .kernel import (
     DEFAULT_TOL,
-    PsdClass,
     Tolerance,
     dagger,
     frobenius,

@@ -5,7 +5,8 @@ A :class:`BlockMatrix` is a square complex matrix carved into
 (its spectrum and its partial trace's computed once), with the partial
 trace (sum of diagonal blocks), the coordinate interleaving the
 quaternion decomposition route relies on and the block duplication it
-realises.
+realises. :func:`validate_hermitian_blocks` alone decides the
+Hermitian-block hypothesis.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .kernel import (
 )
 
 __all__ = [
-    "BlockHermiticityReport",
     "BlockMatrix",
     "block_matrix_from_json",
     "block_matrix_to_json",
@@ -115,21 +115,12 @@ def partial_trace(h: BlockMatrix) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BlockHermiticityReport:
-    """Outcome of the Hermitian-block hypothesis check.
-
-    ``offending`` lists 1-based (s, t, defect) triples with
-    ``defect = ||A_st - A_st*||_F`` above the slack."""
-
-    ok: bool
-    offending: tuple[tuple[int, int, float], ...]
-
-
 def validate_hermitian_blocks(
     h: BlockMatrix, tol: Tolerance = DEFAULT_TOL
-) -> BlockHermiticityReport:
-    """Check every block against its own conjugate transpose."""
+) -> tuple[tuple[int, int, float], ...]:
+    """The 1-based (s, t, defect) triples, row-major, of the blocks whose
+    ``defect = ||A_st - A_st*||_F`` exceeds the slack at scale ``||H||_F``;
+    an empty tuple means the hypothesis holds."""
     scale = frobenius(h.data)
     bad = []
     for s in range(1, h.block_count + 1):
@@ -138,7 +129,7 @@ def validate_hermitian_blocks(
             defect = frobenius(blk - dagger(blk))
             if not tol.allows(defect, scale):
                 bad.append((s, t, defect))
-    return BlockHermiticityReport(ok=not bad, offending=tuple(bad))
+    return tuple(bad)
 
 
 def interleave_permutation(alpha: int, n: int) -> np.ndarray:

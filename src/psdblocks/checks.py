@@ -119,12 +119,13 @@ def _descending(seq) -> np.ndarray:
     return np.sort(np.asarray(seq, dtype=float))[::-1]
 
 
-def _pad_pair(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _partial_sums_le(name: str, s: np.ndarray, t: np.ndarray, tol: Tolerance) -> Check:
+    """:func:`compare_le` of the partial sums of s and t, the shorter one
+    zero-padded; a sum that overflows raises :class:`NumericalError`."""
     length = max(s.size, t.size)
-    return (
-        np.pad(s, (0, length - s.size)),
-        np.pad(t, (0, length - t.size)),
-    )
+    with np.errstate(over="ignore"):
+        lhs, rhs = (np.cumsum(np.pad(v, (0, length - v.size))) for v in (s, t))
+    return compare_le(name, lhs, rhs, tol)
 
 
 def ky_fan_norm(m, k: int) -> float:
@@ -142,8 +143,7 @@ def weak_majorization(s, t, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     length; the check passes iff every partial sum of s stays below the
     matching partial sum of t.
     """
-    sd, td = _pad_pair(_descending(s), _descending(t))
-    item = compare_le("partial_sums", np.cumsum(sd), np.cumsum(td), tol)
+    item = _partial_sums_le("partial_sums", _descending(s), _descending(t), tol)
     return CheckReport(checks=(item,), tolerance=tol)
 
 
@@ -156,15 +156,14 @@ def hiroshima_check(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     warning records the offending blocks.
     """
     warnings: tuple[str, ...] = ()
-    blocks_report = validate_hermitian_blocks(h, tol)
-    if not blocks_report.ok:
-        offending = ", ".join(f"({s},{t})" for s, t, _ in blocks_report.offending)
+    bad = validate_hermitian_blocks(h, tol)
+    if bad:
+        offending = ", ".join(f"({s},{t})" for s, t, _ in bad)
         warnings = (
             f"Hermitian-block hypothesis violated at blocks {offending}; dominance may fail",
         )
     delta = partial_trace(h)
-    sd, td = _pad_pair(h.eigenvalues, h.partial_trace_eigenvalues)
-    sums = compare_le("eigenvalue_partial_sums", np.cumsum(sd), np.cumsum(td), tol)
+    sums = _partial_sums_le("eigenvalue_partial_sums", h.eigenvalues, h.partial_trace_eigenvalues, tol)
     traces = compare_eq(
         "trace_equality",
         float(np.trace(h.data).real),
@@ -253,8 +252,7 @@ def _trace_concave(lam_s, lam_t, fid: str, tol: Tolerance) -> CheckReport:
     lam_s = np.clip(lam_s, 0.0, None)
     lam_t = np.clip(lam_t, 0.0, None)
     warnings: tuple[str, ...] = ()
-    sd, td = _pad_pair(lam_s, lam_t)
-    partial = compare_le("_premise", np.cumsum(sd), np.cumsum(td), tol)
+    partial = _partial_sums_le("_premise", lam_s, lam_t, tol)
     total = compare_eq("_premise_trace", float(lam_s.sum()), float(lam_t.sum()), tol)
     if not partial.passed:
         warnings = ("majorization premise fails; trace-concave conclusion is advisory",)
@@ -331,7 +329,7 @@ def operator_pair_check(
     right = hermitian_part(right)
     lam_l = hermitian_eigvalues(left)
     lam_r = hermitian_eigvalues(right)
-    sums = compare_le("pair_partial_sums", np.cumsum(lam_l), np.cumsum(lam_r), tol)
+    sums = _partial_sums_le("pair_partial_sums", lam_l, lam_r, tol)
     step = 2 if beta == 2 else 4
     n = t.shape[0]
     stepped = compare_le(
@@ -344,8 +342,8 @@ def operator_pair_check(
     if beta == 2:
         x = np.hstack([t, mats[0] @ t])
         lam_big = hermitian_eigvalues(hermitian_part(dagger(x) @ x))
-        small, big = _pad_pair(lam_l, lam_big)
-        items.append(compare_eq("gram_spectrum", small, big, tol))
+        small = np.pad(lam_l, (0, lam_big.size - lam_l.size))  # X X* is n x n, X* X 2n x 2n
+        items.append(compare_eq("gram_spectrum", small, lam_big, tol))
     return CheckReport(checks=tuple(items), tolerance=tol)
 
 

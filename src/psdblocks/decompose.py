@@ -25,6 +25,10 @@ every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
 polar factor of X_k, whatever the rank. The quaternion stage trace reads
 its stages off that same X, so M is built once.
 
+Positivity is decided by :func:`validate_hermitian_psd` (through
+:func:`psd_sqrt`), block Hermiticity by :func:`validate_hermitian_blocks`;
+an SVD that fails raises the kernel's :class:`NumericalError`.
+
 A certificate is its kind, its target and its factors, validated when
 it is constructed; the paper fixes everything else. The weight is one
 over the number of conjugates averaged (1, 1/2 or 1/4), the slots of a
@@ -60,6 +64,7 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
+    _lapack,
     as_matrix,
     dagger,
     frobenius,
@@ -123,10 +128,7 @@ def quaternion_unit_blocks(n: int) -> tuple[np.ndarray, ...]:
 
 def _polar(x: np.ndarray) -> np.ndarray:
     """Isometric polar factor ``U V*`` of a tall matrix ``X = U diag(s) V*``."""
-    try:
-        left, _, right_h = np.linalg.svd(x, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed on a {x.shape[0]}x{x.shape[1]} factor: {exc}") from exc
+    left, _, right_h = _lapack("svd", x, full_matrices=False)
     return left @ right_h
 
 
@@ -146,10 +148,7 @@ def corner_unitary(m, offset: int) -> np.ndarray:
         raise ValueError(f"corner factor must be tall, got shape {p}x{q}")
     if not 0 <= offset <= p - q:
         raise ValueError(f"slot [{offset}, {offset + q}) does not fit in side {p}")
-    try:
-        left, _, right_h = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed on a {p}x{q} corner factor: {exc}") from exc
+    left, _, right_h = _lapack("svd", a, full_matrices=True)
     rest = left[:, q:]
     return np.hstack([rest[:, :offset], left[:, :q] @ right_h, rest[:, offset:]])
 
@@ -267,9 +266,9 @@ def _isometry_average(
 
 def _hermitian_block_root(h: BlockMatrix, tol: Tolerance, what: str) -> np.ndarray:
     """:func:`psd_sqrt` of an input that must also have Hermitian blocks."""
-    report = validate_hermitian_blocks(h, tol)
-    if not report.ok:
-        raise HypothesisError(f"{what} needs Hermitian blocks; offending (s, t, defect): {report.offending}")
+    offending = validate_hermitian_blocks(h, tol)
+    if offending:
+        raise HypothesisError(f"{what} needs Hermitian blocks; offending (s, t, defect): {offending}")
     return psd_sqrt(h.data, tol)
 
 
@@ -306,23 +305,17 @@ def corner_decomposition_general(
     return _isometry_average("corner_general", h.data.copy(), root, (h.block_dim,) * h.block_count)
 
 
-def _balancing_unitary(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
+def two_block_congruence(h: BlockMatrix) -> np.ndarray:
+    """The balancing unitary W of the two-isometry construction.
 
-
-def two_block_congruence(h: BlockMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The balancing congruence of the two-isometry construction.
-
-    Returns ``(W, K)`` with W unitary and ``K = W* H W``. When the
-    off-diagonal block of H is Hermitian, both diagonal n x n blocks of K
-    equal ``(A+B)/2``; complex entries in W are what makes this work even
-    for real H.
+    When the off-diagonal block of H is Hermitian, both diagonal n x n
+    blocks of ``W* H W`` equal ``(A+B)/2``; complex entries in W are what
+    makes this work even for real H. W depends only on the block side.
     """
     if h.block_count != 2:
-        raise ValueError("two-block congruence needs exactly 2x2 blocks")
-    w = _balancing_unitary(h.block_dim)
-    return w, hermitian_part(dagger(w) @ h.data @ w)
+        raise ValueError("two-block decomposition needs exactly 2x2 blocks")
+    eye = np.eye(h.block_dim)
+    return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
 
 
 def two_block_isometries(
@@ -331,16 +324,15 @@ def two_block_isometries(
     """Average of two isometry conjugates of A+B reconstructing a PSD
     2x2-block matrix with Hermitian blocks.
 
-    With W the balancing congruence of :func:`two_block_congruence`, both
+    With W the balancing unitary of :func:`two_block_congruence`, both
     diagonal blocks of ``W* H W`` equal (A+B)/2, so the polar factors of
     ``sqrt(H) W[:, :n]`` and ``sqrt(H) W[:, n:]`` are 2n x n isometries
     U, V with ``H = (U (A+B) U* + V (A+B) V*)/2``.
     """
-    if h.block_count != 2:
-        raise ValueError("two-block decomposition needs exactly 2x2 blocks")
+    w = two_block_congruence(h)
     root = _hermitian_block_root(h, tol, "two-block decomposition input")
     n = h.block_dim
-    return _isometry_average("two_block_isometry", h.data.copy(), root @ _balancing_unitary(n), (n, n))
+    return _isometry_average("two_block_isometry", h.data.copy(), root @ w, (n, n))
 
 
 _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockMatrix
+from .errors import NumericalError
 from .kernel import as_matrix, dagger, frobenius, hermitian_part
 
 __all__ = [
@@ -85,8 +86,8 @@ class GeneratorSpec:
             raise ValueError("n must be positive")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
 
 def random_hermitian(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -133,7 +134,8 @@ def random_block_psd(spec: GeneratorSpec) -> BlockMatrix:
     Each summand stacks T S_1, ..., T S_alpha for a Hermitian T and a
     commuting family S_i; the product of the stack with its own adjoint
     has blocks T S_s S_t T, Hermitian because the S_i commute. rank = 0
-    yields the zero matrix.
+    yields the zero matrix. A scale that overflows an entry raises
+    :class:`NumericalError`.
     """
     rng = _stream(spec.seed, "block_psd")
     side = spec.alpha * spec.n
@@ -144,7 +146,10 @@ def random_block_psd(spec: GeneratorSpec) -> BlockMatrix:
         diags = rng.uniform(-1.0, 1.0, size=(spec.alpha, spec.n))
         stack = np.vstack([t @ hermitian_part((q * d) @ dagger(q)) for d in diags])
         h += stack @ dagger(stack)
-    h = hermitian_part(h) * spec.scale
+    with np.errstate(over="ignore"):
+        h = hermitian_part(h) * spec.scale
+    if not np.isfinite(h).all():
+        raise NumericalError(f"scale {spec.scale} overflows the {side}x{side} instance")
     return BlockMatrix(h, block_dim=spec.n, block_count=spec.alpha)
 
 

@@ -2,11 +2,14 @@
 
 Matrices are plain numpy arrays with dtype complex128. All functions are
 pure: arguments are never mutated and outputs are freshly allocated.
+
+:func:`validate_hermitian_psd` is the one PSD acceptance rule, and every
+LAPACK call goes through ``_lapack``, the one place a LAPACK failure
+becomes a :class:`NumericalError`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import chain
 
@@ -16,7 +19,6 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "DEFAULT_TOL",
-    "PsdClass",
     "Tolerance",
     "as_matrix",
     "dagger",
@@ -87,15 +89,6 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-class PsdClass(enum.Enum):
-    """Outcome of :func:`validate_hermitian_psd`."""
-
-    NOT_SQUARE = "not_square"
-    NOT_HERMITIAN = "not_hermitian"
-    NOT_PSD = "not_psd"
-    PSD = "psd"
-
-
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=np.complex128)
@@ -108,68 +101,57 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL) -> PsdClass:
-    """Classify a matrix as PSD, or report which hypothesis breaks first.
+def _lapack(routine: str, a: np.ndarray, **kwargs):
+    """``numpy.linalg.<routine>(a, **kwargs)``, looked up at call time; a
+    LAPACK failure raises :class:`NumericalError`."""
+    try:
+        return getattr(np.linalg, routine)(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{routine} did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
 
-    Hermiticity is measured by ``||M - M*||_F`` against the scale
-    ``||M||_F``; positivity by the smallest eigenvalue of the Hermitian
-    part against the same scale.
+
+def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs ``(values, vectors)`` of a PSD matrix, values
+    non-increasing; a non-square, non-Hermitian or non-PSD input raises
+    :class:`DomainError`.
+
+    Hermiticity is ``||M - M*||_F`` within the slack ``atol + rtol*||M||_F``;
+    positivity is the smallest eigenvalue of the Hermitian part at least
+    ``-slack`` (it is returned as measured, not clamped).
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
-        return PsdClass.NOT_SQUARE
-    scale = frobenius(a)
-    if frobenius(a - dagger(a)) > tol.slack(scale):
-        return PsdClass.NOT_HERMITIAN
-    lo = float(hermitian_eigvalues(hermitian_part(a))[-1])
-    if lo < -tol.slack(scale):
-        return PsdClass.NOT_PSD
-    return PsdClass.PSD
-
-
-def hermitian_eigvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, non-increasing, no vectors."""
-    a = as_matrix(m)
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
-    return w[::-1].copy()
-
-
-def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root of a PSD matrix.
-
-    The input is accepted as :func:`validate_hermitian_psd` accepts it:
-    ``||M - M*||_F`` within ``atol + rtol*||M||_F``, and eigenvalues in
-    ``[-(atol + rtol*||M||_F), 0)`` are clamped to zero before rooting.
-    Anything else raises :class:`DomainError`.
-    """
-    a = as_matrix(m)
+        raise DomainError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
     slack = tol.slack(frobenius(a))
     skew = frobenius(a - dagger(a))
     if skew > slack:
         raise DomainError(f"matrix is not Hermitian within tolerance: ||M - M*||_F {skew:.6e} > {slack:.6e}")
-    try:
-        w, v = np.linalg.eigh(as_matrix(hermitian_part(a)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
+    w, v = _lapack("eigh", hermitian_part(a))
     # non-increasing order, copied contiguous: the roots stay bit-for-bit stable
     values, v = w[::-1].copy(), v[:, ::-1].copy()
     smallest = float(values[-1])
     if smallest < -slack:
         raise DomainError(f"matrix is not PSD within tolerance: min eigenvalue {smallest:.6e} < {-slack:.6e}")
+    return values, v
+
+
+def hermitian_eigvalues(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, non-increasing, no vectors."""
+    return _lapack("eigvalsh", as_matrix(m))[::-1].copy()
+
+
+def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian PSD square root of a matrix :func:`validate_hermitian_psd`
+    accepts; eigenvalues within the slack below zero are clamped to zero
+    before rooting."""
+    values, v = validate_hermitian_psd(m, tol)
     roots = np.sqrt(np.clip(values, 0.0, None))
     return hermitian_part((v * roots) @ dagger(v))
 
 
 def singular_values(m) -> np.ndarray:
     """Singular values, non-increasing."""
-    a = as_matrix(m)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge on shape {a.shape}: {exc}") from exc
+    return _lapack("svd", as_matrix(m), compute_uv=False)
 
 
 def matrix_to_json(m) -> dict:

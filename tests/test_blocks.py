@@ -121,21 +121,21 @@ class TestValidateHermitianBlocks:
         a = np.diag([1.0, 2.0])
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         h = BlockMatrix(np.block([[a, x], [x, a]]), block_dim=2, block_count=2)
-        assert validate_hermitian_blocks(h).ok
+        assert validate_hermitian_blocks(h) == ()
 
     def test_counterexample_flags_nilpotent_block(self):
-        report = validate_hermitian_blocks(nonhermitian_counterexample())
-        assert not report.ok
-        assert (1, 2) in [(s, t) for s, t, _ in report.offending]
+        offending = validate_hermitian_blocks(nonhermitian_counterexample())
+        assert offending
+        assert (1, 2) in [(s, t) for s, t, _ in offending]
 
     def test_zero_matrix_passes(self):
         h = BlockMatrix(np.zeros((4, 4)), block_dim=2, block_count=2)
-        assert validate_hermitian_blocks(h).ok
+        assert validate_hermitian_blocks(h) == ()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sampler_outputs_pass(self, seed):
         h = seeded_instance(seed, alpha=2 + seed % 3, n=1 + seed % 4)
-        assert validate_hermitian_blocks(h).ok
+        assert validate_hermitian_blocks(h) == ()
 
 
 class TestInterleavePermutation:

@@ -342,6 +342,21 @@ class TestReportConventions:
             with pytest.raises(NumericalError):
                 compare_eq("x", lhs, rhs)
 
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("partial_sums", lambda: weak_majorization([1e308] * 2, [1e308] * 2)),
+            ("eigenvalue_partial_sums", lambda: hiroshima_check(BlockMatrix(np.diag([1e308, 0, 0, 1e308]), 2, 2))),
+            ("_premise", lambda: trace_concave_check(np.diag([1e308] * 2), np.diag([1e308] * 2), "log1p")),
+            ("pair_partial_sums", lambda: operator_pair_check(np.diag([1e154] * 2), [np.zeros((2, 2))], 2)),
+        ],
+        ids=["weak_majorization", "hiroshima", "trace_concave", "operator_pair"],
+    )
+    def test_overflowing_partial_sums_are_numerical_error(self, name, call):
+        # finite values whose partial sums pass the float limit: no numpy warning
+        with pytest.raises(NumericalError, match=f"check '{name}' has a non-finite side"):
+            call()
+
     def test_tolerance_override(self):
         strict = Tolerance(atol=0.0, rtol=0.0)
         report = weak_majorization([1.0 + 1e-12], [1.0], strict)

@@ -289,20 +289,30 @@ class TestOverflow:
         assert run(["verify", cert_path]) == 0
 
     @pytest.mark.parametrize(
-        "command, data, expected",
+        "command, data, block_dim, expected",
         [
-            (["decompose", "--two-block"], 8.9e307 * np.eye(2), 0),
-            (["decompose", "--two-block"], np.diag([1.5e308, 1.0]), 0),
-            (["decompose", "--quaternion"], 5e307 * np.eye(4), 3),
-            (["check"], 5e307 * np.eye(4), 3),
+            (["decompose", "--two-block"], 8.9e307 * np.eye(2), 1, 0),
+            (["decompose", "--two-block"], np.diag([1.5e308, 1.0]), 1, 0),
+            (["decompose", "--quaternion"], 5e307 * np.eye(4), 1, 3),
+            (["check"], 5e307 * np.eye(4), 1, 3),
+            (["check"], np.diag([1e308, 0, 0, 1e308]), 2, 3),
+            (["check"], np.diag([1e308, 1e308]), 2, 3),
         ],
-        ids=["two_block_8.9e307", "two_block_1.5e308", "quaternion_5e307", "check_5e307"],
+        ids=[
+            "two_block_8.9e307",
+            "two_block_1.5e308",
+            "quaternion_5e307",
+            "check_5e307",
+            "check_partial_sums_2_blocks",
+            "check_partial_sums_1_block",
+        ],
     )
-    def test_entries_near_the_float_limit(self, tmp_path, capsys, command, data, expected):
+    def test_entries_near_the_float_limit(self, tmp_path, capsys, command, data, block_dim, expected):
         # sums of these finite entries overflow: the run completes with
         # finite defects or is a numerical failure, never NaN or exit 2
         path = tmp_path / "H.json"
-        path.write_text(json.dumps(block_matrix_to_json(BlockMatrix(data, block_dim=1, block_count=len(data)))))
+        h = BlockMatrix(data, block_dim=block_dim, block_count=len(data) // block_dim)
+        path.write_text(json.dumps(block_matrix_to_json(h)))
         out = tmp_path / "out.json"
         assert run([*command, path, "-o", out]) == expected
         err = capsys.readouterr().err
@@ -317,6 +327,24 @@ class TestOverflow:
 
         json.loads(out.read_text(), parse_constant=reject)
         assert run(["verify", out]) == 0
+
+    @pytest.mark.parametrize(
+        "command, expected, message",
+        [
+            (["gen", "--scale", "inf", "-o", "H.json"], 2, "error: scale must be finite and positive, got inf"),
+            (["gen", "--scale", "1e308", "--seed", 1, "-o", "H.json"], 3, "numerical failure: scale 1e+308 overflows"),
+            (["check", "--trials", 1, "--scale", "inf"], 2, "error: scale must be finite and positive, got inf"),
+            (["check", "--trials", 1, "--scale", "1e308"], 3, "numerical failure: scale 1e+308 overflows"),
+        ],
+        ids=["gen_inf", "gen_1e308", "check_inf", "check_1e308"],
+    )
+    def test_generator_scale(self, tmp_path, monkeypatch, capsys, command, expected, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(command) == expected
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Warning" not in err
+        assert not (tmp_path / "H.json").exists()
 
 
 class TestConfigEcho:

@@ -199,7 +199,8 @@ class TestTwoBlockCongruence:
     @pytest.mark.parametrize("seed", range(20))
     def test_diagonal_blocks_average(self, seed):
         h = block_instance(seed, alpha=2, n=3)
-        w, k = two_block_congruence(h)
+        w = two_block_congruence(h)
+        k = dagger(w) @ h.data @ w
         n = h.block_dim
         half_sum = np.asarray(get_block(h, 1, 1) + get_block(h, 2, 2)) / 2.0
         scale = 1 + frobenius(h.data)

@@ -76,8 +76,7 @@ class TestRandomBlockPsd:
         spec = GeneratorSpec(seed=seed, alpha=2 + seed % 3, n=1 + seed % 3, rank=1 + seed % 4, scale=2.0)
         h = random_block_psd(spec)
         assert hermitian_eigvalues(h.data)[-1] >= -1e-10 * spec.scale
-        report = validate_hermitian_blocks(h)
-        assert report.ok
+        assert validate_hermitian_blocks(h) == ()
         worst = max(
             frobenius(np.asarray(get_block(h, s, t)) - dagger(get_block(h, s, t)))
             for s in range(1, h.block_count + 1)
@@ -112,6 +111,9 @@ class TestRandomBlockPsd:
             GeneratorSpec(seed=0, alpha=2, n=2, rank=-1)
         with pytest.raises(ValueError):
             GeneratorSpec(seed=0, alpha=2, n=2, rank=1, scale=0.0)
+        for scale in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"scale must be finite and positive, got {scale}"):
+                GeneratorSpec(seed=0, alpha=2, n=2, rank=1, scale=scale)
 
 
 class TestEqualityCase:
@@ -157,8 +159,8 @@ class TestCounterexample:
         assert np.allclose(np.asarray(get_block(h, 2, 2)), np.diag([0.0, 1.0]))
 
     def test_flags_offending_block(self):
-        report = validate_hermitian_blocks(nonhermitian_counterexample())
-        assert (1, 2) in [(s, t) for s, t, _ in report.offending]
+        offending = validate_hermitian_blocks(nonhermitian_counterexample())
+        assert (1, 2) in [(s, t) for s, t, _ in offending]
 
     def test_dominance_fails_at_top(self):
         report = hiroshima_check(nonhermitian_counterexample())

@@ -1,7 +1,10 @@
-"""Source hygiene: no package module imports a name it never uses.
+"""Source hygiene: no package module imports a name it never uses, every
+name a module lists in ``__all__`` is defined there, and ``__init__``
+re-exports only listed names.
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
-linter. ``__init__.py`` is skipped: its imports are the re-exports.
+linter. ``__init__.py`` is skipped by the unused-import check: its
+imports are the re-exports.
 """
 
 import ast
@@ -26,6 +29,32 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level: definitions, assignments, imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def listed_names(tree: ast.Module) -> list[str] | None:
+    """The module's ``__all__``, or None when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_modules_found():
     assert {"cli.py", "decompose.py", "kernel.py"} <= {p.name for p in MODULES}
 
@@ -33,6 +62,25 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_listed_names_are_defined(path):
+    tree = parse(path)
+    assert sorted(set(listed_names(tree) or ()) - top_level_names(tree)) == []
+
+
+def test_init_reexports_only_listed_names():
+    stale = []
+    for node in parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            module = PACKAGE / f"{node.module}.py"
+            tree = parse(module)
+            exported = listed_names(tree)
+            if exported is None:  # no __all__: every public top-level name
+                exported = [n for n in top_level_names(tree) if not n.startswith("_")]
+            stale += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in exported]
+    assert stale == []
 
 
 def test_detector_sees_unused_and_used_names():

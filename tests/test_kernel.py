@@ -1,4 +1,4 @@
-"""Matrix kernel tests: classification, spectra, roots, JSON."""
+"""Matrix kernel tests: PSD acceptance, spectra, roots, LAPACK failures, JSON."""
 
 import tracemalloc
 
@@ -11,8 +11,8 @@ from psdblocks import (
     DEFAULT_TOL,
     DomainError,
     NumericalError,
-    PsdClass,
     Tolerance,
+    corner_unitary,
     dagger,
     frobenius,
     hermitian_eigvalues,
@@ -22,8 +22,10 @@ from psdblocks import (
     random_hermitian,
     random_psd,
     singular_values,
+    two_corner_decomposition,
     validate_hermitian_psd,
 )
+from psdblocks import kernel
 
 
 def crandn(rng, shape):
@@ -32,17 +34,22 @@ def crandn(rng, shape):
 
 class TestValidateHermitianPsd:
     def test_identity_is_psd(self):
-        assert validate_hermitian_psd(np.eye(2)) is PsdClass.PSD
+        values, vectors = validate_hermitian_psd(np.eye(2))
+        assert np.array_equal(values, [1.0, 1.0])
+        assert frobenius(dagger(vectors) @ vectors - np.eye(2)) <= 1e-15
 
     def test_nilpotent_not_hermitian(self):
-        assert validate_hermitian_psd([[0, 1], [0, 0]]) is PsdClass.NOT_HERMITIAN
+        with pytest.raises(DomainError, match="not Hermitian within tolerance"):
+            validate_hermitian_psd([[0, 1], [0, 0]])
 
     def test_indefinite_not_psd(self):
         # eigenvalues 3 and -1
-        assert validate_hermitian_psd([[1, 2], [2, 1]]) is PsdClass.NOT_PSD
+        with pytest.raises(DomainError, match="not PSD within tolerance: min eigenvalue -1"):
+            validate_hermitian_psd([[1, 2], [2, 1]])
 
     def test_rectangular_not_square(self):
-        assert validate_hermitian_psd(np.ones((2, 3))) is PsdClass.NOT_SQUARE
+        with pytest.raises(DomainError, match="must be square, got 2x3"):
+            validate_hermitian_psd(np.ones((2, 3)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -51,8 +58,11 @@ class TestValidateHermitianPsd:
             validate_hermitian_psd([[np.nan, 0], [0, 1]])
 
     def test_tiny_negative_within_slack_is_psd(self):
+        # accepted, and the eigenpairs come back as measured, not clamped
         m = np.diag([1.0, -1e-12])
-        assert validate_hermitian_psd(m) is PsdClass.PSD
+        values, vectors = validate_hermitian_psd(m)
+        assert np.array_equal(values, [1.0, -1e-12])
+        assert frobenius((vectors * values) @ dagger(vectors) - m) <= 1e-15
 
 
 class TestHermitianEig:
@@ -133,21 +143,55 @@ class TestPsdSqrt:
 
     def test_rejects_non_hermitian(self):
         # the rule of validate_hermitian_psd, not the root of the Hermitian part
-        assert validate_hermitian_psd([[1, 1], [0, 1]]) is PsdClass.NOT_HERMITIAN
-        with pytest.raises(DomainError, match="not Hermitian"):
-            psd_sqrt([[1, 1], [0, 1]])
+        for decide in (validate_hermitian_psd, psd_sqrt):
+            with pytest.raises(DomainError, match="not Hermitian"):
+                decide([[1, 1], [0, 1]])
+
+    def test_one_eigensolve_through_the_rule(self, monkeypatch):
+        calls = []
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(kernel, "validate_hermitian_psd", count("rule", kernel.validate_hermitian_psd))
+        for routine in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, routine, count(routine, getattr(np.linalg, routine)))
+        psd_sqrt(random_psd(4, rank=2, seed=0))
+        assert calls == ["rule", "eigh"]
 
     def test_accepts_hermitian_within_slack(self):
         m = np.array([[1.0, 1e-12], [0.0, 1.0]])
         assert np.allclose(psd_sqrt(m), np.eye(2))
 
-    def test_eigensolver_failure_is_numerical(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(NumericalError, match="did not converge on a 2x2 matrix"):
-            psd_sqrt(np.eye(2))
+@pytest.mark.parametrize(
+    "routine, call, kwargs, shape",
+    [
+        ("eigh", lambda: psd_sqrt(np.eye(2)), {}, "2x2"),
+        ("eigvalsh", lambda: hermitian_eigvalues(np.eye(2)), {}, "2x2"),
+        ("svd", lambda: two_corner_decomposition(np.eye(3), 2, 1), {"full_matrices": False}, "3x2"),
+        ("svd", lambda: corner_unitary(np.ones((3, 1)), 0), {"full_matrices": True}, "3x1"),
+        ("svd", lambda: singular_values(np.ones((2, 3))), {"compute_uv": False}, "2x3"),
+    ],
+    ids=["eigh", "eigvalsh", "svd_thin", "svd_full", "svd_values"],
+)
+def test_eigensolver_failure_is_numerical(monkeypatch, routine, call, kwargs, shape):
+    # every LAPACK call site: the polar factor, the corner unitary and the
+    # singular values are the thin, full and values-only SVDs
+    seen = []
+
+    def fail(a, **given):
+        seen.append(given)
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(NumericalError, match=f"^{routine} did not converge on a {shape} matrix"):
+        call()
+    assert seen == [kwargs]
 
 
 class TestSingularValues:
