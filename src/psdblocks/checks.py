@@ -86,8 +86,9 @@ class CheckReport:
 def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:
     """Judge ``lhs <= rhs`` componentwise under the shared slack rule.
 
-    A non-finite side cannot be judged: it raises :class:`NumericalError`
-    instead of yielding a NaN margin.
+    A non-finite side cannot be judged, and a margin that overflows
+    cannot be reported: both raise :class:`NumericalError` instead of
+    yielding a NaN or infinite margin.
     """
     lv = np.atleast_1d(np.asarray(lhs, dtype=float))
     rv = np.atleast_1d(np.asarray(rhs, dtype=float))
@@ -95,14 +96,18 @@ def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:
         raise ValueError(f"lhs/rhs shape mismatch in check {name!r}: {lv.shape} vs {rv.shape}")
     if not (np.all(np.isfinite(lv)) and np.all(np.isfinite(rv))):
         raise NumericalError(f"check {name!r} has a non-finite side: lhs {lhs}, rhs {rhs}")
-    margins = rv - lv
+    with np.errstate(over="ignore"):
+        margins = rv - lv
+    margin = float(margins.min())
+    if not np.isfinite(margin):
+        raise NumericalError(f"check {name!r} has a margin beyond the float range: lhs {lhs}, rhs {rhs}")
     slacks = tol.atol + tol.rtol * np.maximum(np.abs(lv), np.abs(rv))
     scalar = np.ndim(lhs) == 0
     return Check(
         name=name,
         lhs=float(lv[0]) if scalar else tuple(float(x) for x in lv),
         rhs=float(rv[0]) if scalar else tuple(float(x) for x in rv),
-        margin=float(margins.min()),
+        margin=margin,
         passed=bool(np.all(margins >= -slacks)),
     )
 

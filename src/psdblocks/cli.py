@@ -7,9 +7,11 @@ or quaternion certificate), ``verify`` (replay a certificate's defects),
 the configuration: every artifact echoes its command's own flags under
 ``"config"`` (``decompose`` with the beta it used; ``--two-block``
 takes none), plus the command name and a timestamp, which lives only
-there. Tolerances must be finite. Artifacts are written as compact
-single-line JSON. Exit codes: 0 all checks passed, 1 a mathematical
-check failed, 2 input or usage error, 3 numerical failure.
+there. Tolerances must be finite. Artifacts are written by orjson as
+compact single-line UTF-8 JSON whose floats are shortest round-trip
+decimals, so any JSON reader recovers the exact values; they are read
+back with ``json.loads``. Exit codes: 0 all checks passed, 1 a
+mathematical check failed, 2 input or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import datetime
 import json
 import sys
 from pathlib import Path
+
+import orjson
 
 from .blocks import block_matrix_from_json, block_matrix_to_json
 from .checks import (
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+    Path(path).write_text(orjson.dumps(payload).decode() + "\n", encoding="utf-8")
 
 
 def _load_json(path: str) -> dict:
@@ -189,14 +193,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         reports = [run_inequality_suite(h, tol)]
         labels = [args.input_path]
     elif args.trials > 0:
-        reports = []
-        labels = []
-        for i in range(args.trials):
-            spec = GeneratorSpec(
-                seed=args.seed + i, alpha=args.alpha, n=args.n, rank=args.rank, scale=args.scale
-            )
-            reports.append(run_inequality_suite(random_block_psd(spec), tol))
-            labels.append(f"trial {i} (seed {spec.seed})")
+        # every trial's spec, so a seed past the range is rejected before any work
+        specs = [
+            GeneratorSpec(seed=args.seed + i, alpha=args.alpha, n=args.n, rank=args.rank, scale=args.scale)
+            for i in range(args.trials)
+        ]
+        reports = [run_inequality_suite(random_block_psd(spec), tol) for spec in specs]
+        labels = [f"trial {i} (seed {spec.seed})" for i, spec in enumerate(specs)]
     else:
         raise ValueError("check needs an input file or --trials N")
     payload = {
@@ -214,6 +217,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
+    # both seeded specs up front, so a seed past the range is rejected before any output
+    spec = GeneratorSpec(seed=args.seed, alpha=4, n=2, rank=3)
+    spec3 = GeneratorSpec(seed=args.seed + 1, alpha=3, n=2, rank=3)
     ok = True
 
     print("== determinant sandwich on the commuting equality witness ==")
@@ -245,7 +251,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     ok &= not rep.passed
 
     print("== quaternion route, stage by stage ==")
-    spec = GeneratorSpec(seed=args.seed, alpha=4, n=2, rank=3)
     h = random_block_psd(spec)
     trace, cert = quaternion_pipeline(h, beta=4, tol=tol)
     skew, equal = trace.skew_defect, trace.equal_diagonal_defect
@@ -258,7 +263,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     ok &= cert.defects["reconstruction"] <= 1e-8 * scale
     ok &= max(cert.defects["isometry"]) <= 1e-9
 
-    spec3 = GeneratorSpec(seed=args.seed + 1, alpha=3, n=2, rank=3)
     h3 = random_block_psd(spec3)
     _, cert3 = quaternion_pipeline(h3, beta=3, tol=tol)
     print(

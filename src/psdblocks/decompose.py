@@ -447,7 +447,8 @@ def certificate_to_json(cert: DecompositionCertificate) -> dict:
 def certificate_from_json(obj) -> DecompositionCertificate:
     """Parse and validate a certificate file. The stated weight, and a
     corner certificate's slots, must equal what the kind and the factors
-    fix; stated ``"defects"`` (and an earlier ``"core"``) are ignored."""
+    fix; stated ``"defects"`` (and an earlier ``"core"``) are ignored.
+    The weight is checked before any matrix is decoded."""
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     try:
@@ -455,6 +456,8 @@ def certificate_from_json(obj) -> DecompositionCertificate:
         if type(weight) is not str:
             raise ValueError(f"weight must be an exact fraction string such as \"1/4\", got {weight!r:.20}")
         weight = Fraction(weight)
+        if kind in KINDS and weight != _WEIGHT[kind]:  # an unknown kind is rejected on construction
+            raise ValueError(f"kind {kind!r} carries weight {weight}, expected {_WEIGHT[kind]}")
         target = matrix_from_json(obj["target"])
         factors = tuple(matrix_from_json(f) for f in obj["factors"])
         slots = obj.get("slots")
@@ -463,8 +466,6 @@ def certificate_from_json(obj) -> DecompositionCertificate:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedCertificateError(f"malformed certificate JSON: {exc}") from exc
     cert = DecompositionCertificate(kind=kind, target=target, factors=factors)
-    if weight != cert.weight:
-        raise MalformedCertificateError(f"kind {kind!r} carries weight {weight}, expected {cert.weight}")
     if cert.slots is not None and slots != list(cert.slots):
         raise MalformedCertificateError(f"corner certificate slots {slots} must equal the factor widths {list(cert.slots)}")
     return cert

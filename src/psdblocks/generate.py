@@ -29,13 +29,19 @@ __all__ = [
     "random_psd",
 ]
 
-_MASK64 = 2**64
+
+def _check_seed(seed: int) -> None:
+    """Seeds are the unsigned 64-bit integers: no two seeds share a stream,
+    and every seed an artifact echoes fits a JSON encoder's integers."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _stream(seed: int, label: str) -> np.random.Generator:
+    _check_seed(seed)
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-    return np.random.default_rng(np.random.SeedSequence([int(seed) % _MASK64, *words]))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))
 
 
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -71,7 +77,7 @@ class GeneratorSpec:
     """Parameters pinning one block-matrix instance.
 
     ``rank`` counts the Gram summands; equal specs produce identical
-    instances."""
+    instances. The seed must lie in ``[0, 2**64)``."""
 
     seed: int
     alpha: int
@@ -80,6 +86,7 @@ class GeneratorSpec:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if self.alpha < 2:
             raise ValueError("alpha must be at least 2")
         if self.n < 1:

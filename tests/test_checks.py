@@ -357,6 +357,18 @@ class TestReportConventions:
         with pytest.raises(NumericalError, match=f"check '{name}' has a non-finite side"):
             call()
 
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [(-1.5e308, 1.5e308), (1.5e308, -1.5e308), ([0.0, 1.5e308], [1.0, -1.5e308])],
+        ids=["positive", "negative", "vector"],
+    )
+    def test_overflowing_margin_is_numerical_error(self, lhs, rhs):
+        # finite sides whose difference passes the float limit: no numpy
+        # warning, and no infinite margin for a report to hold
+        for compare in (compare_le, compare_eq):
+            with pytest.raises(NumericalError, match="check 'x' has a margin beyond the float range"):
+                compare("x", lhs, rhs)
+
     def test_tolerance_override(self):
         strict = Tolerance(atol=0.0, rtol=0.0)
         report = weak_majorization([1.0 + 1e-12], [1.0], strict)

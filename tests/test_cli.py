@@ -5,6 +5,7 @@ import json
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 from psdblocks import (
@@ -347,6 +348,38 @@ class TestOverflow:
         assert not (tmp_path / "H.json").exists()
 
 
+class TestSeedRange:
+    """Seeds are the unsigned 64-bit integers; any other seed is a usage error."""
+
+    @pytest.mark.parametrize(
+        "command, seed",
+        [
+            (["gen", "-o", "H.json", "--seed", 2**64 + 1], 2**64 + 1),
+            (["gen", "-o", "H.json", "--seed", 2**64], 2**64),
+            (["gen", "-o", "H.json", "--seed", -1], -1),
+            (["check", "-o", "H.json", "--trials", 2, "--seed", 2**64 - 1], 2**64),
+            (["check", "-o", "H.json", "--trials", 1, "--seed", -1], -1),
+            (["demo", "--seed", 2**64 - 1], 2**64),
+            (["demo", "--seed", -1], -1),
+        ],
+        ids=["gen_2**64+1", "gen_2**64", "gen_-1", "check_last_trial_2**64", "check_-1", "demo_2**64-1", "demo_-1"],
+    )
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, command, seed):
+        monkeypatch.chdir(tmp_path)
+        assert run(command) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "H.json").exists()
+
+    def test_largest_seed_is_echoed(self, tmp_path):
+        h_path, k_path = tmp_path / "H.json", tmp_path / "k.json"
+        assert run(["gen", "--seed", 2**64 - 1, "-o", h_path]) == 0
+        assert json.loads(h_path.read_text())["config"]["seed"] == 2**64 - 1
+        assert run(["check", "--trials", 2, "--seed", 2**64 - 2, "-o", k_path]) == 0
+        assert json.loads(k_path.read_text())["config"]["seed"] == 2**64 - 2
+
+
 class TestConfigEcho:
     """An artifact's "config" is its command's parsed arguments."""
 
@@ -413,7 +446,40 @@ class TestCompactArtifacts:
             obj = json.loads(text)
             del obj["config"]
             assert obj == payload, path.name
-            assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", path.name
+            assert text == orjson.dumps(json.loads(text)).decode() + "\n", path.name
+
+    @pytest.mark.parametrize(
+        "scale, rank",
+        [("1e-150", 3), ("1", 3), ("1e150", 3), ("1", 1)],
+        ids=["scale_1e-150", "scale_1", "scale_1e150", "rank_1"],
+    )
+    def test_certificate_values_are_bit_identical(self, tmp_path, scale, rank):
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        assert run(["gen", "--alpha", 4, "--n", 3, "--rank", rank, "--scale", scale, "--seed", 2, "-o", h_path]) == 0
+        assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
+        h = random_block_psd(GeneratorSpec(seed=2, alpha=4, n=3, rank=rank, scale=float(scale)))
+        assert_same_bits(json.loads(cert_path.read_text()), quaternion_pipeline(h, beta=4)[1])
+
+    def test_special_values_are_bit_identical(self, tmp_path):
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        special = [5e-324, -0.0, 9.999999999999999e-05, 1.7976931348623157e308]
+        h = BlockMatrix(np.diag(special).astype(np.complex128), block_dim=2, block_count=2)
+        h_path.write_text(json.dumps(block_matrix_to_json(h)))
+        assert run(["decompose", "--two-block", h_path, "-o", cert_path]) == 0
+        obj = json.loads(cert_path.read_text())
+        assert_same_bits(obj, two_block_isometries(h))
+        diagonal = np.array(obj["target"]["entries"])[::5, 0]
+        assert diagonal.view(np.uint64).tolist() == np.array(special).view(np.uint64).tolist()
+
+
+def assert_same_bits(obj, cert):
+    """A certificate read with stdlib ``json.loads`` holds the library's
+    target and factors to the last bit (signed zeros and subnormals too)."""
+    for stated, matrix in zip([obj["target"], *obj["factors"]], [cert.target, *cert.factors], strict=True):
+        entries = np.array(stated["entries"])
+        assert entries.dtype == np.float64
+        assert (stated["rows"], stated["cols"]) == matrix.shape
+        assert entries.view(np.uint64).tolist() == np.ascontiguousarray(matrix).view(np.uint64).reshape(-1, 2).tolist()
 
 
 class TestIdempotence:

@@ -487,6 +487,15 @@ class TestCertificates:
         with pytest.raises(MalformedCertificateError, match="weight 1/3, expected 1/2"):
             certificate_from_json(obj)
 
+    def test_weight_is_checked_before_decoding(self, monkeypatch):
+        obj = certificate_to_json(self.fresh()[1])
+        obj["weight"] = "1/3"
+        decoded = []
+        monkeypatch.setattr(decompose_module, "matrix_from_json", decoded.append)
+        with pytest.raises(MalformedCertificateError, match="weight 1/3, expected 1/2"):
+            certificate_from_json(obj)
+        assert decoded == []
+
     def test_stated_defects_are_ignored(self):
         _, cert = self.fresh()
         obj = certificate_to_json(cert)

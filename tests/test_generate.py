@@ -116,6 +116,19 @@ class TestRandomBlockPsd:
                 GeneratorSpec(seed=0, alpha=2, n=2, rank=1, scale=scale)
 
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # these seeds used to alias 2**64 - 1, 0 and 1
+        with pytest.raises(ValueError, match=f"seed must be in \\[0, 2\\*\\*64\\), got {seed}"):
+            GeneratorSpec(seed=seed, alpha=2, n=2, rank=1)
+        with pytest.raises(ValueError, match="seed must be in"):
+            random_hermitian(2, seed)
+
+    def test_largest_seed_accepted(self):
+        h = random_block_psd(GeneratorSpec(seed=2**64 - 1, alpha=2, n=2, rank=1))
+        assert not np.array_equal(h.data, random_block_psd(GeneratorSpec(seed=0, alpha=2, n=2, rank=1)).data)
+
+
 class TestEqualityCase:
     def test_concrete_diagonal_witness(self):
         h = geometric_mean_instance()

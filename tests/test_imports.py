@@ -1,6 +1,7 @@
 """Source hygiene: no package module imports a name it never uses, every
-name a module lists in ``__all__`` is defined there, and ``__init__``
-re-exports only listed names.
+name a module lists in ``__all__`` is defined there, ``__init__``
+re-exports only listed names, and the third-party modules the package
+imports are exactly its declared dependencies.
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
 linter. ``__init__.py`` is skipped by the unused-import check: its
@@ -8,11 +9,14 @@ imports are the re-exports.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "psdblocks"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "psdblocks"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -92,3 +96,45 @@ def test_detector_sees_unused_and_used_names():
         "x: np.ndarray = norm(os.path.sep)\n"
     )
     assert unused_imports(source) == ["dagger"]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute, non-stdlib modules a source imports."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots - set(sys.stdlib_module_names)
+
+
+def declared_dependencies() -> set[str]:
+    """Project names in ``pyproject.toml``'s ``dependencies``, normalised
+    to module spelling (lower case, ``-`` as ``_``)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    listed = ast.literal_eval(re.search(r"^dependencies = (\[.*?\])", text, re.M | re.S).group(1))
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in listed}
+
+
+def package_imports() -> set[str]:
+    return set().union(*(third_party_imports(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+
+
+def test_third_party_imports_are_declared():
+    assert sorted(package_imports() - declared_dependencies()) == []
+
+
+def test_declared_dependencies_are_imported():
+    assert sorted(declared_dependencies() - package_imports()) == []
+
+
+def test_detector_sees_third_party_roots():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy.linalg as la\n"
+        "from orjson import dumps\n"
+        "from .kernel import dagger\n"
+    )
+    assert third_party_imports(source) == {"numpy", "orjson"}
