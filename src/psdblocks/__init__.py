@@ -78,6 +78,7 @@ from .kernel import (
     hermitian_part,
     matrix_from_json,
     matrix_to_json,
+    matrix_to_wire,
     psd_sqrt,
     singular_values,
     validate_hermitian_psd,

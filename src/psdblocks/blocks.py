@@ -169,8 +169,10 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_matrix_to_json(h: BlockMatrix) -> dict:
-    obj = matrix_to_json(h.data)
+def block_matrix_to_json(h: BlockMatrix, encode=matrix_to_json) -> dict:
+    """The block matrix's wire payload, its matrix written by ``encode``
+    (:func:`matrix_to_json`, or :func:`matrix_to_wire` for orjson)."""
+    obj = encode(h.data)
     obj["block_dim"] = h.block_dim
     obj["block_count"] = h.block_count
     return obj

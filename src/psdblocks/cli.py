@@ -9,15 +9,19 @@ the configuration: every artifact echoes its command's own flags under
 takes none), plus the command name and a timestamp, which lives only
 there. Tolerances must be finite. Artifacts are written by orjson as
 compact single-line UTF-8 JSON whose floats are shortest round-trip
-decimals, so any JSON reader recovers the exact values; they are read
-back with ``json.loads``. Exit codes: 0 all checks passed, 1 a
-mathematical check failed, 2 input or usage error, 3 numerical failure.
+decimals, so any JSON reader recovers the exact values; every matrix is
+written straight from its float64 buffer (:func:`~.kernel.matrix_to_wire`),
+with no Python float built per entry. They are read back with
+``json.loads``, the cyclic garbage collector paused while it parses.
+Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
+or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import sys
 from pathlib import Path
@@ -46,7 +50,7 @@ from .generate import (
     nonhermitian_counterexample,
     random_block_psd,
 )
-from .kernel import Tolerance, frobenius
+from .kernel import Tolerance, frobenius, matrix_to_wire
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,11 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(orjson.dumps(payload).decode() + "\n", encoding="utf-8")
+    Path(path).write_bytes(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    # read as text, so only UTF-8 files are accepted; the parsed lists are
+    # acyclic, so the collector's passes over them would find nothing
+    text = Path(path).read_text(encoding="utf-8")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _print_report(report_obj: dict) -> None:
@@ -138,7 +151,7 @@ def _print_report(report_obj: dict) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(seed=args.seed, alpha=args.alpha, n=args.n, rank=args.rank, scale=args.scale)
     h = random_block_psd(spec)
-    payload = block_matrix_to_json(h)
+    payload = block_matrix_to_json(h, matrix_to_wire)
     payload["config"] = _config(args)
     _write_json(args.out_path, payload)
     print(f"wrote {args.alpha}x{args.alpha} blocks of side {args.n} (rank {args.rank}) to {args.out_path}")
@@ -156,7 +169,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         if args.beta is None:
             args.beta = h.block_count
         cert = quaternion_pipeline(h, args.beta, tol)[1]  # the stage trace is freed at once
-    payload = certificate_to_json(cert)
+    payload = certificate_to_json(cert, matrix_to_wire)
     payload["config"] = _config(args)
     _write_json(args.out_path, payload)
     worst = max(cert.defects["isometry"], default=0.0)

@@ -431,12 +431,14 @@ def verify_certificate(
     return CheckReport(checks=tuple(items), tolerance=tol)
 
 
-def certificate_to_json(cert: DecompositionCertificate) -> dict:
+def certificate_to_json(cert: DecompositionCertificate, encode=matrix_to_json) -> dict:
+    """The certificate's wire payload, each matrix written by ``encode``
+    (:func:`matrix_to_json`, or :func:`matrix_to_wire` for orjson)."""
     obj = {
         "kind": cert.kind,
         "weight": str(cert.weight),
-        "target": matrix_to_json(cert.target),
-        "factors": [matrix_to_json(f) for f in cert.factors],
+        "target": encode(cert.target),
+        "factors": [encode(f) for f in cert.factors],
         "defects": {"reconstruction": cert.defects["reconstruction"], "isometry": list(cert.defects["isometry"])},
     }
     if cert.slots is not None:

@@ -27,6 +27,7 @@ __all__ = [
     "hermitian_part",
     "matrix_from_json",
     "matrix_to_json",
+    "matrix_to_wire",
     "psd_sqrt",
     "singular_values",
     "validate_hermitian_psd",
@@ -154,11 +155,21 @@ def singular_values(m) -> np.ndarray:
     return _lapack("svd", as_matrix(m), compute_uv=False)
 
 
+def matrix_to_wire(m) -> dict:
+    """Wire format: {"rows", "cols", "entries": [[re, im], ...]} row-major,
+    with the entries as the matrix's own C-contiguous ``(rows*cols, 2)``
+    float64 view, which orjson writes with ``OPT_SERIALIZE_NUMPY`` without
+    building a Python float per entry."""
+    a = np.ascontiguousarray(as_matrix(m))
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": a.view(np.float64).reshape(-1, 2)}
+
+
 def matrix_to_json(m) -> dict:
-    """Wire format: {"rows", "cols", "entries": [[re, im], ...]} row-major."""
-    a = as_matrix(m)
-    entries = np.stack([a.real.ravel(), a.imag.ravel()], -1).tolist()
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
+    """:func:`matrix_to_wire` with the entries as plain lists, for stdlib
+    ``json`` and ``==``."""
+    obj = matrix_to_wire(m)
+    obj["entries"] = obj["entries"].tolist()
+    return obj
 
 
 _NUMBER = {int, float}  # by exact type, so bool and str entries are rejected

@@ -1,7 +1,9 @@
 """CLI tests: end-to-end pipelines, exit codes, idempotent reports."""
 
 import argparse
+import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,6 +160,30 @@ class TestErrorPaths:
         bad = tmp_path / "bad.json"
         write_counterexample(bad)
         assert run(["decompose", "--two-block", bad, "-o", tmp_path / "c.json"]) == 2
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+    @pytest.mark.parametrize("text, code", [('{"kind": "quater', 2), (None, 0)], ids=["decode_error", "decoded"])
+    def test_reading_restores_gc_state(self, tmp_path, monkeypatch, enabled, text, code):
+        h_path = tmp_path / "H.json"
+        if text is None:
+            assert run(["gen", "--alpha", 2, "--n", 2, "-o", h_path]) == 0
+        else:
+            h_path.write_text(text)
+        loads, paused = json.loads, []
+
+        def spy(*args, **kwargs):
+            paused.append(not gc.isenabled())
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(["check", h_path]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused == [True]
 
 
 def forge_core(cert):
@@ -425,28 +451,49 @@ class TestCompactArtifacts:
 
     def test_artifacts_are_single_line_library_payloads(self, tmp_path):
         h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        h2_path, two_path = tmp_path / "H2.json", tmp_path / "two.json"
         verify_path, check_path = tmp_path / "r.json", tmp_path / "k.json"
         assert run(["gen", "--alpha", 3, "--n", 2, "--seed", 4, "-o", h_path]) == 0
         assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
+        assert run(["gen", "--alpha", 2, "--n", 3, "--seed", 4, "-o", h2_path]) == 0
+        assert run(["decompose", "--two-block", h2_path, "-o", two_path]) == 0
         assert run(["verify", cert_path, "-o", verify_path]) == 0
         assert run(["check", h_path, "-o", check_path]) == 0
 
         h = random_block_psd(GeneratorSpec(seed=4, alpha=3, n=2, rank=3))
+        h2 = random_block_psd(GeneratorSpec(seed=4, alpha=2, n=3, rank=3))
         cert = quaternion_pipeline(h, beta=3)[1]
         suite = run_inequality_suite(h)
         expected = {
             h_path: block_matrix_to_json(h),
             cert_path: certificate_to_json(cert),
+            h2_path: block_matrix_to_json(h2),
+            two_path: certificate_to_json(two_block_isometries(h2)),
             verify_path: report_to_json(verify_certificate(cert)),
-            check_path: {"reports": [report_to_json(suite)], "passed": suite.passed},
+            # check states its config first; the others append it
+            check_path: {"config": None, "reports": [report_to_json(suite)], "passed": suite.passed},
         }
         for path, payload in expected.items():
-            text = path.read_text()
-            assert text.endswith("\n") and text.count("\n") == 1, path.name
-            obj = json.loads(text)
-            del obj["config"]
-            assert obj == payload, path.name
-            assert text == orjson.dumps(json.loads(text)).decode() + "\n", path.name
+            data = path.read_bytes()
+            stated = {**payload, "config": json.loads(data)["config"]}
+            # the CLI writes matrices from their float64 buffers, the
+            # library payload holds lists: the bytes are the same
+            assert data == orjson.dumps(stated, option=orjson.OPT_APPEND_NEWLINE), path.name
+
+    def test_encode_peak_memory(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        h = BlockMatrix(rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)), block_dim=128, block_count=2)
+        monkeypatch.setattr("psdblocks.cli.random_block_psd", lambda spec: h)
+        path = tmp_path / "H.json"
+        tracemalloc.start()
+        try:
+            assert run(["gen", "--alpha", 2, "--n", 128, "-o", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.6x: orjson's growing output buffer; plain-list entries
+        # (two Python floats and a list per ~41 bytes written) reach about 4.7x
+        assert peak < 2 * path.stat().st_size
 
     @pytest.mark.parametrize(
         "scale, rank",

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 
 from oracles import charpoly_eigenvalues
@@ -18,6 +19,7 @@ from psdblocks import (
     hermitian_eigvalues,
     matrix_from_json,
     matrix_to_json,
+    matrix_to_wire,
     psd_sqrt,
     random_hermitian,
     random_psd,
@@ -281,12 +283,23 @@ class TestMatrixJson:
         back = matrix_from_json({"rows": 1, "cols": 1, "entries": [[2**70, 0]]})
         assert back[0, 0] == complex(2**70, 0)
 
-    def test_encode_matches_per_entry_floats(self):
-        values = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1 / 3]
-        m = np.array([complex(re, im) for re in values for im in values]).reshape(len(values), -1)
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            pytest.param(lambda m: m, id="contiguous"),
+            pytest.param(lambda m: m.T, id="transposed"),
+            pytest.param(lambda m: m[:, 1::2], id="column_sliced"),
+        ],
+    )
+    def test_encode_matches_per_entry_floats(self, layout):
+        values = [0.0, -0.0, 5e-324, -2.5e-310, 9.999999999999999e-05, 1e300, -1e300, 1.7976931348623157e308, 1 / 3]
+        m = layout(np.array([complex(re, im) for re in values for im in values]).reshape(len(values), -1))
         reference = [[float(z.real), float(z.imag)] for z in m.ravel()]
         entries = matrix_to_json(m)["entries"]
         assert [list(map(repr, e)) for e in entries] == [list(map(repr, e)) for e in reference]
+        # the float64 view orjson writes gives the same bytes as the lists
+        wire = orjson.dumps(matrix_to_wire(m), option=orjson.OPT_SERIALIZE_NUMPY)
+        assert wire == orjson.dumps(matrix_to_json(m))
 
     def test_decode_peak_memory(self):
         obj = matrix_to_json(crandn(np.random.default_rng(8), (256, 256)))
