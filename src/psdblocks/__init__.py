@@ -45,7 +45,6 @@ from .decompose import (
     isometry_defects,
     measure_defects,
     quaternion_pipeline,
-    quaternion_unit_blocks,
     quaternion_units,
     reconstruction_residual,
     two_block_congruence,

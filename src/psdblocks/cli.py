@@ -135,6 +135,8 @@ def _load_json(path: str) -> dict:
     gc.disable()
     try:
         return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     finally:
         if enabled:
             gc.enable()

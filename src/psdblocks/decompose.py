@@ -22,8 +22,9 @@ balancing unitary of :func:`two_block_congruence`; for the quaternion
 route T = H (+) H (H padded to four blocks) and C = M* with
 ``M = R2 W P``. With ``X_k = sqrt(T) C_k`` the ``X_k X_k*`` sum to T and
 every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
-polar factor of X_k, whatever the rank. The quaternion stage trace reads
-its stages off that same X, so M is built once.
+polar factor of X_k, whatever the rank. Each X_k is a closed-form sum
+of column blocks of ``sqrt(H)`` times fixed entries of C, so C is never
+formed; the quaternion stage trace reads its stages off that same X.
 
 Positivity is decided by :func:`validate_hermitian_psd` (through
 :func:`psd_sqrt`), block Hermiticity by :func:`validate_hermitian_blocks`;
@@ -51,7 +52,6 @@ import numpy as np
 from .blocks import (
     BlockMatrix,
     direct_sum,
-    interleave_permutation,
     partial_trace,
     validate_hermitian_blocks,
 )
@@ -86,7 +86,6 @@ __all__ = [
     "isometry_defects",
     "measure_defects",
     "quaternion_pipeline",
-    "quaternion_unit_blocks",
     "quaternion_units",
     "reconstruction_residual",
     "two_block_congruence",
@@ -117,13 +116,6 @@ def quaternion_units() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     j = np.array([[0, 1j], [1j, 0]], dtype=np.complex128)
     k = np.array([[0, -1], [1, 0]], dtype=np.complex128)
     return one, i, j, k
-
-
-def quaternion_unit_blocks(n: int) -> tuple[np.ndarray, ...]:
-    """The unit matrices inflated to 2n x 2n (each scalar becomes that
-    multiple of the n x n identity)."""
-    eye = np.eye(n)
-    return tuple(np.kron(u, eye) for u in quaternion_units())
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -254,14 +246,11 @@ def measure_defects(cert: DecompositionCertificate) -> dict:
     return {"reconstruction": residual, "isometry": isometry}
 
 
-def _isometry_average(
-    kind: str, target: np.ndarray, x: np.ndarray, widths: tuple[int, ...]
-) -> DecompositionCertificate:
+def _isometry_average(kind: str, target: np.ndarray, blocks) -> DecompositionCertificate:
     """The one construction behind every kind: factor k is the polar factor
-    of column block k (``widths[k]`` columns) of ``x = sqrt(target) C``,
-    C a fixed unitary (the identity for the corner kinds)."""
-    edges = np.cumsum((0,) + widths)
-    return DecompositionCertificate(kind, target, tuple(_polar(x[:, a:b]) for a, b in zip(edges[:-1], edges[1:])))
+    of ``blocks[k]``, column block k of ``sqrt(target) C`` for a fixed
+    unitary C (the identity for the corner kinds)."""
+    return DecompositionCertificate(kind, target, tuple(_polar(b) for b in blocks))
 
 
 def _hermitian_block_root(h: BlockMatrix, tol: Tolerance, what: str) -> np.ndarray:
@@ -289,7 +278,7 @@ def two_corner_decomposition(
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
         raise ValueError(f"expected a square matrix of side {n + m}, got {a.shape}")
     root = psd_sqrt(a, tol)
-    return _isometry_average("two_corner", a, root, (n, m))
+    return _isometry_average("two_corner", a, np.hsplit(root, [n]))
 
 
 def corner_decomposition_general(
@@ -302,7 +291,7 @@ def corner_decomposition_general(
     Hermitian blocks are not required, only positivity.
     """
     root = psd_sqrt(h.data, tol)
-    return _isometry_average("corner_general", h.data.copy(), root, (h.block_dim,) * h.block_count)
+    return _isometry_average("corner_general", h.data.copy(), np.hsplit(root, h.block_count))
 
 
 def two_block_congruence(h: BlockMatrix) -> np.ndarray:
@@ -312,8 +301,6 @@ def two_block_congruence(h: BlockMatrix) -> np.ndarray:
     blocks of ``W* H W`` equal ``(A+B)/2``; complex entries in W are what
     makes this work even for real H. W depends only on the block side.
     """
-    if h.block_count != 2:
-        raise ValueError("two-block decomposition needs exactly 2x2 blocks")
     eye = np.eye(h.block_dim)
     return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
 
@@ -326,13 +313,18 @@ def two_block_isometries(
 
     With W the balancing unitary of :func:`two_block_congruence`, both
     diagonal blocks of ``W* H W`` equal (A+B)/2, so the polar factors of
-    ``sqrt(H) W[:, :n]`` and ``sqrt(H) W[:, n:]`` are 2n x n isometries
-    U, V with ``H = (U (A+B) U* + V (A+B) V*)/2``.
+    the column halves ``-ic R1 + c R2`` and ``ic R1 + c R2`` of
+    ``sqrt(H) W`` (R1, R2 the column halves of ``sqrt(H)``,
+    ``c = 1/sqrt(2)``) are 2n x n isometries U, V with
+    ``H = (U (A+B) U* + V (A+B) V*)/2``.
     """
-    w = two_block_congruence(h)
+    if h.block_count != 2:
+        raise ValueError("two-block decomposition needs exactly 2x2 blocks")
     root = _hermitian_block_root(h, tol, "two-block decomposition input")
-    n = h.block_dim
-    return _isometry_average("two_block_isometry", h.data.copy(), root @ w, (n, n))
+    r1, r2 = np.hsplit(root, 2)
+    c = 1 / np.sqrt(2.0)
+    halves = (r1 * (-1j * c) + r2 * c, r1 * (1j * c) + r2 * c)
+    return _isometry_average("two_block_isometry", h.data.copy(), halves)
 
 
 _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
@@ -386,14 +378,15 @@ def quaternion_pipeline(
     every block, W is the direct sum of the four inflated quaternion
     units and R2 the sign-pattern unitary. Every diagonal 2n-block of
     ``M (H (+) H) M*`` is a quarter of the doubled partial trace, so
-    factor k is the polar factor of ``sqrt(H (+) H)`` times column block
-    k of ``M*``. M* is assembled from signed unit blocks and a row
-    gather, never as a matrix product. For beta = 3 the padded rows of
-    ``sqrt(H (+) H)`` are zero and are left out, giving 6n x 2n factors;
-    beta = 4 with a 3x3 partition keeps the padded target instead.
+    factor k is the polar factor of column block k of
+    ``x = sqrt(H (+) H) M*``, which is ``1/2 sum_a s_ak kron(u_a*, R_a)``
+    over the blocks a of H: R_a is column block a of ``sqrt(H)``, u_a
+    the units of :func:`quaternion_units` and s the signs of R2; neither
+    M nor P is formed. For beta = 3 the zero rows that the padding adds
+    to ``sqrt(H)`` are left out, giving 6n x 2n factors; beta = 4 with a
+    3x3 partition keeps them, and the padded target.
 
-    Returns the stage trace, which keeps ``sqrt(H (+) H) M*``, alongside
-    the certificate.
+    Returns the stage trace, which keeps x, alongside the certificate.
     """
     alpha, n = h.block_count, h.block_dim
     if beta not in (3, 4):
@@ -404,15 +397,12 @@ def quaternion_pipeline(
         raise ValueError("beta = 3 requires a 3x3 partition")
     root = _hermitian_block_root(h, tol, "quaternion decomposition input")
     rows = beta * n
-    padded_root = np.pad(root, ((0, rows - h.side), (0, 4 * n - h.side)))
-    units = quaternion_unit_blocks(n)
-    m_star = np.vstack(
-        [np.kron(_SIGN4[a : a + 1] / 2.0, dagger(unit)) for a, unit in enumerate(units)]
-    )[interleave_permutation(4, n)]
-    x = np.vstack([padded_root @ m_star[: 4 * n], padded_root @ m_star[4 * n :]])
+    padded_root = np.pad(root, ((0, rows - h.side), (0, 0)))
+    terms = [np.kron(dagger(u) / 2.0, r) for u, r in zip(quaternion_units(), np.hsplit(padded_root, alpha))]
+    blocks = [sum(_SIGN4[a, k] * t for a, t in enumerate(terms)) for k in range(4)]
     copy = np.pad(h.data, (0, rows - h.side))
-    cert = _isometry_average("quaternion", direct_sum(copy, copy), x, (2 * n,) * 4)
-    return QuaternionStageTrace(x=x, d=cert.cores[0] / 4.0), cert
+    cert = _isometry_average("quaternion", direct_sum(copy, copy), blocks)
+    return QuaternionStageTrace(x=np.hstack(blocks), d=cert.cores[0] / 4.0), cert
 
 
 def verify_certificate(
@@ -449,8 +439,9 @@ def certificate_to_json(cert: DecompositionCertificate, encode=matrix_to_json) -
 def certificate_from_json(obj) -> DecompositionCertificate:
     """Parse and validate a certificate file. The stated weight, and a
     corner certificate's slots, must equal what the kind and the factors
-    fix; stated ``"defects"`` (and an earlier ``"core"``) are ignored.
-    The weight is checked before any matrix is decoded."""
+    fix, and no other kind may state slots; stated ``"defects"`` (and an
+    earlier ``"core"``) are ignored. The weight is checked before any
+    matrix is decoded."""
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     try:
@@ -468,6 +459,8 @@ def certificate_from_json(obj) -> DecompositionCertificate:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedCertificateError(f"malformed certificate JSON: {exc}") from exc
     cert = DecompositionCertificate(kind=kind, target=target, factors=factors)
+    if cert.slots is None and "slots" in obj:
+        raise MalformedCertificateError(f"{kind} certificate must not state slots, got {slots}")
     if cert.slots is not None and slots != list(cert.slots):
         raise MalformedCertificateError(f"corner certificate slots {slots} must equal the factor widths {list(cert.slots)}")
     return cert

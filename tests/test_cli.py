@@ -136,6 +136,13 @@ class TestDecomposeCommand:
         assert "finite" in capsys.readouterr().err
         assert not cert_path.exists()
 
+    def test_two_block_on_three_blocks(self, tmp_path, capsys):
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        assert run(["gen", "--alpha", 3, "-o", h_path]) == 0
+        assert run(["decompose", "--two-block", h_path, "-o", cert_path]) == 2
+        assert "exactly 2x2 blocks" in capsys.readouterr().err
+        assert not cert_path.exists()
+
 
 class TestErrorPaths:
     def test_truncated_json_is_usage_error(self, tmp_path):
@@ -162,7 +169,11 @@ class TestErrorPaths:
         assert run(["decompose", "--two-block", bad, "-o", tmp_path / "c.json"]) == 2
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
-    @pytest.mark.parametrize("text, code", [('{"kind": "quater', 2), (None, 0)], ids=["decode_error", "decoded"])
+    @pytest.mark.parametrize(
+        "text, code",
+        [('{"kind": "quater', 2), (None, 0), ("[" * 100000 + "]" * 100000, 2)],
+        ids=["decode_error", "decoded", "nested_too_deep"],
+    )
     def test_reading_restores_gc_state(self, tmp_path, monkeypatch, enabled, text, code):
         h_path = tmp_path / "H.json"
         if text is None:
@@ -252,8 +263,9 @@ class TestMalformedFields:
             ("two_corner", lambda obj: obj.pop("slots"), "slots None must equal the factor widths [2, 3]"),
             ("two_corner", lambda obj: obj.update(slots=[3, 2]), "slots [3, 2] must equal the factor widths [2, 3]"),
             ("quaternion", lambda obj: obj.update(weight="1/3"), "weight 1/3, expected 1/4"),
+            ("quaternion", lambda obj: obj.update(slots=[2, 2]), "quaternion certificate must not state slots"),
         ],
-        ids=["corner_without_slots", "slots_reversed", "quaternion_weight_1_3"],
+        ids=["corner_without_slots", "slots_reversed", "quaternion_weight_1_3", "quaternion_with_slots"],
     )
     def test_field_not_fixed_by_kind_and_factors(self, tmp_path, capsys, kind, edit, message):
         if kind == "two_corner":

@@ -35,8 +35,8 @@ from psdblocks import (
     measure_defects,
     nonhermitian_counterexample,
     partial_trace,
+    psd_sqrt,
     quaternion_pipeline,
-    quaternion_unit_blocks,
     quaternion_units,
     random_block_psd,
     random_psd,
@@ -86,7 +86,8 @@ class TestQuaternionUnits:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_inflated_blocks_are_unitary(self, n):
-        for e in quaternion_unit_blocks(n):
+        for u in quaternion_units():
+            e = np.kron(u, np.eye(n))
             assert np.array_equal(dagger(e) @ e, np.eye(2 * n))
 
 
@@ -233,6 +234,22 @@ class TestTwoBlockIsometries:
         assert cert.defects["reconstruction"] <= 1e-8 * (1 + frobenius(h.data))
         assert max(cert.defects["isometry"]) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_factors_match_dense_reference(self, seed):
+        # full rank, so each column half of sqrt(H) W has a unique polar factor
+        n = 1 + seed % 5
+        h = block_instance(seed, alpha=2, n=n, rank=2 * n)
+        cert = two_block_isometries(h)
+        x = psd_sqrt(h.data) @ two_block_congruence(h)
+        scale = 1 + frobenius(h.data)
+        for f, half in zip(cert.factors, (x[:, :n], x[:, n:])):
+            left, _, right_h = np.linalg.svd(half, full_matrices=False)
+            assert frobenius(f - left @ right_h) <= 1e-12 * scale
+
+    def test_rejects_three_by_three_partition(self):
+        with pytest.raises(ValueError, match="exactly 2x2 blocks"):
+            two_block_isometries(block_instance(0, alpha=3, n=2))
+
     def test_rejects_non_hermitian_blocks(self):
         with pytest.raises(HypothesisError):
             two_block_isometries(nonhermitian_counterexample())
@@ -302,18 +319,24 @@ class TestQuaternionPipeline:
         # conjugation is duplicate_blocks), W the inflated units, R2 the signs
         h = block_instance(7 + n, alpha=alpha, n=n)
         trace, _ = quaternion_pipeline(h, beta=beta)
-        padded = BlockMatrix(np.pad(h.data, (0, (4 - alpha) * n)), block_dim=n, block_count=4)
+        pad = (0, (4 - alpha) * n)
+        padded = BlockMatrix(np.pad(h.data, pad), block_dim=n, block_count=4)
         doubled = direct_sum(padded.data, padded.data)
         p = np.zeros((8 * n, 8 * n))
         p[interleave_permutation(4, n), np.arange(8 * n)] = 1.0
         g = p @ doubled @ p.T
         assert np.array_equal(g, duplicate_blocks(padded).data)
-        w = functools.reduce(direct_sum, quaternion_unit_blocks(n))
+        w = functools.reduce(direct_sum, [np.kron(u, np.eye(n)) for u in quaternion_units()])
         signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
         r2 = np.kron(signs, np.eye(2 * n)) / 2.0
         m = r2 @ w @ p
         assert frobenius(m @ dagger(m) - np.eye(8 * n)) <= 1e-12
         scale = 1 + frobenius(h.data)
+        # sqrt(padded H (+) padded H) is the direct sum of the padded roots;
+        # x keeps beta*n rows of each copy
+        root = np.pad(psd_sqrt(h.data), pad)
+        x = (direct_sum(root, root) @ dagger(m)).reshape(2, 4 * n, 8 * n)[:, : beta * n].reshape(-1, 8 * n)
+        assert frobenius(trace.x - x) <= 1e-12 * scale
         assert frobenius(trace.phi - m @ doubled @ dagger(m)) <= 1e-12 * scale
         assert frobenius(trace.omega - w @ g @ dagger(w)) <= 1e-12 * scale
 
