@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import gc
 import json
 import sys
@@ -76,7 +77,9 @@ def _add_tol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-rel", type=float, default=1e-8, help="relative slack")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first call, then reused."""
     parser = argparse.ArgumentParser(
         prog="psdblocks",
         description="Decompose PSD block matrices into isometry averages of their partial trace and check the derived inequalities.",

@@ -349,8 +349,12 @@ class QuaternionStageTrace:
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
-        r2 = np.kron(_SIGN4, np.eye(self.d.shape[0])) / 2.0
-        return hermitian_part(r2 @ self.phi @ r2)
+        # R2 = kron(_SIGN4, I)/2, so 2n-block (s, t) of omega is a quarter
+        # of the signed sum of phi's blocks (a, b) with signs s_sa s_bt
+        side, width = self.phi.shape[0], self.d.shape[0]
+        blocks = self.phi.reshape(4, width, 4, width)
+        signed = np.einsum("sa,aibj,bt->sitj", _SIGN4, blocks, _SIGN4, optimize=True)
+        return hermitian_part(signed.reshape(side, side) / 4.0)
 
     def _block(self, m: np.ndarray, s: int, t: int) -> np.ndarray:
         width = self.d.shape[0]

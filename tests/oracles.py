@@ -4,7 +4,8 @@ The characteristic polynomial is built by brute-force Laplace expansion
 by minors (memoized over column subsets, still the plain cofactor sum)
 in high-precision arithmetic, and its roots come from a general
 polynomial root finder. Nothing here shares code with the package's
-LAPACK-backed spectral routines.
+LAPACK-backed spectral routines. The unitary reference is plain
+left-looking Gram-Schmidt, one column and one projection at a time.
 """
 
 from __future__ import annotations
@@ -82,3 +83,24 @@ def cofactor_determinant(m: np.ndarray) -> complex:
         sign = 1.0 if j % 2 == 0 else -1.0
         total += sign * complex(a[0, j]) * cofactor_determinant(minor)
     return total
+
+
+def gram_schmidt_unitary(g: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of ``g`` left to right, subtracting one
+    projection at a time; a column left with norm below 1e-12 is replaced
+    by the matching basis vector, projected the same way."""
+    n = g.shape[0]
+    q = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        v = g[:, j].astype(np.complex128)
+        for i in range(j):
+            v -= np.vdot(q[:, i], v) * q[:, i]
+        norm = np.linalg.norm(v)
+        if norm < 1e-12:
+            v = np.zeros(n, dtype=np.complex128)
+            v[j] = 1.0
+            for i in range(j):
+                v -= np.vdot(q[:, i], v) * q[:, i]
+            norm = np.linalg.norm(v)
+        q[:, j] = v / norm
+    return q

@@ -1,10 +1,16 @@
 """Generator tests: determinism, structural guarantees, named instances."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import gram_schmidt_unitary
 
+from psdblocks import generate
 from psdblocks import (
     GeneratorSpec,
     block_matrix_to_json,
@@ -43,7 +49,62 @@ class TestRandomHermitian:
             assert frobenius(random_hermitian(3, seed, scale=0.5)) <= 0.5 * 3 + 1e-12
 
 
+class TestRandomUnitary:
+    @staticmethod
+    def draw_and_reference(n, seed):
+        q = generate._random_unitary(n, generate._stream(seed, "unitary"))
+        g = generate._crandn(generate._stream(seed, "unitary"), (n, n))
+        return q, gram_schmidt_unitary(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 128])
+    def test_matches_reference_and_is_unitary(self, n, seed):
+        q, ref = self.draw_and_reference(n, seed)
+        assert np.abs(q - ref).max() <= 1e-12
+        assert np.abs(dagger(q) @ q - np.eye(n)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make_draw",
+        [
+            lambda g: np.column_stack([g[:, 0], g[:, 0], g[:, 2:]]),
+            np.zeros_like,
+        ],
+        ids=["repeated_column", "zero"],
+    )
+    def test_dependent_draw_falls_back_to_basis_vectors(self, monkeypatch, make_draw):
+        n = 5
+        g = make_draw(generate._crandn(np.random.default_rng(3), (n, n)))
+        monkeypatch.setattr(generate, "_crandn", lambda rng, shape: g.copy())
+        q = generate._random_unitary(n, np.random.default_rng(0))
+        assert np.abs(q - gram_schmidt_unitary(g)).max() <= 1e-12
+        assert np.abs(dagger(q) @ q - np.eye(n)).max() <= 1e-12
+
+    def test_instances_do_not_depend_on_blas_threads(self, tmp_path):
+        src = str(Path(generate.__file__).resolve().parents[1])
+        payloads = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            argv = [sys.executable, "-m", "psdblocks.cli", "gen", "--alpha", "2", "--n", "128",
+                    "--rank", "3", "--seed", "11", "-o", str(out)]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            payload = json.loads(out.read_text(encoding="utf-8"))
+            del payload["config"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+
+
 class TestRandomCommutingFamily:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_side_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            random_commuting_family(2, n, 0)
+
     def test_single_member(self):
         (s,) = random_commuting_family(1, 3, 0)
         assert np.array_equal(s, dagger(s))
