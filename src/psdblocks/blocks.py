@@ -179,6 +179,8 @@ def block_matrix_to_json(h: BlockMatrix, encode=matrix_to_json) -> dict:
 
 
 def block_matrix_from_json(obj) -> BlockMatrix:
+    """Parse the block matrix wire format: the matrix's, plus integer
+    ``block_dim`` and ``block_count`` that must fit its side."""
     if not isinstance(obj, dict):
         raise ValueError("block matrix JSON must be an object")
     data = matrix_from_json(obj)

@@ -21,7 +21,6 @@ from .kernel import (
     Tolerance,
     as_matrix,
     dagger,
-    frobenius,
     hermitian_eigvalues,
     hermitian_part,
     singular_values,
@@ -178,23 +177,16 @@ def hiroshima_check(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport
     return CheckReport(checks=(sums, traces), tolerance=tol, warnings=warnings)
 
 
-def eigen_step_check(h: BlockMatrix, step: int, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def eigen_step_check(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Stepped eigenvalue dominance: the (1 + step*k)-th eigenvalue of H
     below the (1 + k)-th of the partial trace, k = 0..n-1, eigenvalues
-    beyond the spectrum counting as zero."""
-    if step == 2:
-        if h.block_count != 2:
-            raise ValueError("step 2 applies to 2x2 block partitions")
-    elif step == 4:
-        if h.block_count not in (3, 4):
-            raise ValueError("step 4 applies to 3x3 or 4x4 block partitions")
-    else:
-        raise ValueError("step must be 2 or 4")
-    n = h.block_dim
-    lam_h, lam_d = h.eigenvalues, h.partial_trace_eigenvalues
-    lhs = [float(lam_h[step * k]) if step * k < lam_h.size else 0.0 for k in range(n)]
-    rhs = [float(lam_d[k]) for k in range(n)]
-    item = compare_le("stepped_eigenvalues", lhs, rhs, tol)
+    beyond the spectrum counting as zero. The block count fixes the
+    step: 2 for 2 blocks, 4 for 3 or 4 blocks."""
+    if h.block_count not in (2, 3, 4):
+        raise ValueError(f"stepped eigenvalues apply to 2 to 4 blocks, got {h.block_count}")
+    step = 2 if h.block_count == 2 else 4
+    lam_h = np.pad(h.eigenvalues[::step], (0, h.block_dim))[: h.block_dim]
+    item = compare_le("stepped_eigenvalues", lam_h, h.partial_trace_eigenvalues, tol)
     return CheckReport(checks=(item,), tolerance=tol)
 
 
@@ -293,63 +285,31 @@ def weyl_check(y, z, r: int, s: int, tol: Tolerance = DEFAULT_TOL) -> CheckRepor
     return CheckReport(checks=(item,), tolerance=tol)
 
 
-def operator_pair_check(
-    t_mat, s_list, beta: int, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Compare sum_i S_i T^2 S_i against sum_i T S_i^2 T in all Ky Fan
-    norms (partial sums) and in stepped eigenvalues.
+def operator_pair_check(t_mat, s_list, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Compare sum_i S_i T^2 S_i against sum_i T S_i^2 T (T^2 joining both
+    sides for a single S) in all Ky Fan norms and in stepped eigenvalues.
 
-    beta = 2 takes a single S with no commutation requirement and uses
-    step 2; beta in {3, 4} requires a pairwise-commuting family of that
-    size and uses step 4. For beta = 2 the underlying Gram identity
-    (nonzero spectra of X X* and X* X agree for X = [T  ST]) is asserted
-    as an extra check.
+    The pair is the block theorem on a Gram matrix: with the stack
+    ``Y = [T S_1; ...; T S_beta]``, or ``Y = [T; T S]`` for a single S,
+    ``Y* Y`` is the left side and the partial trace of ``Y Y*`` (blocks
+    ``T S_s S_t T``) the right one. Families of 1, 3 or 4 matrices are
+    accepted; blocks that are not Hermitian raise
+    :class:`HypothesisError`. The ``gram_spectrum`` item checks that the
+    zero-padded spectrum of ``Y* Y`` is that of ``Y Y*``.
     """
-    if beta not in (2, 3, 4):
-        raise ValueError("beta must be 2, 3 or 4")
+    if len(s_list) not in (1, 3, 4):
+        raise ValueError(f"operator pairs take 1, 3 or 4 S matrices, got {len(s_list)}")
     t = as_matrix(t_mat)
-    mats = [as_matrix(s) for s in s_list]
-    expected = 1 if beta == 2 else beta
-    if len(mats) != expected:
-        raise ValueError(f"beta={beta} needs {expected} S matrices, got {len(mats)}")
-    if beta >= 3:
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                commutator = frobenius(mats[i] @ mats[j] - mats[j] @ mats[i])
-                scale = frobenius(mats[i]) * frobenius(mats[j])
-                if not tol.allows(commutator, scale):
-                    raise HypothesisError(
-                        f"S_{i + 1} and S_{j + 1} do not commute: ||[S_i, S_j]||_F = {commutator:.6e}"
-                    )
-    t2 = t @ t
-    left = np.zeros_like(t)
-    right = np.zeros_like(t)
-    for s in mats:
-        left += s @ t2 @ s
-        right += t @ (s @ s) @ t
-    if beta == 2:
-        left += t2
-        right += t2
-    left = hermitian_part(left)
-    right = hermitian_part(right)
-    lam_l = hermitian_eigvalues(left)
-    lam_r = hermitian_eigvalues(right)
-    sums = _partial_sums_le("pair_partial_sums", lam_l, lam_r, tol)
-    step = 2 if beta == 2 else 4
-    n = t.shape[0]
-    stepped = compare_le(
-        "pair_stepped_eigenvalues",
-        [float(lam_l[step * k]) if step * k < lam_l.size else 0.0 for k in range(n)],
-        [float(lam_r[k]) for k in range(n)],
-        tol,
-    )
-    items = [sums, stepped]
-    if beta == 2:
-        x = np.hstack([t, mats[0] @ t])
-        lam_big = hermitian_eigvalues(hermitian_part(dagger(x) @ x))
-        small = np.pad(lam_l, (0, lam_big.size - lam_l.size))  # X X* is n x n, X* X 2n x 2n
-        items.append(compare_eq("gram_spectrum", small, lam_big, tol))
-    return CheckReport(checks=tuple(items), tolerance=tol)
+    y = np.vstack(([t] if len(s_list) == 1 else []) + [t @ as_matrix(s) for s in s_list])
+    h = BlockMatrix(hermitian_part(y @ dagger(y)), t.shape[0], max(len(s_list), 2))
+    bad = validate_hermitian_blocks(h, tol)
+    if bad:
+        offending = ", ".join(f"({i},{j})" for i, j, _ in bad)
+        raise HypothesisError(f"Gram blocks T S_s S_t T are not Hermitian at {offending}")
+    lam_small = hermitian_eigvalues(hermitian_part(dagger(y) @ y))
+    gram = compare_eq("gram_spectrum", np.pad(lam_small, (0, h.side - lam_small.size)), h.eigenvalues, tol)
+    report = hiroshima_check(h, tol).merged_with(eigen_step_check(h, tol))
+    return report.merged_with(CheckReport(checks=(gram,), tolerance=tol))
 
 
 def run_inequality_suite(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -362,14 +322,14 @@ def run_inequality_suite(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
     spectra cached on ``h``.
     """
     report = hiroshima_check(h, tol).merged_with(det_sandwich(h, tol))
-    if h.block_count == 2:
-        report = report.merged_with(eigen_step_check(h, 2, tol))
-    elif h.block_count in (3, 4):
-        report = report.merged_with(eigen_step_check(h, 4, tol))
+    if h.block_count in (2, 3, 4):
+        report = report.merged_with(eigen_step_check(h, tol))
     return report.merged_with(_trace_concave(h.eigenvalues, h.partial_trace_eigenvalues, "log1p", tol))
 
 
 def report_to_json(report: CheckReport) -> dict:
+    """The report's wire payload: tolerance, each check's sides, margin
+    and verdict, the overall verdict and the warnings."""
     def _value(v):
         return list(v) if isinstance(v, tuple) else v
 

@@ -409,19 +409,23 @@ def quaternion_pipeline(
     return QuaternionStageTrace(x=np.hstack(blocks), d=cert.cores[0] / 4.0), cert
 
 
+_EXACT = Tolerance(atol=0.0, rtol=0.0)
+
+
 def verify_certificate(
     cert: DecompositionCertificate, tol: Tolerance = DEFAULT_TOL
 ) -> CheckReport:
     """Recompute both certificate defects from scratch and judge them.
 
-    The reconstruction bound scales with ``1 + ||target||_F``; isometry
-    defects are judged at unit scale.
+    Each defect must not exceed its bound, which is the slack itself, so
+    no further slack is added: the reconstruction bound scales with
+    ``1 + ||target||_F``, and isometry defects are judged at unit scale.
     """
     defects = measure_defects(cert)
     bound = tol.slack(1.0 + frobenius(cert.target))
-    items = [compare_le("reconstruction_defect", defects["reconstruction"], bound, tol)]
+    items = [compare_le("reconstruction_defect", defects["reconstruction"], bound, _EXACT)]
     for k, defect in enumerate(defects["isometry"], start=1):
-        items.append(compare_le(f"isometry_defect_{k}", defect, tol.slack(1.0), tol))
+        items.append(compare_le(f"isometry_defect_{k}", defect, tol.slack(1.0), _EXACT))
     return CheckReport(checks=tuple(items), tolerance=tol)
 
 

@@ -174,16 +174,16 @@ def test_criterion_5_determinant_sandwich():
 def test_criterion_6_stepped_eigenvalues():
     with criterion(6, "stepped eigenvalue dominance"):
         for h in block_family(6000, 25, alpha=2, max_n=4):
-            assert eigen_step_check(h, 2).passed
+            assert eigen_step_check(h).passed
         for alpha in (3, 4):
             for h in block_family(6100 + 100 * alpha, 25, alpha=alpha, max_n=3):
-                assert eigen_step_check(h, 4).passed
+                assert eigen_step_check(h).passed
         geo = geometric_mean_instance()
         lam_h = hermitian_eigvalues(geo.data)
         lam_d = hermitian_eigvalues(partial_trace(geo))
         assert lam_h[0] == pytest.approx(10.0, abs=1e-8)
         assert lam_d[0] == pytest.approx(10.0, abs=1e-8)
-        assert eigen_step_check(geo, 2).passed
+        assert eigen_step_check(geo).passed
 
 
 def test_criterion_7_operator_pairs():
@@ -192,7 +192,7 @@ def test_criterion_7_operator_pairs():
             n = 2 + i % 4
             t = random_hermitian(n, 7000 + i)
             s = random_hermitian(n, 7500 + i)
-            report = operator_pair_check(t, [s], 2)
+            report = operator_pair_check(t, [s])
             assert report.passed
             gram = report.check("gram_spectrum")
             half = len(gram.lhs) // 2
@@ -204,7 +204,7 @@ def test_criterion_7_operator_pairs():
                 n = 2 + i % 3
                 t = random_hermitian(n, 7000 + 1000 * beta + i)
                 family = random_commuting_family(beta, n, 7200 + 1000 * beta + i)
-                assert operator_pair_check(t, family, beta).passed
+                assert operator_pair_check(t, family).passed
 
 
 def test_criterion_8_quaternion_algebra_exact():

@@ -151,7 +151,7 @@ class TestHiroshimaCheck:
 
 class TestEigenStepCheck:
     def test_geometric_mean_instance(self):
-        report = eigen_step_check(geometric_mean_instance(), 2)
+        report = eigen_step_check(geometric_mean_instance())
         check = report.check("stepped_eigenvalues")
         assert report.passed
         assert check.lhs[0] == pytest.approx(10.0, abs=1e-9)
@@ -159,22 +159,25 @@ class TestEigenStepCheck:
 
     def test_single_nonzero_block_equality(self):
         h = BlockMatrix(direct_sum(np.diag([1.0]), np.zeros((1, 1))), block_dim=1, block_count=2)
-        report = eigen_step_check(h, 2)
+        report = eigen_step_check(h)
         assert report.passed
         assert report.checks[0].margin == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_seeded_alpha_four(self, seed):
         h = block_instance(seed, alpha=4, n=2)
-        assert eigen_step_check(h, 4).passed
+        assert eigen_step_check(h).passed
 
-    def test_step_alpha_mismatch(self):
-        with pytest.raises(ValueError):
-            eigen_step_check(block_instance(0, alpha=2, n=2), 4)
-        with pytest.raises(ValueError):
-            eigen_step_check(block_instance(0, alpha=4, n=2), 2)
-        with pytest.raises(ValueError):
-            eigen_step_check(block_instance(0, alpha=2, n=2), 3)
+    def test_block_count_outside_two_to_four(self):
+        for h in (BlockMatrix(np.eye(2), block_dim=2, block_count=1), block_instance(0, alpha=5, n=2)):
+            with pytest.raises(ValueError, match=f"got {h.block_count}"):
+                eigen_step_check(h)
+
+    @pytest.mark.parametrize("alpha, step", [(2, 2), (3, 4), (4, 4)])
+    def test_block_count_fixes_step(self, alpha, step):
+        h = block_instance(alpha, alpha=alpha, n=3)
+        lam = list(h.eigenvalues[::step]) + [0.0] * 3
+        assert eigen_step_check(h).check("stepped_eigenvalues").lhs == tuple(lam[:3])
 
 
 class TestDetSandwich:
@@ -278,20 +281,22 @@ class TestWeylCheck:
 class TestOperatorPairCheck:
     def test_zero_s_collapses(self):
         t = random_hermitian(3, 5)
-        report = operator_pair_check(t, [np.zeros((3, 3))], 2)
+        report = operator_pair_check(t, [np.zeros((3, 3))])
         assert report.passed
-        assert report.check("pair_partial_sums").margin == pytest.approx(0.0, abs=1e-12)
+        assert report.check("eigenvalue_partial_sums").margin == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_pair(self):
-        report = operator_pair_check(np.eye(2), [np.eye(2)], 2)
+        report = operator_pair_check(np.eye(2), [np.eye(2)])
         assert report.passed
-        assert report.check("pair_partial_sums").margin == pytest.approx(0.0, abs=1e-12)
+        names = [c.name for c in report.checks]
+        assert names == ["eigenvalue_partial_sums", "trace_equality", "stepped_eigenvalues", "gram_spectrum"]
+        assert report.check("eigenvalue_partial_sums").margin == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_seeded_beta_two(self, seed):
         t = random_hermitian(4, 3 * seed)
         s = random_hermitian(4, 3 * seed + 1)
-        report = operator_pair_check(t, [s], 2)
+        report = operator_pair_check(t, [s])
         assert report.passed
         gram = report.check("gram_spectrum")
         assert gram.passed
@@ -302,20 +307,30 @@ class TestOperatorPairCheck:
         n = 2 + seed % 3
         t = random_hermitian(n, 7 * seed)
         family = random_commuting_family(beta, n, 7 * seed + 1)
-        assert operator_pair_check(t, family, beta).passed
+        assert operator_pair_check(t, family).passed
 
     def test_commutation_required(self):
+        # T invertible: T S_s S_t T is Hermitian only if S_s and S_t commute
         t = random_hermitian(3, 0)
+        assert np.abs(hermitian_eigvalues(t)).min() > 1e-3
         family = [random_hermitian(3, k) for k in (1, 2, 3)]
-        with pytest.raises(HypothesisError):
-            operator_pair_check(t, family, 3)
+        with pytest.raises(HypothesisError, match="not Hermitian at"):
+            operator_pair_check(t, family)
+
+    def test_singular_t_admits_non_commuting_family(self):
+        # T S_s S_t T keeps only the (1,1) entry of S_s S_t: a real scalar
+        t = np.diag([1.0, 0.0])
+        family = [np.array(m, dtype=float) for m in ([[1, 2], [2, 0]], [[0, 1], [1, 3]], [[2, -1], [-1, 1]])]
+        assert not np.allclose(family[0] @ family[1], family[1] @ family[0])
+        report = operator_pair_check(t, family)
+        assert report.passed
+        assert report.check("gram_spectrum").passed
 
     def test_family_size_checked(self):
         t = random_hermitian(2, 0)
-        with pytest.raises(ValueError):
-            operator_pair_check(t, [t, t], 2)
-        with pytest.raises(ValueError):
-            operator_pair_check(t, [t, t], 4)
+        for size in (0, 2, 5):
+            with pytest.raises(ValueError, match=f"got {size}"):
+                operator_pair_check(t, [t] * size)
 
 
 class TestReportConventions:
@@ -348,7 +363,7 @@ class TestReportConventions:
             ("partial_sums", lambda: weak_majorization([1e308] * 2, [1e308] * 2)),
             ("eigenvalue_partial_sums", lambda: hiroshima_check(BlockMatrix(np.diag([1e308, 0, 0, 1e308]), 2, 2))),
             ("_premise", lambda: trace_concave_check(np.diag([1e308] * 2), np.diag([1e308] * 2), "log1p")),
-            ("pair_partial_sums", lambda: operator_pair_check(np.diag([1e154] * 2), [np.zeros((2, 2))], 2)),
+            ("eigenvalue_partial_sums", lambda: operator_pair_check(np.diag([1e154] * 2), [np.zeros((2, 2))])),
         ],
         ids=["weak_majorization", "hiroshima", "trace_concave", "operator_pair"],
     )
@@ -405,7 +420,7 @@ class TestReportConventions:
         fresh = block_instance(alpha, alpha=alpha, n=3)
         expected = hiroshima_check(fresh).merged_with(det_sandwich(fresh))
         if alpha <= 4:
-            expected = expected.merged_with(eigen_step_check(fresh, 2 if alpha == 2 else 4))
+            expected = expected.merged_with(eigen_step_check(fresh))
         expected = expected.merged_with(
             trace_concave_check(fresh.data, partial_trace(fresh), "log1p")
         )

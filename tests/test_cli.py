@@ -163,6 +163,18 @@ class TestErrorPaths:
             run(["gen", "--alpha", 2, "--frobnicate", "-o", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["gen", "-o", "H.json"], ["check", "--trials", 1]], ids=["gen", "check"])
+    def test_failed_allocation_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        # a failed allocation is not a failed check: exit 2, no traceback
+        def out_of_memory(spec):
+            raise MemoryError(f"unable to allocate an instance of side {spec.alpha * spec.n}")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("psdblocks.cli.random_block_psd", out_of_memory)
+        assert run(command + ["--alpha", 2, "--n", 100000]) == 2
+        assert capsys.readouterr().err == "error: unable to allocate an instance of side 200000\n"
+        assert not (tmp_path / "H.json").exists()
+
     def test_decompose_two_block_on_bad_blocks(self, tmp_path):
         bad = tmp_path / "bad.json"
         write_counterexample(bad)
@@ -566,6 +578,13 @@ class TestDemo:
         assert "demo: PASS" in out
         assert "violated as expected" in out
         assert "quaternion route" in out
+
+    def test_verdict_follows_tolerance(self, capsys):
+        # stage identities and defects hold to about 1e-15 relative
+        assert run(["demo", "--tol-abs", 0, "--tol-rel", "1e-14"]) == 0
+        assert capsys.readouterr().out.endswith("demo: PASS\n")
+        assert run(["demo", "--tol-abs", 0, "--tol-rel", "3e-16"]) == 1
+        assert capsys.readouterr().out.endswith("demo: FAIL\n")
 
     def test_tolerance_flags_accepted(self, tmp_path):
         h_path = tmp_path / "H.json"

@@ -19,6 +19,7 @@ from psdblocks import (
     HypothesisError,
     MalformedCertificateError,
     QuaternionStageTrace,
+    Tolerance,
     certificate_from_json,
     certificate_to_json,
     corner_decomposition_general,
@@ -436,6 +437,17 @@ class TestCertificates:
     def test_verify_round_trip_passes(self):
         _, cert = self.fresh()
         assert verify_certificate(cert).passed
+
+    def test_defect_is_judged_against_its_bound_alone(self):
+        # the bound is the slack: a defect above it fails, with no second slack on top
+        _, cert = self.fresh(seed=1)
+        report = verify_certificate(cert, Tolerance(atol=3.81e-15, rtol=0.0))
+        item = report.check("reconstruction_defect")
+        assert item.rhs == 3.81e-15
+        assert item.lhs > item.rhs and item.margin < 0
+        assert not item.passed and not report.passed
+        for item in report.checks:
+            assert item.passed == (item.lhs <= item.rhs)
 
     def test_zeroed_factor_column_fails_isometry(self):
         _, cert = self.fresh()

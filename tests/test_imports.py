@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, every
-name a module lists in ``__all__`` is defined there, ``__init__``
-re-exports only listed names, and the third-party modules the package
-imports are exactly its declared dependencies.
+name a module lists in ``__all__`` is defined there (every listed
+function and class with a docstring), ``__init__`` re-exports only listed
+names, and the third-party modules the package imports are exactly its
+declared dependencies.
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
 linter. ``__init__.py`` is skipped by the unused-import check: its
@@ -55,6 +56,16 @@ def listed_names(tree: ast.Module) -> list[str] | None:
     return None
 
 
+def undocumented(tree: ast.Module) -> list[str]:
+    """Functions and classes the module lists in ``__all__`` that have no docstring."""
+    listed = set(listed_names(tree) or ())
+    return sorted(
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in listed and ast.get_docstring(node) is None
+    )
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
@@ -72,6 +83,22 @@ def test_no_unused_imports(path):
 def test_listed_names_are_defined(path):
     tree = parse(path)
     assert sorted(set(listed_names(tree) or ()) - top_level_names(tree)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_listed_definitions_have_docstrings(path):
+    assert undocumented(parse(path)) == []
+
+
+def test_detector_sees_undocumented_listed_names():
+    source = (
+        '__all__ = ["Bare", "bare", "documented"]\n'
+        "class Bare:\n    x = 1\n"
+        "def bare():\n    return 1\n"
+        'def documented():\n    """Says what it does."""\n'
+        "def unlisted():\n    return 1\n"
+    )
+    assert undocumented(ast.parse(source)) == ["Bare", "bare"]
 
 
 def test_init_reexports_only_listed_names():
