@@ -37,16 +37,14 @@ from .checks import (
 )
 from .decompose import (
     DecompositionCertificate,
-    QuaternionStageTrace,
     certificate_from_json,
     certificate_to_json,
     corner_decomposition_general,
     corner_unitary,
-    isometry_defects,
     measure_defects,
     quaternion_pipeline,
+    quaternion_stage_defects,
     quaternion_units,
-    reconstruction_residual,
     two_block_congruence,
     two_block_isometries,
     two_corner_decomposition,

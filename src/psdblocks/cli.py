@@ -2,7 +2,8 @@
 
 Subcommands: ``gen`` (seeded instance to JSON), ``decompose`` (two-block
 or quaternion certificate), ``verify`` (replay a certificate's defects),
-``check`` (inequality suite on a file or on generated trials, not both) and
+``check`` (inequality suite on a file, which must hold a Hermitian PSD
+matrix, or on generated trials, not both) and
 ``demo`` (guided tour of the named instances). The parsed arguments are
 the configuration: every artifact echoes its command's own flags under
 ``"config"`` (``decompose`` with the beta it used; ``--two-block``
@@ -41,6 +42,7 @@ from .decompose import (
     certificate_from_json,
     certificate_to_json,
     quaternion_pipeline,
+    quaternion_stage_defects,
     two_block_isometries,
     verify_certificate,
 )
@@ -52,7 +54,7 @@ from .generate import (
     nonhermitian_counterexample,
     random_block_psd,
 )
-from .kernel import Tolerance, frobenius, matrix_to_wire
+from .kernel import Tolerance, frobenius, matrix_to_wire, validate_hermitian_psd
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -174,7 +176,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     else:
         if args.beta is None:
             args.beta = h.block_count
-        cert = quaternion_pipeline(h, args.beta, tol)[1]  # the stage trace is freed at once
+        cert = quaternion_pipeline(h, args.beta, tol)[1]
     payload = certificate_to_json(cert, matrix_to_wire)
     payload["config"] = _config(args)
     _write_json(args.out_path, payload)
@@ -209,6 +211,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if ignored:
             raise ValueError(f"check takes an input file or generated trials, not both: {', '.join(ignored)} given with {args.input_path}")
         h = block_matrix_from_json(_load_json(args.input_path))
+        validate_hermitian_psd(h.data, tol)  # the theorem's domain; generated trials are PSD by construction
         reports = [run_inequality_suite(h, tol)]
         labels = [args.input_path]
     elif args.trials > 0:
@@ -271,8 +274,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     print("== quaternion route, stage by stage ==")
     h = random_block_psd(spec)
-    trace, cert = quaternion_pipeline(h, beta=4, tol=tol)
-    skew, equal = trace.skew_defect, trace.equal_diagonal_defect
+    blocks, cert = quaternion_pipeline(h, beta=4, tol=tol)
+    equal, skew = quaternion_stage_defects(blocks, cert)
     print(f"  off-diagonal skew defect {_fmt(skew)}")
     print(f"  equal-diagonal defect {_fmt(equal)}")
     print(f"  reconstruction defect {_fmt(cert.defects['reconstruction'])}")

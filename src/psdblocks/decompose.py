@@ -24,21 +24,21 @@ route T = H (+) H (H padded to four blocks) and C = M* with
 every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
 polar factor of X_k, whatever the rank. Each X_k is a closed-form sum
 of column blocks of ``sqrt(H)`` times fixed entries of C, so C is never
-formed; the quaternion stage trace reads its stages off that same X.
+formed; :func:`quaternion_stage_defects` reads the quaternion stages
+off those same blocks.
 
 Positivity is decided by :func:`validate_hermitian_psd` (through
 :func:`psd_sqrt`), block Hermiticity by :func:`validate_hermitian_blocks`;
 an SVD that fails raises the kernel's :class:`NumericalError`.
 
-A certificate is its kind, its target and its factors, validated when
-it is constructed; the paper fixes everything else. The weight is one
-over the number of conjugates averaged (1, 1/2 or 1/4), the slots of a
-corner certificate are its factor widths, and the cores are functions
-of the target (its diagonal blocks, or their sum), so a certificate
-cannot pair factors with a core of its own choosing. The defects are
-measured on first read. :func:`verify_certificate` derives the cores
-and recomputes the defects from scratch so third parties can replay
-acceptance.
+A certificate is its kind, its target and its factors; the paper fixes
+everything else. The weight is one over the number of conjugates
+averaged (1, 1/2 or 1/4), the slots of a corner certificate are its
+factor widths, and one rule per kind checks the target's structure and
+derives the cores from it (its diagonal blocks, or their sum) at
+construction, so a certificate cannot pair factors with a core of its
+own choosing. :func:`verify_certificate` recomputes the defects from
+scratch so third parties can replay acceptance.
 """
 
 from __future__ import annotations
@@ -78,16 +78,14 @@ __all__ = [
     "CORNER_KINDS",
     "DecompositionCertificate",
     "KINDS",
-    "QuaternionStageTrace",
     "certificate_from_json",
     "certificate_to_json",
     "corner_decomposition_general",
     "corner_unitary",
-    "isometry_defects",
     "measure_defects",
     "quaternion_pipeline",
+    "quaternion_stage_defects",
     "quaternion_units",
-    "reconstruction_residual",
     "two_block_congruence",
     "two_block_isometries",
     "two_corner_decomposition",
@@ -145,16 +143,45 @@ def corner_unitary(m, offset: int) -> np.ndarray:
     return np.hstack([rest[:, :offset], left[:, :q] @ right_h, rest[:, offset:]])
 
 
+def _cores(kind: str, t: np.ndarray, widths: list[int]) -> tuple[np.ndarray, ...]:
+    """The one rule of each kind: check the target's structure against the
+    factor widths and derive the cores from it, the Hermitian part of each
+    diagonal slot (corner kinds), of ``A + B`` (two blocks), or the doubled
+    partial trace (quaternion). A sum that overflows raises
+    :class:`NumericalError`."""
+    side = t.shape[0]
+    if t.shape[1] != side:
+        raise MalformedCertificateError("target must be square")
+    if kind in CORNER_KINDS:
+        if sum(widths) != side:
+            raise MalformedCertificateError(f"factor widths {widths} must tile the target side {side}")
+        edges = np.cumsum([0, *widths])
+        return tuple(hermitian_part(t[a:b, a:b]) for a, b in zip(edges[:-1], edges[1:]))
+    if kind == "two_block_isometry":
+        if side % 2:
+            raise MalformedCertificateError(f"two-block target side {side} must be even")
+        core = hermitian_part(partial_trace(BlockMatrix(t, block_dim=side // 2, block_count=2)))
+        return core, core
+    # quaternion: the target is t (+) t, t of 3 or 4 blocks of side q/2
+    half, n = side // 2, (widths[0] // 2 if widths else 0)
+    if side % 2 or n < 1 or half % n or half // n not in (3, 4):
+        raise MalformedCertificateError(f"quaternion target of side {side} does not fit 3 or 4 doubled blocks of the factor width")
+    copy = t[:half, :half]
+    if t[:half, half:].any() or t[half:, :half].any() or not np.array_equal(t[half:, half:], copy):
+        raise MalformedCertificateError("quaternion target must be two equal diagonal copies")
+    delta = partial_trace(BlockMatrix(copy, block_dim=n, block_count=half // n))
+    return (direct_sum(delta, delta),) * 4
+
+
 @dataclass(frozen=True, eq=False)
 class DecompositionCertificate:
     """Replayable decomposition: ``target ~= weight * sum_k F_k core_k F_k*``.
 
-    Only the kind, target and factors are stored; construction validates
-    the kind, the target's structure and the factor shapes. The rest is
-    derived: ``weight`` from the kind, ``slots`` (corner kinds) are the
-    factor widths, each factor is a ``side x w_k`` isometry with ``w_k``
-    the side of ``core_k`` (see :attr:`cores`), and ``defects`` are
-    measured on first read.
+    Only the kind, target and factors are stored. Construction derives
+    the cores, which checks the target's structure, and requires factor k
+    to be ``side x w_k``, ``w_k`` the side of ``core_k``. ``weight``
+    follows from the kind, ``slots`` (corner kinds) are the factor
+    widths, and ``defects`` are measured on first read.
     """
 
     kind: str
@@ -166,26 +193,8 @@ class DecompositionCertificate:
             raise MalformedCertificateError(f"unknown certificate kind {self.kind!r}")
         object.__setattr__(self, "target", as_matrix(self.target))
         object.__setattr__(self, "factors", tuple(as_matrix(f) for f in self.factors))
-        t, widths = self.target, [f.shape[1] for f in self.factors]
-        side = t.shape[0]
-        if t.shape[1] != side:
-            raise MalformedCertificateError("target must be square")
-        if self.kind in CORNER_KINDS:
-            if sum(widths) != side:
-                raise MalformedCertificateError(f"factor widths {widths} must tile the target side {side}")
-        elif self.kind == "two_block_isometry":
-            if side % 2:
-                raise MalformedCertificateError(f"two-block target side {side} must be even")
-            widths = [side // 2] * 2
-        else:  # quaternion: the target is t (+) t, t of 3 or 4 blocks of side q/2
-            half, n = side // 2, (widths[0] // 2 if widths else 0)
-            if side % 2 or n < 1 or half % n or half // n not in (3, 4):
-                raise MalformedCertificateError(f"quaternion target of side {side} does not fit 3 or 4 doubled blocks of the factor width")
-            copy = t[:half, :half]
-            if t[:half, half:].any() or t[half:, :half].any() or not np.array_equal(t[half:, half:], copy):
-                raise MalformedCertificateError("quaternion target must be two equal diagonal copies")
-            widths = [2 * n] * 4
-        expected, shapes = [(side, w) for w in widths], [f.shape for f in self.factors]
+        expected = [(self.target.shape[0], core.shape[0]) for core in self.cores]
+        shapes = [f.shape for f in self.factors]
         if shapes != expected:
             raise MalformedCertificateError(f"kind {self.kind!r} needs isometries of shapes {expected}, got {shapes}")
 
@@ -199,20 +208,8 @@ class DecompositionCertificate:
 
     @functools.cached_property
     def cores(self) -> tuple[np.ndarray, ...]:
-        """Per-factor cores from the target: the Hermitian part of each
-        diagonal slot (corner kinds), of ``A + B`` (two blocks), or the
-        doubled partial trace (quaternion). A sum that overflows raises
-        :class:`NumericalError`."""
-        t = self.target
-        if self.kind in CORNER_KINDS:
-            edges = np.cumsum((0,) + self.slots)
-            return tuple(hermitian_part(t[a:b, a:b]) for a, b in zip(edges[:-1], edges[1:]))
-        if self.kind == "two_block_isometry":
-            core = hermitian_part(partial_trace(BlockMatrix(t, block_dim=t.shape[0] // 2, block_count=2)))
-            return core, core
-        half, n = t.shape[0] // 2, self.factors[0].shape[1] // 2
-        delta = partial_trace(BlockMatrix(t[:half, :half], block_dim=n, block_count=half // n))
-        return (direct_sum(delta, delta),) * 4
+        """Per-factor cores, derived from the target by its kind's rule."""
+        return _cores(self.kind, self.target, [f.shape[1] for f in self.factors])
 
     @functools.cached_property
     def defects(self) -> dict:
@@ -220,27 +217,19 @@ class DecompositionCertificate:
         return measure_defects(self)
 
 
-def reconstruction_residual(cert: DecompositionCertificate) -> float:
-    """``||target - weight * sum_k F_k core_k F_k*||_F``, recomputed. The
-    power-of-two weight scales each term, so the sum overflows no sooner
-    than the target; in the normal range that is exact either way."""
-    weight = float(cert.weight)
-    acc = np.zeros_like(cert.target)
-    for f, core in zip(cert.factors, cert.cores):
-        acc += weight * (f @ core @ dagger(f))
-    return frobenius(cert.target - acc)
-
-
-def isometry_defects(cert: DecompositionCertificate) -> tuple[float, ...]:
-    """``||F*F - I||_F`` for each factor."""
-    return tuple(frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors)
-
-
 def measure_defects(cert: DecompositionCertificate) -> dict:
-    """Reconstruction residual and isometry defects, recomputed; a defect
-    that overflows raises :class:`NumericalError`."""
+    """``||target - weight * sum_k F_k core_k F_k*||_F`` and each
+    ``||F_k* F_k - I||_F``, recomputed. The power-of-two weight scales
+    each term, so the sum overflows no sooner than the target (exact in
+    the normal range); a defect that overflows raises
+    :class:`NumericalError`."""
+    weight = float(cert.weight)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual, isometry = reconstruction_residual(cert), list(isometry_defects(cert))
+        acc = np.zeros_like(cert.target)
+        for f, core in zip(cert.factors, cert.cores):
+            acc += weight * (f @ core @ dagger(f))
+        residual = frobenius(cert.target - acc)
+        isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
     if not np.isfinite([residual, *isometry]).all():
         raise NumericalError(f"{cert.kind} defects are not finite: reconstruction {residual}, isometry {isometry}")
     return {"reconstruction": residual, "isometry": isometry}
@@ -272,7 +261,7 @@ def two_corner_decomposition(
     U and V are the polar factors of M and N, the slot columns of the
     unitaries :func:`corner_unitary` builds.
     """
-    a = as_matrix(h)
+    a = as_matrix(h).copy()  # the certificate keeps the target: not the caller's array
     if n < 1 or m < 1:
         raise ValueError("corner widths must be positive")
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
@@ -291,7 +280,7 @@ def corner_decomposition_general(
     Hermitian blocks are not required, only positivity.
     """
     root = psd_sqrt(h.data, tol)
-    return _isometry_average("corner_general", h.data.copy(), np.hsplit(root, h.block_count))
+    return _isometry_average("corner_general", h.data, np.hsplit(root, h.block_count))
 
 
 def two_block_congruence(h: BlockMatrix) -> np.ndarray:
@@ -324,57 +313,15 @@ def two_block_isometries(
     r1, r2 = np.hsplit(root, 2)
     c = 1 / np.sqrt(2.0)
     halves = (r1 * (-1j * c) + r2 * c, r1 * (1j * c) + r2 * c)
-    return _isometry_average("two_block_isometry", h.data.copy(), halves)
+    return _isometry_average("two_block_isometry", h.data, halves)
 
 
 _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class QuaternionStageTrace:
-    """Stages of the quaternion route, each computed on first read from the
-    construction's own ``x = sqrt(H (+) H) M*`` and ``d = (D (+) D)/4``.
-
-    ``phi = x* x = M (H (+) H) M*`` has four diagonal 2n-blocks equal to
-    d. R2 is real, symmetric and its own inverse, so ``omega = R2 phi R2
-    = W P (H (+) H) P* W*``; its off-diagonal 2n-blocks are skew-Hermitian.
-    """
-
-    x: np.ndarray
-    d: np.ndarray
-
-    @functools.cached_property
-    def phi(self) -> np.ndarray:
-        return hermitian_part(dagger(self.x) @ self.x)
-
-    @functools.cached_property
-    def omega(self) -> np.ndarray:
-        # R2 = kron(_SIGN4, I)/2, so 2n-block (s, t) of omega is a quarter
-        # of the signed sum of phi's blocks (a, b) with signs s_sa s_bt
-        side, width = self.phi.shape[0], self.d.shape[0]
-        blocks = self.phi.reshape(4, width, 4, width)
-        signed = np.einsum("sa,aibj,bt->sitj", _SIGN4, blocks, _SIGN4, optimize=True)
-        return hermitian_part(signed.reshape(side, side) / 4.0)
-
-    def _block(self, m: np.ndarray, s: int, t: int) -> np.ndarray:
-        width = self.d.shape[0]
-        return m[s * width : (s + 1) * width, t * width : (t + 1) * width]
-
-    @property
-    def skew_defect(self) -> float:
-        """Largest ``||B + B*||_F`` over the off-diagonal 2n-blocks B of omega."""
-        blocks = (self._block(self.omega, s, t) for s in range(4) for t in range(4) if s != t)
-        return max(frobenius(b + dagger(b)) for b in blocks)
-
-    @property
-    def equal_diagonal_defect(self) -> float:
-        """Largest ``||phi_kk - d||_F`` over the diagonal 2n-blocks of phi."""
-        return max(frobenius(self._block(self.phi, k, k) - self.d) for k in range(4))
-
-
 def quaternion_pipeline(
     h: BlockMatrix, beta: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[QuaternionStageTrace, DecompositionCertificate]:
+) -> tuple[tuple[np.ndarray, ...], DecompositionCertificate]:
     """Decompose ``H (+) H`` as a quarter of four isometry conjugates of
     the doubled partial trace, for 3 or 4 Hermitian blocks.
 
@@ -388,9 +335,8 @@ def quaternion_pipeline(
     the units of :func:`quaternion_units` and s the signs of R2; neither
     M nor P is formed. For beta = 3 the zero rows that the padding adds
     to ``sqrt(H)`` are left out, giving 6n x 2n factors; beta = 4 with a
-    3x3 partition keeps them, and the padded target.
-
-    Returns the stage trace, which keeps x, alongside the certificate.
+    3x3 partition keeps them, and the padded target. Returns the four
+    column blocks ``X_k`` of x and the certificate.
     """
     alpha, n = h.block_count, h.block_dim
     if beta not in (3, 4):
@@ -406,7 +352,30 @@ def quaternion_pipeline(
     blocks = [sum(_SIGN4[a, k] * t for a, t in enumerate(terms)) for k in range(4)]
     copy = np.pad(h.data, (0, rows - h.side))
     cert = _isometry_average("quaternion", direct_sum(copy, copy), blocks)
-    return QuaternionStageTrace(x=np.hstack(blocks), d=cert.cores[0] / 4.0), cert
+    return tuple(blocks), cert
+
+
+def quaternion_stage_defects(blocks, cert: DecompositionCertificate) -> tuple[float, float]:
+    """``(equal, skew)``, the quaternion route's two stage defects on the
+    column blocks of ``x = sqrt(H (+) H) M*`` from :func:`quaternion_pipeline`.
+
+    ``phi = x* x = M (H (+) H) M*`` has four diagonal 2n-blocks equal to
+    ``d = (D (+) D)/4``, a quarter of the core: ``equal`` is the largest
+    ``||phi_kk - d||_F``. R2 is real, symmetric and its own inverse, so
+    ``omega = R2 phi R2 = W P (H (+) H) P* W*``, whose off-diagonal
+    2n-blocks B are skew-Hermitian: ``skew`` is the largest ``||B + B*||_F``.
+    """
+    x = np.hstack(blocks)
+    d = cert.cores[0] / 4.0
+    w = d.shape[0]
+    phi = hermitian_part(dagger(x) @ x).reshape(4, w, 4, w)  # phi[s, :, t] is 2n-block (s, t)
+    # R2 = kron(_SIGN4, I)/2, so 2n-block (s, t) of omega is a quarter
+    # of the signed sum of phi's blocks (a, b) with signs s_sa s_bt
+    signed = np.einsum("sa,aibj,bt->sitj", _SIGN4, phi, _SIGN4, optimize=True)
+    omega = hermitian_part(signed.reshape(4 * w, 4 * w) / 4.0).reshape(4, w, 4, w)
+    equal = max(frobenius(phi[k, :, k] - d) for k in range(4))
+    skew = max(frobenius(omega[s, :, t] + dagger(omega[s, :, t])) for s in range(4) for t in range(4) if s != t)
+    return equal, skew
 
 
 _EXACT = Tolerance(atol=0.0, rtol=0.0)
@@ -437,7 +406,7 @@ def certificate_to_json(cert: DecompositionCertificate, encode=matrix_to_json) -
         "weight": str(cert.weight),
         "target": encode(cert.target),
         "factors": [encode(f) for f in cert.factors],
-        "defects": {"reconstruction": cert.defects["reconstruction"], "isometry": list(cert.defects["isometry"])},
+        "defects": cert.defects,
     }
     if cert.slots is not None:
         obj["slots"] = list(cert.slots)

@@ -34,6 +34,7 @@ from psdblocks import (
     operator_pair_check,
     partial_trace,
     quaternion_pipeline,
+    quaternion_stage_defects,
     quaternion_units,
     random_block_psd,
     random_commuting_family,
@@ -114,9 +115,10 @@ def test_criterion_3_quaternion_pipeline():
                     GeneratorSpec(seed=3000 + 500 * beta + i, alpha=beta, n=1 + i % 3, rank=1 + i % 4)
                 )
                 n = h.block_dim
-                trace, cert = quaternion_pipeline(h, beta=beta)
-                assert trace.skew_defect <= 1e-9
-                assert trace.equal_diagonal_defect <= 1e-9
+                blocks, cert = quaternion_pipeline(h, beta=beta)
+                equal, skew = quaternion_stage_defects(blocks, cert)
+                assert skew <= 1e-9
+                assert equal <= 1e-9
                 assert cert.weight == Fraction(1, 4)
                 delta = partial_trace(h)
                 doubled = direct_sum(delta, delta)

@@ -85,6 +85,26 @@ class TestCheckCommand:
         assert names["eigenvalue_partial_sums"]["lhs"][0] == 2.0
         assert names["eigenvalue_partial_sums"]["rhs"][0] == 1.0
 
+    @pytest.mark.parametrize(
+        "data, code, message",
+        [
+            (-np.eye(4), 2, "error: matrix is not PSD within tolerance"),
+            (np.triu(np.ones((4, 4))), 2, "error: matrix is not Hermitian within tolerance"),
+            (nonhermitian_counterexample().data, 1, "warning: Hermitian-block hypothesis violated"),
+        ],
+        ids=["negative_identity", "upper_triangular", "rank_one_counterexample"],
+    )
+    def test_file_outside_the_theorem_domain(self, tmp_path, capsys, data, code, message):
+        # a file must hold a Hermitian PSD matrix, else its verdict means
+        # nothing (eigvalsh reads one triangle): a usage error, not a FAIL.
+        # Non-Hermitian blocks of a PSD matrix are the counterexample's FAIL
+        path, report_path = tmp_path / "H.json", tmp_path / "k.json"
+        path.write_text(json.dumps(block_matrix_to_json(BlockMatrix(data, block_dim=2, block_count=2))))
+        assert run(["check", path, "-o", report_path]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.err if code == 2 else captured.out)
+        assert report_path.exists() == (code == 1)
+
     def test_generated_trials_pass(self, tmp_path):
         report_path = tmp_path / "trials.json"
         code = run(

@@ -18,7 +18,6 @@ from psdblocks import (
     GeneratorSpec,
     HypothesisError,
     MalformedCertificateError,
-    QuaternionStageTrace,
     Tolerance,
     certificate_from_json,
     certificate_to_json,
@@ -32,16 +31,15 @@ from psdblocks import (
     get_block,
     hermitian_eigvalues,
     interleave_permutation,
-    isometry_defects,
     measure_defects,
     nonhermitian_counterexample,
     partial_trace,
     psd_sqrt,
     quaternion_pipeline,
+    quaternion_stage_defects,
     quaternion_units,
     random_block_psd,
     random_psd,
-    reconstruction_residual,
     two_block_congruence,
     two_block_isometries,
     two_corner_decomposition,
@@ -58,6 +56,19 @@ def embed(block, side, offset):
 
 def block_instance(seed, alpha, n, rank=3):
     return random_block_psd(GeneratorSpec(seed=seed, alpha=alpha, n=n, rank=rank))
+
+
+def dense_stage_defects(phi, omega, d):
+    """``(equal, skew)`` by definition: the largest ``||phi_kk - d||_F`` and
+    the largest ``||B + B*||_F`` over the off-diagonal blocks B of omega."""
+    w = d.shape[0]
+
+    def blk(m, s, t):
+        return m[s * w : (s + 1) * w, t * w : (t + 1) * w]
+
+    equal = max(frobenius(blk(phi, k, k) - d) for k in range(4))
+    skew = max(frobenius(blk(omega, s, t) + dagger(blk(omega, s, t))) for s in range(4) for t in range(4) if s != t)
+    return equal, skew
 
 
 class TestQuaternionUnits:
@@ -162,6 +173,19 @@ class TestTwoCornerDecomposition:
         assert cert.slots == (2, 5)
         assert cert.defects["reconstruction"] <= 1e-9 * (1 + frobenius(h))
 
+    def test_certificate_owns_its_target(self):
+        # a writable input is copied: mutating it afterwards leaves the certificate valid
+        a = np.array(block_instance(3, alpha=2, n=3).data)
+        cert = two_corner_decomposition(a, 3, 3)
+        assert cert.target is not a and not np.shares_memory(cert.target, a)
+        a[0, 0] += 1
+        assert verify_certificate(cert).passed
+
+    def test_read_only_instance_data_is_not_copied(self):
+        h = block_instance(3, alpha=2, n=3)
+        assert corner_decomposition_general(h).target is h.data
+        assert two_block_isometries(h).target is h.data
+
 
 class TestCornerDecompositionGeneral:
     def test_block_diagonal_input(self):
@@ -265,7 +289,7 @@ class TestTwoBlockIsometries:
 class TestQuaternionPipeline:
     def test_identity_four_blocks(self):
         h = BlockMatrix(np.eye(4), block_dim=1, block_count=4)
-        trace, cert = quaternion_pipeline(h, beta=4)
+        _, cert = quaternion_pipeline(h, beta=4)
         # core is 4*I2, so the factors resolve the identity on C^8
         acc = sum(f @ dagger(f) for f in cert.factors)
         assert frobenius(acc - np.eye(8)) <= 1e-12
@@ -274,42 +298,31 @@ class TestQuaternionPipeline:
     @pytest.mark.parametrize("seed", range(25))
     def test_stage_invariants_beta_four(self, seed):
         h = block_instance(seed, alpha=4, n=1 + seed % 3)
-        trace, cert = quaternion_pipeline(h, beta=4)
+        blocks, cert = quaternion_pipeline(h, beta=4)
+        equal, skew = quaternion_stage_defects(blocks, cert)
         scale = 1 + frobenius(h.data)
-        assert trace.skew_defect <= 1e-9 * scale
-        assert trace.equal_diagonal_defect <= 1e-9 * scale
+        assert skew <= 1e-9 * scale
+        assert equal <= 1e-9 * scale
         assert cert.defects["reconstruction"] <= 1e-8 * scale
         assert max(cert.defects["isometry"]) <= 1e-9
         n = h.block_dim
         assert all(f.shape == (8 * n, 2 * n) for f in cert.factors)
 
-    def test_stages_built_only_when_read(self):
-        trace, _ = quaternion_pipeline(block_instance(5, alpha=4, n=2), beta=4)
-        assert not any(name in trace.__dict__ for name in ("omega", "phi"))
-        trace.phi
-        assert "phi" in trace.__dict__ and "omega" not in trace.__dict__
-        trace.omega
-        assert all(name in trace.__dict__ for name in ("omega", "phi"))
-
     def test_stage_defects_match_blockwise_definition(self):
-        # a random x is no construction's, so both stage invariants break
-        # and the defects are far from zero; the trace itself does not validate
+        # random blocks are no construction's, so both stage identities
+        # break and the defects are far from zero; omega is formed densely
+        # as R2 phi R2 with R2 = kron(signs, I)/2
+        _, cert = quaternion_pipeline(block_instance(5, alpha=4, n=2), beta=4)
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        trace = QuaternionStageTrace(x=x, d=np.eye(4))
-        width = 4
-        skew = 0.0
-        for s in range(4):
-            for t in range(4):
-                if s != t:
-                    blk = trace.omega[s * width : (s + 1) * width, t * width : (t + 1) * width]
-                    skew = max(skew, frobenius(blk + dagger(blk)))
-        equal = max(
-            frobenius(trace.phi[k * width : (k + 1) * width, k * width : (k + 1) * width] - trace.d)
-            for k in range(4)
-        )
-        assert trace.skew_defect == skew > 1.0
-        assert trace.equal_diagonal_defect == equal > 1.0
+        blocks = [rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4)) for _ in range(4)]
+        x = np.hstack(blocks)
+        phi = dagger(x) @ x
+        signs = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        r2 = np.kron(signs, np.eye(4)) / 2.0
+        expected = dense_stage_defects(phi, r2 @ phi @ r2, cert.cores[0] / 4.0)
+        measured = quaternion_stage_defects(blocks, cert)
+        assert measured == pytest.approx(expected, rel=1e-12)
+        assert min(measured) > 1.0
 
     @pytest.mark.parametrize(
         "alpha, beta", [(3, 3), (4, 4), (3, 4)], ids=["beta3", "beta4", "beta4_padded"]
@@ -319,7 +332,7 @@ class TestQuaternionPipeline:
         # M = R2 W P built densely: P the interleave permutation (whose
         # conjugation is duplicate_blocks), W the inflated units, R2 the signs
         h = block_instance(7 + n, alpha=alpha, n=n)
-        trace, _ = quaternion_pipeline(h, beta=beta)
+        blocks, cert = quaternion_pipeline(h, beta=beta)
         pad = (0, (4 - alpha) * n)
         padded = BlockMatrix(np.pad(h.data, pad), block_dim=n, block_count=4)
         doubled = direct_sum(padded.data, padded.data)
@@ -337,15 +350,16 @@ class TestQuaternionPipeline:
         # x keeps beta*n rows of each copy
         root = np.pad(psd_sqrt(h.data), pad)
         x = (direct_sum(root, root) @ dagger(m)).reshape(2, 4 * n, 8 * n)[:, : beta * n].reshape(-1, 8 * n)
-        assert frobenius(trace.x - x) <= 1e-12 * scale
-        assert frobenius(trace.phi - m @ doubled @ dagger(m)) <= 1e-12 * scale
-        assert frobenius(trace.omega - w @ g @ dagger(w)) <= 1e-12 * scale
+        assert frobenius(np.hstack(blocks) - x) <= 1e-12 * scale
+        # both stage defects, measured on the dense phi = M (H (+) H) M* and omega = W G W*
+        expected = dense_stage_defects(m @ doubled @ dagger(m), w @ g @ dagger(w), cert.cores[0] / 4.0)
+        assert quaternion_stage_defects(blocks, cert) == pytest.approx(expected, abs=1e-12 * scale)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_beta_three_trims_to_six_n(self, seed):
         n = 1 + seed % 3
         h = block_instance(seed, alpha=3, n=n)
-        trace, cert = quaternion_pipeline(h, beta=3)
+        _, cert = quaternion_pipeline(h, beta=3)
         assert all(f.shape == (6 * n, 2 * n) for f in cert.factors)
         assert np.array_equal(cert.target, direct_sum(h.data, h.data))
         assert cert.defects["reconstruction"] <= 1e-8 * (1 + frobenius(h.data))
@@ -503,6 +517,7 @@ class TestCertificates:
 
     def test_defects_measured_once_on_first_read(self, monkeypatch):
         _, cert = self.fresh()
+        assert "cores" in vars(cert)  # derived at construction, by the kind's rule
         assert "defects" not in vars(cert)
         calls = []
         measure = decompose_module.measure_defects
@@ -603,12 +618,33 @@ class TestCertificates:
 
 
 class TestDefectHelpers:
-    def test_measured_defects_match_helpers(self):
-        h = block_instance(2, alpha=2, n=2)
-        cert = two_block_isometries(h)
-        assert cert.defects["reconstruction"] == pytest.approx(
-            reconstruction_residual(cert), abs=1e-15
-        )
-        assert tuple(cert.defects["isometry"]) == pytest.approx(
-            isometry_defects(cert), abs=1e-15
-        )
+    @pytest.mark.parametrize("kind", decompose_module.KINDS)
+    def test_measured_defects_match_definitions(self, kind):
+        # cores sliced or summed from the target's blocks, every term
+        # scaled by the weight before it is added
+        h = block_instance(2, alpha=4, n=2)
+        cert = {
+            "two_corner": lambda: two_corner_decomposition(h.data, 3, 5),
+            "corner_general": lambda: corner_decomposition_general(h),
+            "two_block_isometry": lambda: two_block_isometries(block_instance(2, alpha=2, n=2)),
+            "quaternion": lambda: quaternion_pipeline(block_instance(2, alpha=3, n=2), beta=3)[1],
+        }[kind]()
+        t = cert.target
+        if kind in decompose_module.CORNER_KINDS:
+            edges = np.cumsum([0, *cert.slots])
+            cores = [(t[a:b, a:b] + dagger(t[a:b, a:b])) / 2 for a, b in zip(edges[:-1], edges[1:])]
+        elif kind == "two_block_isometry":
+            half = t.shape[0] // 2
+            core = t[:half, :half] + t[half:, half:]
+            cores = [(core + dagger(core)) / 2] * 2
+        else:
+            n, copy = 2, t[:6, :6]
+            delta = sum(copy[k * n : (k + 1) * n, k * n : (k + 1) * n] for k in range(3))
+            cores = [direct_sum(delta, delta)] * 4
+        acc = np.zeros_like(t)
+        for f, core in zip(cert.factors, cores, strict=True):
+            acc += float(cert.weight) * (f @ core @ dagger(f))
+        isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
+        measured = measure_defects(cert)
+        assert measured["reconstruction"] == pytest.approx(frobenius(t - acc), abs=1e-15)
+        assert measured["isometry"] == pytest.approx(isometry, abs=1e-15)

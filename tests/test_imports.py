@@ -2,7 +2,7 @@
 name a module lists in ``__all__`` is defined there (every listed
 function and class with a docstring), ``__init__`` re-exports only listed
 names, and the third-party modules the package imports are exactly its
-declared dependencies.
+declared dependencies. Every python code block of README.md runs.
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
 linter. ``__init__.py`` is skipped by the unused-import check: its
@@ -165,3 +165,21 @@ def test_detector_sees_third_party_roots():
         "from .kernel import dagger\n"
     )
     assert third_party_imports(source) == {"numpy", "orjson"}
+
+
+def readme_python_blocks() -> list[str]:
+    """The fenced ``python`` code blocks of README.md, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+
+
+README_BLOCKS = readme_python_blocks()
+
+
+def test_readme_has_python_examples():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("source", README_BLOCKS, ids=[f"block_{i + 1}" for i in range(len(README_BLOCKS))])
+def test_readme_example_runs(source):
+    exec(compile(source, "README.md", "exec"), {"__name__": "readme_example"})
