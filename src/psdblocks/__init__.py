@@ -14,7 +14,6 @@ from .blocks import (
     direct_sum,
     duplicate_blocks,
     get_block,
-    interleave_permutation,
     partial_trace,
     validate_hermitian_blocks,
 )
@@ -36,6 +35,8 @@ from .checks import (
     weyl_check,
 )
 from .decompose import (
+    CORNER_KINDS,
+    KINDS,
     DecompositionCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -45,7 +46,6 @@ from .decompose import (
     quaternion_pipeline,
     quaternion_stage_defects,
     quaternion_units,
-    two_block_congruence,
     two_block_isometries,
     two_corner_decomposition,
     verify_certificate,

@@ -3,10 +3,9 @@
 A :class:`BlockMatrix` is a square complex matrix carved into
 ``block_count`` x ``block_count`` blocks of equal side ``block_dim``
 (its spectrum and its partial trace's computed once), with the partial
-trace (sum of diagonal blocks), the coordinate interleaving the
-quaternion decomposition route relies on and the block duplication it
-realises. :func:`validate_hermitian_blocks` alone decides the
-Hermitian-block hypothesis.
+trace (sum of diagonal blocks), direct sums and block duplication.
+:func:`validate_hermitian_blocks` alone decides the Hermitian-block
+hypothesis.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "direct_sum",
     "duplicate_blocks",
     "get_block",
-    "interleave_permutation",
     "partial_trace",
     "validate_hermitian_blocks",
 ]
@@ -132,31 +130,19 @@ def validate_hermitian_blocks(
     return tuple(bad)
 
 
-def interleave_permutation(alpha: int, n: int) -> np.ndarray:
-    """Permutation aligning two stacked copies block-by-block.
-
-    Coordinate (copy c, block s, inner j), stored at ``c*alpha*n + s*n + j``
-    in a direct sum of two copies, is sent to ``s*2n + c*n + j`` so both
-    copies of block s become adjacent. Returns the integer index array
-    ``image`` with ``image[i]`` the destination of coordinate i.
-    Conjugating ``H (+) H`` by the matrix P with ``P[image[i], i] = 1``
-    yields exactly :func:`duplicate_blocks`.
-    """
-    if alpha < 1 or n < 1:
-        raise ValueError("alpha and n must be positive")
-    return np.arange(2 * alpha * n).reshape(alpha, 2, n).transpose(1, 0, 2).ravel()
-
-
 def duplicate_blocks(h: BlockMatrix) -> BlockMatrix:
     """Replace each block A_st by A_st (+) A_st.
 
-    Pure index shuffling (no arithmetic): equals the conjugation of
-    ``H (+) H`` by the interleave permutation, entry for entry.
+    Pure placement (no arithmetic): both copies of ``A_st`` go on the
+    diagonal of output block (s, t), so the result equals the conjugation
+    of ``H (+) H`` by the permutation that makes the two copies of every
+    block adjacent, entry for entry.
     """
     n, alpha = h.block_dim, h.block_count
-    idx = np.argsort(interleave_permutation(alpha, n))
-    g = direct_sum(h.data, h.data)[np.ix_(idx, idx)]
-    return BlockMatrix(g, block_dim=2 * n, block_count=alpha)
+    g = np.zeros((alpha, 2, n, alpha, 2, n), dtype=np.complex128)
+    for c in (0, 1):
+        g[:, c, :, :, c, :] = h.data.reshape(alpha, n, alpha, n)
+    return BlockMatrix(g.reshape(2 * h.side, 2 * h.side), block_dim=2 * n, block_count=alpha)
 
 
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -100,7 +100,7 @@ def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:
     margin = float(margins.min())
     if not np.isfinite(margin):
         raise NumericalError(f"check {name!r} has a margin beyond the float range: lhs {lhs}, rhs {rhs}")
-    slacks = tol.atol + tol.rtol * np.maximum(np.abs(lv), np.abs(rv))
+    slacks = tol.slack(np.maximum(np.abs(lv), np.abs(rv)))
     scalar = np.ndim(lhs) == 0
     return Check(
         name=name,
@@ -216,20 +216,15 @@ def det_sandwich(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     return CheckReport(checks=(upper, lower), tolerance=tol)
 
 
-CONCAVE_IDS = ("log1p", "sqrt", "pow_0.25", "pow_0.5", "pow_0.75", "min")
-
-
-def _concave_function(fid: str):
-    if fid == "log1p":
-        return np.log1p
-    if fid == "sqrt":
-        return np.sqrt
-    if fid in ("pow_0.25", "pow_0.5", "pow_0.75"):
-        power = float(fid.split("_")[1])
-        return lambda t: np.power(t, power)
-    if fid == "min":
-        return lambda t: np.minimum(t, 1.0)
-    raise ValueError(f"unknown concave catalog id {fid!r}; known ids: {CONCAVE_IDS}")
+_CONCAVE = {
+    "log1p": np.log1p,
+    "sqrt": np.sqrt,
+    "pow_0.25": lambda t: np.power(t, 0.25),
+    "pow_0.5": lambda t: np.power(t, 0.5),
+    "pow_0.75": lambda t: np.power(t, 0.75),
+    "min": lambda t: np.minimum(t, 1.0),
+}
+CONCAVE_IDS = tuple(_CONCAVE)
 
 
 def trace_concave_check(s_mat, t_mat, fid: str, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -245,7 +240,9 @@ def trace_concave_check(s_mat, t_mat, fid: str, tol: Tolerance = DEFAULT_TOL) ->
 
 def _trace_concave(lam_s, lam_t, fid: str, tol: Tolerance) -> CheckReport:
     """:func:`trace_concave_check` on the two non-increasing spectra."""
-    f = _concave_function(fid)
+    if fid not in _CONCAVE:
+        raise ValueError(f"unknown concave catalog id {fid!r}; known ids: {CONCAVE_IDS}")
+    f = _CONCAVE[fid]
     lam_s = np.clip(lam_s, 0.0, None)
     lam_t = np.clip(lam_t, 0.0, None)
     warnings: tuple[str, ...] = ()
@@ -295,7 +292,10 @@ def operator_pair_check(t_mat, s_list, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     ``T S_s S_t T``) the right one. Families of 1, 3 or 4 matrices are
     accepted; blocks that are not Hermitian raise
     :class:`HypothesisError`. The ``gram_spectrum`` item checks that the
-    zero-padded spectrum of ``Y* Y`` is that of ``Y Y*``.
+    zero-padded spectrum of ``Y* Y`` is that of ``Y Y*``, at the
+    spectrum's scale: the padding meets eigenvalues of ``Y Y*`` that are
+    zero only up to rounding of ``||Y||_2^2``, so the absolute slack is
+    ``tol.slack(||Y||_2^2)``.
     """
     if len(s_list) not in (1, 3, 4):
         raise ValueError(f"operator pairs take 1, 3 or 4 S matrices, got {len(s_list)}")
@@ -307,7 +307,8 @@ def operator_pair_check(t_mat, s_list, tol: Tolerance = DEFAULT_TOL) -> CheckRep
         offending = ", ".join(f"({i},{j})" for i, j, _ in bad)
         raise HypothesisError(f"Gram blocks T S_s S_t T are not Hermitian at {offending}")
     lam_small = hermitian_eigvalues(hermitian_part(dagger(y) @ y))
-    gram = compare_eq("gram_spectrum", np.pad(lam_small, (0, h.side - lam_small.size)), h.eigenvalues, tol)
+    spectrum_tol = Tolerance(atol=tol.slack(h.eigenvalues[0]), rtol=tol.rtol)
+    gram = compare_eq("gram_spectrum", np.pad(lam_small, (0, h.side - lam_small.size)), h.eigenvalues, spectrum_tol)
     report = hiroshima_check(h, tol).merged_with(eigen_step_check(h, tol))
     return report.merged_with(CheckReport(checks=(gram,), tolerance=tol))
 

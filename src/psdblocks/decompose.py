@@ -18,7 +18,7 @@ All four kinds are one construction, built by ``_isometry_average``.
 Take a target T and a fixed unitary C whose column blocks satisfy
 ``C_k* T C_k = weight * core_k``: C is the identity, cut into the
 slots, for the corner kinds; for two blocks T = H and C is the
-balancing unitary of :func:`two_block_congruence`; for the quaternion
+balancing unitary ``W = [[-iI, iI], [I, I]]/sqrt(2)``; for the quaternion
 route T = H (+) H (H padded to four blocks) and C = M* with
 ``M = R2 W P``. With ``X_k = sqrt(T) C_k`` the ``X_k X_k*`` sum to T and
 every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
@@ -86,7 +86,6 @@ __all__ = [
     "quaternion_pipeline",
     "quaternion_stage_defects",
     "quaternion_units",
-    "two_block_congruence",
     "two_block_isometries",
     "two_corner_decomposition",
     "verify_certificate",
@@ -283,24 +282,13 @@ def corner_decomposition_general(
     return _isometry_average("corner_general", h.data, np.hsplit(root, h.block_count))
 
 
-def two_block_congruence(h: BlockMatrix) -> np.ndarray:
-    """The balancing unitary W of the two-isometry construction.
-
-    When the off-diagonal block of H is Hermitian, both diagonal n x n
-    blocks of ``W* H W`` equal ``(A+B)/2``; complex entries in W are what
-    makes this work even for real H. W depends only on the block side.
-    """
-    eye = np.eye(h.block_dim)
-    return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
-
-
 def two_block_isometries(
     h: BlockMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> DecompositionCertificate:
     """Average of two isometry conjugates of A+B reconstructing a PSD
     2x2-block matrix with Hermitian blocks.
 
-    With W the balancing unitary of :func:`two_block_congruence`, both
+    With the balancing unitary ``W = [[-iI, iI], [I, I]]/sqrt(2)``, both
     diagonal blocks of ``W* H W`` equal (A+B)/2, so the polar factors of
     the column halves ``-ic R1 + c R2`` and ``ic R1 + c R2`` of
     ``sqrt(H) W`` (R1, R2 the column halves of ``sqrt(H)``,
@@ -406,7 +394,7 @@ def certificate_to_json(cert: DecompositionCertificate, encode=matrix_to_json) -
         "weight": str(cert.weight),
         "target": encode(cert.target),
         "factors": [encode(f) for f in cert.factors],
-        "defects": cert.defects,
+        "defects": {**cert.defects, "isometry": list(cert.defects["isometry"])},
     }
     if cert.slots is not None:
         obj["slots"] = list(cert.slots)

@@ -20,7 +20,6 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "DEFAULT_TOL",
     "Tolerance",
-    "as_matrix",
     "dagger",
     "frobenius",
     "hermitian_eigvalues",

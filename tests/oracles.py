@@ -6,6 +6,9 @@ in high-precision arithmetic, and its roots come from a general
 polynomial root finder. Nothing here shares code with the package's
 LAPACK-backed spectral routines. The unitary reference is plain
 left-looking Gram-Schmidt, one column and one projection at a time.
+The dense forms of the constructions' fixed maps (the interleave
+permutation and the two-block balancing unitary), which the package
+never forms, live here too.
 """
 
 from __future__ import annotations
@@ -104,3 +107,30 @@ def gram_schmidt_unitary(g: np.ndarray) -> np.ndarray:
             norm = np.linalg.norm(v)
         q[:, j] = v / norm
     return q
+
+
+def interleave_permutation(alpha: int, n: int) -> np.ndarray:
+    """Permutation aligning two stacked copies block-by-block.
+
+    Coordinate (copy c, block s, inner j), stored at ``c*alpha*n + s*n + j``
+    in a direct sum of two copies, is sent to ``s*2n + c*n + j`` so both
+    copies of block s become adjacent. Returns the integer index array
+    ``image`` with ``image[i]`` the destination of coordinate i.
+    Conjugating ``H (+) H`` by the matrix P with ``P[image[i], i] = 1``
+    duplicates every block of H.
+    """
+    if alpha < 1 or n < 1:
+        raise ValueError("alpha and n must be positive")
+    return np.arange(2 * alpha * n).reshape(alpha, 2, n).transpose(1, 0, 2).ravel()
+
+
+def two_block_congruence(n: int) -> np.ndarray:
+    """The balancing unitary ``W = [[-iI, iI], [I, I]]/sqrt(2)`` of the
+    two-isometry construction, I of side n, as a dense 2n x 2n matrix.
+
+    When the off-diagonal block of a 2x2-block H is Hermitian, both
+    diagonal n x n blocks of ``W* H W`` equal ``(A+B)/2``; complex
+    entries in W are what makes this work even for real H.
+    """
+    eye = np.eye(n)
+    return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)

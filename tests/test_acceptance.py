@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import charpoly_eigenvalues
+from oracles import charpoly_eigenvalues, two_block_congruence
 
 from psdblocks import (
     BlockMatrix,
@@ -41,7 +41,6 @@ from psdblocks import (
     random_hermitian,
     random_psd,
     run_inequality_suite,
-    two_block_congruence,
     two_block_isometries,
     two_corner_decomposition,
     validate_hermitian_blocks,
@@ -100,7 +99,7 @@ def test_criterion_2_two_block_isometries():
             assert cert.defects["reconstruction"] <= 1e-8
             assert max(cert.defects["isometry"]) <= 1e-9
             assert all(f.shape == (2 * n, n) for f in cert.factors)
-            w = two_block_congruence(h)
+            w = two_block_congruence(h.block_dim)
             congruated = dagger(w) @ h.data @ w
             half = block_sum / 2.0
             assert frobenius(congruated[:n, :n] - half) <= 1e-9

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import interleave_permutation
+
 from psdblocks import (
     BlockMatrix,
     block_matrix_from_json,
@@ -13,7 +15,6 @@ from psdblocks import (
     frobenius,
     get_block,
     hermitian_eigvalues,
-    interleave_permutation,
     partial_trace,
     random_block_psd,
     GeneratorSpec,

@@ -326,6 +326,14 @@ class TestOperatorPairCheck:
         assert report.passed
         assert report.check("gram_spectrum").passed
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+    def test_gram_spectrum_at_any_scale(self, scale):
+        # the padded zeros of Y* Y meet eigenvalues of Y Y* that are zero
+        # only up to rounding of ||Y||_2^2, so the item is judged at that scale
+        report = operator_pair_check(scale * random_hermitian(4, 0), [random_hermitian(4, 1)])
+        assert report.check("gram_spectrum").passed
+        assert report.passed
+
     def test_family_size_checked(self):
         t = random_hermitian(2, 0)
         for size in (0, 2, 5):

@@ -9,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import interleave_permutation, two_block_congruence
+
 import psdblocks.decompose as decompose_module
 from psdblocks import (
     BlockMatrix,
@@ -30,7 +32,6 @@ from psdblocks import (
     geometric_mean_instance,
     get_block,
     hermitian_eigvalues,
-    interleave_permutation,
     measure_defects,
     nonhermitian_counterexample,
     partial_trace,
@@ -40,7 +41,6 @@ from psdblocks import (
     quaternion_units,
     random_block_psd,
     random_psd,
-    two_block_congruence,
     two_block_isometries,
     two_corner_decomposition,
     verify_certificate,
@@ -225,7 +225,7 @@ class TestTwoBlockCongruence:
     @pytest.mark.parametrize("seed", range(20))
     def test_diagonal_blocks_average(self, seed):
         h = block_instance(seed, alpha=2, n=3)
-        w = two_block_congruence(h)
+        w = two_block_congruence(h.block_dim)
         k = dagger(w) @ h.data @ w
         n = h.block_dim
         half_sum = np.asarray(get_block(h, 1, 1) + get_block(h, 2, 2)) / 2.0
@@ -265,7 +265,7 @@ class TestTwoBlockIsometries:
         n = 1 + seed % 5
         h = block_instance(seed, alpha=2, n=n, rank=2 * n)
         cert = two_block_isometries(h)
-        x = psd_sqrt(h.data) @ two_block_congruence(h)
+        x = psd_sqrt(h.data) @ two_block_congruence(h.block_dim)
         scale = 1 + frobenius(h.data)
         for f, half in zip(cert.factors, (x[:, :n], x[:, n:])):
             left, _, right_h = np.linalg.svd(half, full_matrices=False)
@@ -553,6 +553,16 @@ class TestCertificates:
         back = certificate_from_json(obj)
         assert certificate_to_json(back) == certificate_to_json(cert)
         assert certificate_to_json(back)["defects"] == measure_defects(back)
+
+    def test_payload_defects_are_a_copy(self):
+        _, cert = self.fresh()
+        measured = measure_defects(cert)
+        obj = certificate_to_json(cert)
+        obj["defects"]["reconstruction"] = 5.0
+        obj["defects"]["isometry"][0] = 5.0
+        obj["defects"]["isometry"].append(5.0)
+        assert cert.defects == measured
+        assert certificate_to_json(cert)["defects"] == measured
 
     @pytest.mark.parametrize("kind", ["two_corner", "corner_general", "two_block_isometry", "quaternion"])
     def test_json_key_order(self, kind):

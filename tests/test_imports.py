@@ -1,7 +1,7 @@
 """Source hygiene: no package module imports a name it never uses, every
 name a module lists in ``__all__`` is defined there (every listed
-function and class with a docstring), ``__init__`` re-exports only listed
-names, and the third-party modules the package imports are exactly its
+function and class with a docstring), ``__init__`` re-exports exactly the
+listed names, and the third-party modules the package imports are exactly its
 declared dependencies. Every python code block of README.md runs.
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
@@ -101,17 +101,41 @@ def test_detector_sees_undocumented_listed_names():
     assert undocumented(ast.parse(source)) == ["Bare", "bare"]
 
 
+def reexport_mismatch(init: ast.Module, modules: dict[str, ast.Module]) -> tuple[list[str], list[str]]:
+    """``(stale, missing)``: the ``module.name`` pairs ``__init__`` imports
+    but the module does not list (a module without ``__all__`` lists every
+    public top-level name), and those a module's ``__all__`` lists but
+    ``__init__`` does not import."""
+    imported = {f"{node.module}.{alias.name}" for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported, listed = set(), set()
+    for module, tree in modules.items():
+        names = listed_names(tree)
+        listed.update(f"{module}.{n}" for n in names or ())
+        if names is None:
+            names = [n for n in top_level_names(tree) if not n.startswith("_")]
+        exported.update(f"{module}.{n}" for n in names)
+    return sorted(imported - exported), sorted(listed - imported)
+
+
+def package_reexport_mismatch() -> tuple[list[str], list[str]]:
+    return reexport_mismatch(parse(PACKAGE / "__init__.py"), {p.stem: parse(p) for p in MODULES})
+
+
 def test_init_reexports_only_listed_names():
-    stale = []
-    for node in parse(PACKAGE / "__init__.py").body:
-        if isinstance(node, ast.ImportFrom):
-            module = PACKAGE / f"{node.module}.py"
-            tree = parse(module)
-            exported = listed_names(tree)
-            if exported is None:  # no __all__: every public top-level name
-                exported = [n for n in top_level_names(tree) if not n.startswith("_")]
-            stale += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in exported]
-    assert stale == []
+    assert package_reexport_mismatch()[0] == []
+
+
+def test_listed_names_are_reexported():
+    assert package_reexport_mismatch()[1] == []
+
+
+def test_detector_sees_stale_and_missing_reexports():
+    init = ast.parse("from .a import listed, gone\nfrom .b import public\n")
+    modules = {
+        "a": ast.parse('__all__ = ["listed", "forgotten"]\nlisted = forgotten = gone = 1\n'),
+        "b": ast.parse("public = _private = 1\n"),
+    }
+    assert reexport_mismatch(init, modules) == (["a.gone"], ["a.forgotten"])
 
 
 def test_detector_sees_unused_and_used_names():
