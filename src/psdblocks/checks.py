@@ -231,11 +231,14 @@ def trace_concave_check(s_mat, t_mat, fid: str, tol: Tolerance = DEFAULT_TOL) ->
     """Trace of f(S) above trace of f(T) for a concave catalog function,
     valid when the spectrum of S is majorized by that of T.
 
+    The spectra are those of the Hermitian parts, as in :func:`weyl_check`.
     The majorization premise is checked; if only the partial sums hold
     but not trace equality (or not even those), the result is advisory
     and a warning says so. The ``min`` entry is ``min(t, 1)``.
     """
-    return _trace_concave(hermitian_eigvalues(s_mat), hermitian_eigvalues(t_mat), fid, tol)
+    lam_s = hermitian_eigvalues(hermitian_part(as_matrix(s_mat)))
+    lam_t = hermitian_eigvalues(hermitian_part(as_matrix(t_mat)))
+    return _trace_concave(lam_s, lam_t, fid, tol)
 
 
 def _trace_concave(lam_s, lam_t, fid: str, tol: Tolerance) -> CheckReport:

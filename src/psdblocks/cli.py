@@ -80,6 +80,14 @@ def _add_tol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-rel", type=float, default=1e-8, help="relative slack")
 
 
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=int, default=2, help="block count")
+    p.add_argument("--n", type=int, default=2, help="block dimension")
+    p.add_argument("--rank", type=int, default=3, help="number of Gram summands")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scale", type=float, default=1.0)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: built on first call, then reused."""
@@ -90,11 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a seeded Hermitian-block PSD instance")
-    gen.add_argument("--alpha", type=int, default=2, help="block count")
-    gen.add_argument("--n", type=int, default=2, help="block dimension")
-    gen.add_argument("--rank", type=int, default=3, help="number of Gram summands")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--scale", type=float, default=1.0)
+    _add_generator_flags(gen)
     gen.add_argument("-o", "--out", dest="out_path", required=True, help="output JSON path")
 
     dec = sub.add_parser("decompose", help="decompose an instance into a certificate")
@@ -114,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run the inequality suite")
     chk.add_argument("input_path", metavar="input", nargs="?", default=None, help="BlockMatrix JSON path")
     chk.add_argument("--trials", type=int, default=0, help="generate and check this many seeded instances instead of reading a file")
-    chk.add_argument("--alpha", type=int, default=2)
-    chk.add_argument("--n", type=int, default=2)
-    chk.add_argument("--rank", type=int, default=3)
-    chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--scale", type=float, default=1.0)
+    _add_generator_flags(chk)
     chk.add_argument("-o", "--out", dest="out_path", default=None)
     _add_tol_flags(chk)
 

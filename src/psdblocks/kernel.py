@@ -136,7 +136,10 @@ def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray,
 
 
 def hermitian_eigvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, non-increasing, no vectors."""
+    """Eigenvalues of a Hermitian matrix, non-increasing, no vectors.
+
+    Only the lower triangle is read; a caller whose matrix may not be
+    Hermitian passes its :func:`hermitian_part`."""
     return _lapack("eigvalsh", as_matrix(m))[::-1].copy()
 
 

@@ -236,6 +236,14 @@ class TestTraceConcave:
         assert report.passed
         assert not report.warnings
 
+    def test_reads_the_hermitian_part(self):
+        # M and M* share a Hermitian part but not a lower triangle
+        m = np.triu(np.ones((3, 3)))
+        t = np.diag([3.0, 0.0, 0.0])
+        report = trace_concave_check(m, t, "log1p")
+        assert report == trace_concave_check(m.conj().T, t, "log1p")
+        assert report == trace_concave_check(0.5 * (m + m.T), t, "log1p")
+
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             trace_concave_check(np.eye(2), np.eye(2), "cube")

@@ -178,6 +178,16 @@ class TestErrorPaths:
         broken.write_text(json.dumps({"kind": "quaternion"}))
         assert run(["verify", broken]) == 2
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [("verify", "certificate JSON must be an object"), ("check", "block matrix JSON must be an object")],
+    )
+    def test_top_level_array_is_usage_error(self, tmp_path, capsys, command, message):
+        path = tmp_path / "array.json"
+        path.write_text("[]")
+        assert run([command, path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--alpha", 2, "--frobnicate", "-o", "x.json"])
@@ -296,16 +306,39 @@ class TestMalformedFields:
             ("two_corner", lambda obj: obj.update(slots=[3, 2]), "slots [3, 2] must equal the factor widths [2, 3]"),
             ("quaternion", lambda obj: obj.update(weight="1/3"), "weight 1/3, expected 1/4"),
             ("quaternion", lambda obj: obj.update(slots=[2, 2]), "quaternion certificate must not state slots"),
+            ("two_corner", lambda obj: obj.update(kind="foo"), "unknown certificate kind 'foo'"),
+            ("two_corner", lambda obj: obj.update(target=matrix_to_json(np.eye(5, 4))), "target must be square"),
+            ("two_block", lambda obj: obj.update(target=matrix_to_json(np.eye(5))), "two-block target side 5 must be even"),
+            (
+                "quaternion",
+                lambda obj: obj.update(target=matrix_to_json(np.eye(10))),
+                "quaternion target of side 10 does not fit 3 or 4 doubled blocks of the factor width",
+            ),
+            ("two_corner", lambda obj: obj["target"].update(rows=0), "matrix dimensions must be positive"),
         ],
-        ids=["corner_without_slots", "slots_reversed", "quaternion_weight_1_3", "quaternion_with_slots"],
+        ids=[
+            "corner_without_slots",
+            "slots_reversed",
+            "quaternion_weight_1_3",
+            "quaternion_with_slots",
+            "unknown_kind",
+            "non_square_target",
+            "two_block_odd_side",
+            "quaternion_side_misfit",
+            "zero_rows",
+        ],
     )
     def test_field_not_fixed_by_kind_and_factors(self, tmp_path, capsys, kind, edit, message):
         if kind == "two_corner":
             path = self.corner_json(tmp_path, edit)
         else:
-            obj = certificate_to_json(quaternion_pipeline(random_block_psd(GeneratorSpec(seed=2, alpha=3, n=1, rank=3)), beta=3)[1])
+            if kind == "two_block":
+                cert = two_block_isometries(random_block_psd(GeneratorSpec(seed=2, alpha=2, n=1, rank=3)))
+            else:
+                cert = quaternion_pipeline(random_block_psd(GeneratorSpec(seed=2, alpha=3, n=1, rank=3)), beta=3)[1]
+            obj = certificate_to_json(cert)
             edit(obj)
-            path = tmp_path / "quaternion.json"
+            path = tmp_path / f"{kind}.json"
             path.write_text(json.dumps(obj))
         assert run(["verify", path]) == 2
         assert message in capsys.readouterr().err
@@ -398,6 +431,23 @@ class TestOverflow:
 
         json.loads(out.read_text(), parse_constant=reject)
         assert run(["verify", out]) == 0
+
+    def test_overflowing_reconstruction_is_numerical_failure(self, tmp_path, capsys):
+        # every field is well formed; the two 1.5e308 terms sum past the float limit
+        obj = {
+            "kind": "two_corner",
+            "weight": "1",
+            "target": matrix_to_json(np.diag([1.5e308, 1.5e308])),
+            "factors": [matrix_to_json(np.array([[1.0], [0.0]]))] * 2,
+            "slots": [1, 1],
+        }
+        path, out = tmp_path / "corner.json", tmp_path / "report.json"
+        path.write_text(json.dumps(obj))
+        assert run(["verify", path, "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: two_corner defects are not finite")
+        assert "Warning" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, expected, message",

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, every
 name a module lists in ``__all__`` is defined there (every listed
 function and class with a docstring), ``__init__`` re-exports exactly the
-listed names, and the third-party modules the package imports are exactly its
+listed names (a star import counts as its module's list) and no name from
+two modules, and the third-party modules the package imports are exactly its
 declared dependencies. Every python code block of README.md runs.
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
@@ -12,6 +13,7 @@ imports are the re-exports.
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,24 +103,48 @@ def test_detector_sees_undocumented_listed_names():
     assert undocumented(ast.parse(source)) == ["Bare", "bare"]
 
 
+def exported_names(tree: ast.Module) -> list[str]:
+    """What ``from module import *`` binds: the module's ``__all__``, or
+    every public top-level name when it has none."""
+    names = listed_names(tree)
+    return names if names is not None else [n for n in top_level_names(tree) if not n.startswith("_")]
+
+
+def imported_names(init: ast.Module, modules: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """The ``(module, name)`` pairs ``__init__`` imports, a star import
+    expanded to the module's exported names."""
+    pairs = []
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names = exported_names(modules[node.module]) if alias.name == "*" else [alias.name]
+                pairs.extend((node.module, n) for n in names)
+    return pairs
+
+
 def reexport_mismatch(init: ast.Module, modules: dict[str, ast.Module]) -> tuple[list[str], list[str]]:
     """``(stale, missing)``: the ``module.name`` pairs ``__init__`` imports
-    but the module does not list (a module without ``__all__`` lists every
-    public top-level name), and those a module's ``__all__`` lists but
-    ``__init__`` does not import."""
-    imported = {f"{node.module}.{alias.name}" for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    exported, listed = set(), set()
-    for module, tree in modules.items():
-        names = listed_names(tree)
-        listed.update(f"{module}.{n}" for n in names or ())
-        if names is None:
-            names = [n for n in top_level_names(tree) if not n.startswith("_")]
-        exported.update(f"{module}.{n}" for n in names)
+    but the module does not export, and those a module's ``__all__``
+    lists but ``__init__`` does not import."""
+    imported = {f"{m}.{n}" for m, n in imported_names(init, modules)}
+    exported = {f"{m}.{n}" for m, tree in modules.items() for n in exported_names(tree)}
+    listed = {f"{m}.{n}" for m, tree in modules.items() for n in listed_names(tree) or ()}
     return sorted(imported - exported), sorted(listed - imported)
 
 
+def reexported_twice(init: ast.Module, modules: dict[str, ast.Module]) -> list[str]:
+    """Names ``__init__`` imports from two modules: the later import
+    silently rebinds the earlier one's object."""
+    counts = Counter(n for _, n in set(imported_names(init, modules)))
+    return sorted(n for n, count in counts.items() if count > 1)
+
+
+def package_modules() -> tuple[ast.Module, dict[str, ast.Module]]:
+    return parse(PACKAGE / "__init__.py"), {p.stem: parse(p) for p in MODULES}
+
+
 def package_reexport_mismatch() -> tuple[list[str], list[str]]:
-    return reexport_mismatch(parse(PACKAGE / "__init__.py"), {p.stem: parse(p) for p in MODULES})
+    return reexport_mismatch(*package_modules())
 
 
 def test_init_reexports_only_listed_names():
@@ -129,13 +155,32 @@ def test_listed_names_are_reexported():
     assert package_reexport_mismatch()[1] == []
 
 
+def test_no_name_is_reexported_twice():
+    assert reexported_twice(*package_modules()) == []
+
+
 def test_detector_sees_stale_and_missing_reexports():
-    init = ast.parse("from .a import listed, gone\nfrom .b import public\n")
+    init = ast.parse("from .a import listed, gone\nfrom .b import public\nfrom .c import *\nfrom .d import *\n")
     modules = {
         "a": ast.parse('__all__ = ["listed", "forgotten"]\nlisted = forgotten = gone = 1\n'),
         "b": ast.parse("public = _private = 1\n"),
+        "c": ast.parse('__all__ = ["starred"]\nstarred = unlisted = 1\n'),
+        "d": ast.parse("open_name = _hidden = 1\n"),
     }
     assert reexport_mismatch(init, modules) == (["a.gone"], ["a.forgotten"])
+    # a star import covers its module's list; an explicit import beside it is still checked
+    init = ast.parse("from .c import *\nfrom .c import unlisted\n")
+    assert reexport_mismatch(init, {"c": modules["c"]}) == (["c.unlisted"], [])
+
+
+def test_detector_sees_names_reexported_twice():
+    init = ast.parse("from .a import *\nfrom .b import *\nfrom .c import *\nfrom .a import shared\n")
+    modules = {
+        "a": ast.parse('__all__ = ["shared", "own"]\nshared = own = 1\n'),
+        "b": ast.parse('__all__ = ["shared"]\nshared = 2\n'),
+        "c": ast.parse("own = 3\n_private = 4\n"),
+    }
+    assert reexported_twice(init, modules) == ["own", "shared"]
 
 
 def test_detector_sees_unused_and_used_names():
