@@ -20,6 +20,7 @@ from .kernel import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    as_square,
     dagger,
     frobenius,
     hermitian_eigvalues,
@@ -55,13 +56,11 @@ class BlockMatrix:
     block_count: int
 
     def __post_init__(self) -> None:
-        a = as_matrix(self.data).copy()
+        a = as_square(self.data).copy()
         n = int(self.block_dim)
         alpha = int(self.block_count)
         if n < 1 or alpha < 1:
             raise ValueError("block_dim and block_count must be positive")
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"block matrix must be square, got {a.shape}")
         if a.shape[0] != n * alpha:
             raise ValueError(
                 f"side {a.shape[0]} does not match block_dim*block_count = {n * alpha}"

@@ -20,6 +20,7 @@ from .kernel import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    as_square,
     dagger,
     hermitian_eigvalues,
     hermitian_part,
@@ -236,8 +237,8 @@ def trace_concave_check(s_mat, t_mat, fid: str, tol: Tolerance = DEFAULT_TOL) ->
     but not trace equality (or not even those), the result is advisory
     and a warning says so. The ``min`` entry is ``min(t, 1)``.
     """
-    lam_s = hermitian_eigvalues(hermitian_part(as_matrix(s_mat)))
-    lam_t = hermitian_eigvalues(hermitian_part(as_matrix(t_mat)))
+    lam_s = hermitian_eigvalues(hermitian_part(as_square(s_mat)))
+    lam_t = hermitian_eigvalues(hermitian_part(as_square(t_mat)))
     return _trace_concave(lam_s, lam_t, fid, tol)
 
 

@@ -211,7 +211,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if ignored:
             raise ValueError(f"check takes an input file or generated trials, not both: {', '.join(ignored)} given with {args.input_path}")
         h = block_matrix_from_json(_load_json(args.input_path))
-        validate_hermitian_psd(h.data, tol)  # the theorem's domain; generated trials are PSD by construction
+        validate_hermitian_psd(h.data, tol, h.eigenvalues)  # the theorem's domain, on the suite's spectrum; generated trials are PSD by construction
         reports = [run_inequality_suite(h, tol)]
         labels = [args.input_path]
     elif args.trials > 0:

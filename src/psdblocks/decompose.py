@@ -22,14 +22,13 @@ balancing unitary ``W = [[-iI, iI], [I, I]]/sqrt(2)``; for the quaternion
 route T = H (+) H (H padded to four blocks) and C = M* with
 ``M = R2 W P``. With ``X_k = sqrt(T) C_k`` the ``X_k X_k*`` sum to T and
 every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
-polar factor of X_k, whatever the rank. Each X_k is a closed-form sum
-of column blocks of ``sqrt(H)`` times fixed entries of C, so C is never
-formed; :func:`quaternion_stage_defects` reads the quaternion stages
-off those same blocks.
-
-Positivity is decided by :func:`validate_hermitian_psd` (through
-:func:`psd_sqrt`), block Hermiticity by :func:`validate_hermitian_blocks`;
-an SVD that fails raises the kernel's :class:`NumericalError`.
+polar factor ``X_k (weight * core_k)^(-1/2)``, one eigensolve per
+distinct core, or a thin SVD's where that Gram route fails its bounds.
+Each X_k is a closed-form sum of column blocks of ``sqrt(H)`` times
+fixed entries of C, so C is never formed; :func:`quaternion_stage_defects`
+reads the quaternion stages off those same blocks. Positivity is decided
+by :func:`validate_hermitian_psd` (through :func:`psd_sqrt`), block
+Hermiticity by :func:`validate_hermitian_blocks`.
 
 A certificate is its kind, its target and its factors; the paper fixes
 everything else. The weight is one over the number of conjugates
@@ -43,6 +42,7 @@ scratch so third parties can replay acceptance.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,11 +234,30 @@ def measure_defects(cert: DecompositionCertificate) -> dict:
     return {"reconstruction": residual, "isometry": isometry}
 
 
-def _isometry_average(kind: str, target: np.ndarray, blocks) -> DecompositionCertificate:
-    """The one construction behind every kind: factor k is the polar factor
-    of ``blocks[k]``, column block k of ``sqrt(target) C`` for a fixed
-    unitary C (the identity for the corner kinds)."""
-    return DecompositionCertificate(kind, target, tuple(_polar(b) for b in blocks))
+def _isometry_average(kind: str, target: np.ndarray, blocks, tol: Tolerance) -> DecompositionCertificate:
+    """The one construction, defects measured: factor k is the polar factor
+    ``X_k Q diag(mu^(-1/2)) Q*`` of ``X_k = blocks[k]``, ``weight * core_k =
+    Q diag(mu) Q*``. This Gram route squares the condition number and moves
+    a Hermitian-block defect into the isometry defect, over ``min(mu)``
+    (Higham, SIAM J. Sci. Stat. Comput. 7, 1986): where a core is not
+    positive definite, or the certificate fails :func:`verify_certificate`'s
+    bounds under ``tol``, thin SVDs give the factors instead."""
+    cores = _cores(kind, target, [x.shape[1] for x in blocks])
+    roots: dict[int, np.ndarray] = {}
+    with contextlib.suppress(NumericalError, ValueError):
+        for core in cores:
+            if id(core) not in roots:
+                mu, q = _lapack("eigh", float(_WEIGHT[kind]) * core)
+                if not mu[0] > 0:
+                    raise NumericalError(f"{kind} core is not positive definite")
+                roots[id(core)] = (q / np.sqrt(mu)) @ dagger(q)
+        with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows fails as_matrix
+            cert = DecompositionCertificate(kind, target, tuple(x @ roots[id(c)] for x, c in zip(blocks, cores)))
+        if _judged(cert, cert.defects, tol).passed:
+            return cert
+    cert = DecompositionCertificate(kind, target, tuple(_polar(x) for x in blocks))
+    cert.defects  # measured on either route
+    return cert
 
 
 def _hermitian_block_root(h: BlockMatrix, tol: Tolerance, what: str) -> np.ndarray:
@@ -258,7 +277,8 @@ def two_corner_decomposition(
     off-diagonal block. Realization: column-split the PSD square root
     ``S = [M N]`` (so ``M*M = A``, ``N*N = B`` and ``H = MM* + NN*``);
     U and V are the polar factors of M and N, the slot columns of the
-    unitaries :func:`corner_unitary` builds.
+    unitaries :func:`corner_unitary` builds: ``M A^(-1/2)`` and
+    ``N B^(-1/2)``, or thin SVDs (``_isometry_average``); defects measured.
     """
     a = as_matrix(h).copy()  # the certificate keeps the target: not the caller's array
     if n < 1 or m < 1:
@@ -266,7 +286,7 @@ def two_corner_decomposition(
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
         raise ValueError(f"expected a square matrix of side {n + m}, got {a.shape}")
     root = psd_sqrt(a, tol)
-    return _isometry_average("two_corner", a, np.hsplit(root, [n]))
+    return _isometry_average("two_corner", a, np.hsplit(root, [n]), tol)
 
 
 def corner_decomposition_general(
@@ -274,12 +294,13 @@ def corner_decomposition_general(
 ) -> DecompositionCertificate:
     """Columnwise corner decomposition over all alpha diagonal slots:
     ``H = sum_s F_s A_ss F_s*`` with ``F_s`` the polar factor of slot s's
-    columns of ``sqrt(H)``, a ``side x n`` isometry.
+    columns of ``sqrt(H)``, a ``side x n`` isometry, from one eigensolve
+    of ``A_ss`` as in :func:`two_corner_decomposition`.
 
     Hermitian blocks are not required, only positivity.
     """
     root = psd_sqrt(h.data, tol)
-    return _isometry_average("corner_general", h.data, np.hsplit(root, h.block_count))
+    return _isometry_average("corner_general", h.data, np.hsplit(root, h.block_count), tol)
 
 
 def two_block_isometries(
@@ -292,8 +313,9 @@ def two_block_isometries(
     diagonal blocks of ``W* H W`` equal (A+B)/2, so the polar factors of
     the column halves ``-ic R1 + c R2`` and ``ic R1 + c R2`` of
     ``sqrt(H) W`` (R1, R2 the column halves of ``sqrt(H)``,
-    ``c = 1/sqrt(2)``) are 2n x n isometries U, V with
-    ``H = (U (A+B) U* + V (A+B) V*)/2``.
+    ``c = 1/sqrt(2)``) are 2n x n isometries U, V with ``H = (U (A+B) U*
+    + V (A+B) V*)/2``, from one eigensolve of (A+B)/2 or thin SVDs
+    (``_isometry_average``), defects measured.
     """
     if h.block_count != 2:
         raise ValueError("two-block decomposition needs exactly 2x2 blocks")
@@ -301,7 +323,7 @@ def two_block_isometries(
     r1, r2 = np.hsplit(root, 2)
     c = 1 / np.sqrt(2.0)
     halves = (r1 * (-1j * c) + r2 * c, r1 * (1j * c) + r2 * c)
-    return _isometry_average("two_block_isometry", h.data, halves)
+    return _isometry_average("two_block_isometry", h.data, halves, tol)
 
 
 _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
@@ -324,7 +346,8 @@ def quaternion_pipeline(
     M nor P is formed. For beta = 3 the zero rows that the padding adds
     to ``sqrt(H)`` are left out, giving 6n x 2n factors; beta = 4 with a
     3x3 partition keeps them, and the padded target. Returns the four
-    column blocks ``X_k`` of x and the certificate.
+    column blocks ``X_k`` of x and the certificate: factors from one
+    eigensolve of ``(D (+) D)/4`` or thin SVDs, defects measured.
     """
     alpha, n = h.block_count, h.block_dim
     if beta not in (3, 4):
@@ -339,7 +362,7 @@ def quaternion_pipeline(
     terms = [np.kron(dagger(u) / 2.0, r) for u, r in zip(quaternion_units(), np.hsplit(padded_root, alpha))]
     blocks = [sum(_SIGN4[a, k] * t for a, t in enumerate(terms)) for k in range(4)]
     copy = np.pad(h.data, (0, rows - h.side))
-    cert = _isometry_average("quaternion", direct_sum(copy, copy), blocks)
+    cert = _isometry_average("quaternion", direct_sum(copy, copy), blocks, tol)
     return tuple(blocks), cert
 
 
@@ -369,21 +392,19 @@ def quaternion_stage_defects(blocks, cert: DecompositionCertificate) -> tuple[fl
 _EXACT = Tolerance(atol=0.0, rtol=0.0)
 
 
-def verify_certificate(
-    cert: DecompositionCertificate, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Recompute both certificate defects from scratch and judge them.
-
-    Each defect must not exceed its bound, which is the slack itself, so
-    no further slack is added: the reconstruction bound scales with
-    ``1 + ||target||_F``, and isometry defects are judged at unit scale.
-    """
-    defects = measure_defects(cert)
+def _judged(cert: DecompositionCertificate, defects: dict, tol: Tolerance) -> CheckReport:
+    """Each defect against its bound, which is the slack itself, so no
+    further slack is added: the reconstruction bound scales with
+    ``1 + ||target||_F``, and isometry defects are judged at unit scale."""
     bound = tol.slack(1.0 + frobenius(cert.target))
     items = [compare_le("reconstruction_defect", defects["reconstruction"], bound, _EXACT)]
-    for k, defect in enumerate(defects["isometry"], start=1):
-        items.append(compare_le(f"isometry_defect_{k}", defect, tol.slack(1.0), _EXACT))
+    items += [compare_le(f"isometry_defect_{k}", d, tol.slack(1.0), _EXACT) for k, d in enumerate(defects["isometry"], 1)]
     return CheckReport(checks=tuple(items), tolerance=tol)
+
+
+def verify_certificate(cert: DecompositionCertificate, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Recompute both certificate defects from scratch and judge them (:func:`_judged`)."""
+    return _judged(cert, measure_defects(cert), tol)
 
 
 def certificate_to_json(cert: DecompositionCertificate, encode=matrix_to_json) -> dict:

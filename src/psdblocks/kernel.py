@@ -110,25 +110,34 @@ def _lapack(routine: str, a: np.ndarray, **kwargs):
         raise NumericalError(f"{routine} did not converge on a {a.shape[0]}x{a.shape[1]} matrix: {exc}") from exc
 
 
-def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def as_square(m) -> np.ndarray:
+    """:func:`as_matrix` of a square matrix; another shape raises :class:`DomainError`."""
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise DomainError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
+    return a
+
+
+def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL, values=None) -> tuple[np.ndarray, np.ndarray | None]:
     """The eigenpairs ``(values, vectors)`` of a PSD matrix, values
     non-increasing; a non-square, non-Hermitian or non-PSD input raises
-    :class:`DomainError`.
+    :class:`DomainError`. Given ``values``, M's spectrum as above, no
+    eigensolve runs and ``vectors`` is None.
 
     Hermiticity is ``||M - M*||_F`` within the slack ``atol + rtol*||M||_F``;
     positivity is the smallest eigenvalue of the Hermitian part at least
     ``-slack`` (it is returned as measured, not clamped).
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DomainError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
+    a = as_square(m)
     slack = tol.slack(frobenius(a))
     skew = frobenius(a - dagger(a))
     if skew > slack:
         raise DomainError(f"matrix is not Hermitian within tolerance: ||M - M*||_F {skew:.6e} > {slack:.6e}")
-    w, v = _lapack("eigh", hermitian_part(a))
-    # non-increasing order, copied contiguous: the roots stay bit-for-bit stable
-    values, v = w[::-1].copy(), v[:, ::-1].copy()
+    v = None
+    if values is None:
+        w, v = _lapack("eigh", hermitian_part(a))
+        # non-increasing order, copied contiguous: the roots stay bit-for-bit stable
+        values, v = w[::-1].copy(), v[:, ::-1].copy()
     smallest = float(values[-1])
     if smallest < -slack:
         raise DomainError(f"matrix is not PSD within tolerance: min eigenvalue {smallest:.6e} < {-slack:.6e}")
@@ -136,11 +145,11 @@ def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray,
 
 
 def hermitian_eigvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, non-increasing, no vectors.
+    """Eigenvalues of a square Hermitian matrix, non-increasing, no vectors.
 
     Only the lower triangle is read; a caller whose matrix may not be
     Hermitian passes its :func:`hermitian_part`."""
-    return _lapack("eigvalsh", as_matrix(m))[::-1].copy()
+    return _lapack("eigvalsh", as_square(m))[::-1].copy()
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

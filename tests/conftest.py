@@ -1,0 +1,20 @@
+"""Fixtures shared by the test modules."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The ``(routine, shape)`` of every ``eigh``, ``eigvalsh`` and ``svd``
+    call made through ``numpy.linalg`` while the test runs. The kernel
+    looks each routine up at call time, so wrapping the attribute sees
+    every LAPACK call of the package."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(a, *args, _name=name, _routine=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _routine(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

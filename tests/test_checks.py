@@ -6,6 +6,7 @@ import pytest
 
 from psdblocks import (
     BlockMatrix,
+    DomainError,
     GeneratorSpec,
     HypothesisError,
     NumericalError,
@@ -247,6 +248,12 @@ class TestTraceConcave:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             trace_concave_check(np.eye(2), np.eye(2), "cube")
+
+    @pytest.mark.parametrize("which", ["s", "t"])
+    def test_non_square_argument_is_the_kernels_usage_error(self, which):
+        args = {"s": np.eye(3), "t": np.eye(3), which: np.ones((3, 2))}
+        with pytest.raises(DomainError, match="^matrix must be square, got 3x2$"):
+            trace_concave_check(args["s"], args["t"], "log1p")
 
     def test_weak_only_is_advisory(self):
         # traces differ: premise only weakly holds

@@ -105,6 +105,16 @@ class TestCheckCommand:
         assert message in (captured.err if code == 2 else captured.out)
         assert report_path.exists() == (code == 1)
 
+    def test_file_is_solved_once(self, tmp_path, lapack_calls):
+        # positivity is judged on the spectrum the suite reads: one solve of H
+        h = random_block_psd(GeneratorSpec(seed=3, alpha=3, n=4, rank=3))
+        path, report_path = tmp_path / "H.json", tmp_path / "k.json"
+        path.write_text(json.dumps(block_matrix_to_json(h)))
+        assert run(["check", path, "-o", report_path]) == 0
+        assert [call for call in lapack_calls if call[1] == (12, 12)] == [("eigvalsh", (12, 12))]
+        reports = json.loads(report_path.read_text())["reports"]
+        assert reports == [report_to_json(run_inequality_suite(h))]
+
     def test_generated_trials_pass(self, tmp_path):
         report_path = tmp_path / "trials.json"
         code = run(

@@ -3,6 +3,7 @@ pipeline stages, certificate verification and serialization."""
 
 import functools
 import json
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -40,9 +41,11 @@ from psdblocks import (
     quaternion_stage_defects,
     quaternion_units,
     random_block_psd,
+    random_hermitian,
     random_psd,
     two_block_isometries,
     two_corner_decomposition,
+    validate_hermitian_blocks,
     verify_certificate,
 )
 
@@ -437,6 +440,118 @@ def test_rank_deficient_mid_size_round_trip(beta):
     assert verify_certificate(back).passed
 
 
+def near_violation(seed, alpha, n, multiple):
+    """A generated rank-3 instance whose block (1, 2) gains a skew-Hermitian
+    E and block (2, 1) ``E* = -E``, with ``||2E||_F``, each block's defect,
+    ``multiple`` times the Hermitian-block slack: H stays Hermitian and,
+    below 1x, inside the hypothesis."""
+    h = block_instance(seed, alpha, n)
+    skew = 1j * random_hermitian(n, seed)
+    skew *= multiple * DEFAULT_TOL.slack(frobenius(h.data)) / frobenius(2 * skew)
+    data = h.data.copy()
+    data[:n, n : 2 * n] += skew
+    data[n : 2 * n, :n] -= skew
+    return BlockMatrix(data, block_dim=n, block_count=alpha)
+
+
+def column_blocks(h, kind):
+    """The certificate of ``kind`` on h, and the column blocks ``X_k`` of
+    ``sqrt(target) C`` whose polar factors are its factors."""
+    if kind == "two_block_isometry":
+        r1, r2 = np.hsplit(psd_sqrt(h.data), 2)
+        c = 1 / np.sqrt(2.0)
+        return two_block_isometries(h), (r1 * (-1j * c) + r2 * c, r1 * (1j * c) + r2 * c)
+    if kind == "corner_general":
+        return corner_decomposition_general(h), np.hsplit(psd_sqrt(h.data), h.block_count)
+    blocks, cert = quaternion_pipeline(h, beta=int(kind[-1]))
+    return cert, blocks
+
+
+def lapack_counts(calls):
+    return dict(Counter(name for name, _ in calls))
+
+
+class TestGramRoute:
+    """Factor k is ``X_k (weight core_k)^(-1/2)`` from one ``eigh`` per
+    distinct core; a core that is not positive definite, or a certificate
+    outside its bounds, sends the construction to the thin-SVD polar factor."""
+
+    @pytest.mark.parametrize(
+        "alpha, n, kind",
+        [(2, 64, "two_block_isometry"), (3, 32, "quaternion_b3"), (4, 32, "quaternion_b4"), (4, 16, "corner_general")],
+    )
+    def test_factors_are_the_svd_polar_factors(self, alpha, n, kind, lapack_calls):
+        cert, blocks = column_blocks(block_instance(18, alpha, n), kind)
+        assert "svd" not in lapack_counts(lapack_calls)  # the Gram route built them
+        for f, x in zip(cert.factors, blocks, strict=True):
+            assert frobenius(f - decompose_module._polar(x)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha, n, build",
+        [
+            (2, 32, two_block_isometries),
+            (3, 16, lambda h: quaternion_pipeline(h, beta=3)[1]),
+            (4, 16, lambda h: quaternion_pipeline(h, beta=4)[1]),
+        ],
+        ids=["two_block", "quaternion_b3", "quaternion_b4"],
+    )
+    def test_generated_instance_takes_two_eigensolves(self, alpha, n, build, lapack_calls):
+        # one of H in psd_sqrt, one of the shared core; no SVD
+        h = block_instance(5, alpha, n)
+        lapack_calls.clear()
+        assert verify_certificate(build(h)).passed
+        assert lapack_counts(lapack_calls) == {"eigh": 2}
+
+    @pytest.mark.parametrize("alpha, n", [(2, 64), (2, 16), (4, 64)])
+    @pytest.mark.parametrize("multiple", [0.5, 0.9])
+    def test_near_violation_falls_back_to_svds(self, alpha, n, multiple, lapack_calls):
+        # the skew inside the slack costs the Gram route an isometry defect
+        # past its bound, divided by the core's smallest eigenvalue; the SVD
+        # route keeps it in the reconstruction, whose bound is larger
+        h = near_violation(180 + n, alpha, n, multiple)
+        assert validate_hermitian_blocks(h) == ()
+        kind = "two_block_isometry" if alpha == 2 else "quaternion_b4"
+        cert, blocks = column_blocks(h, kind)
+        assert verify_certificate(cert).passed
+        counts = lapack_counts(lapack_calls)
+        assert counts["svd"] == len(cert.factors)
+        mu, q = np.linalg.eigh(float(cert.weight) * cert.cores[0])  # the shared core
+        gram = replace(cert, factors=tuple(x @ (q / np.sqrt(mu)) @ dagger(q) for x in blocks))
+        report = verify_certificate(gram)
+        assert not report.passed and report.check("reconstruction_defect").passed
+
+    @pytest.mark.parametrize("alpha, n, seed", [(2, 128, 14), (4, 64, 26)])
+    def test_ill_conditioned_core_falls_back_to_svds(self, alpha, n, seed, lapack_calls):
+        # gen --rank 1: the partial trace T (sum S_i^2) T squares the
+        # conditioning of a Gaussian T; these seeds put it past 1e8
+        h = block_instance(seed, alpha, n, rank=1)
+        spectrum = h.partial_trace_eigenvalues
+        assert spectrum[-1] > 0 and spectrum[0] / spectrum[-1] > 1e8
+        cert = two_block_isometries(h) if alpha == 2 else quaternion_pipeline(h, beta=4)[1]
+        assert verify_certificate(cert).passed
+        assert lapack_counts(lapack_calls)["svd"] == len(cert.factors)
+
+    @pytest.mark.parametrize("alpha", [2, 4])
+    def test_singular_core_falls_back_to_svds(self, alpha, lapack_calls):
+        # rank-one H = (c c^T) (x) (w w*) with Hermitian blocks: its core is
+        # rank one, so its smallest eigenvalue is not positive
+        rng = np.random.default_rng(12 + alpha)
+        c, w = rng.standard_normal(alpha), rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        h = BlockMatrix(np.kron(np.outer(c, c), np.outer(w, w.conj())), block_dim=32, block_count=alpha)
+        cert = two_block_isometries(h) if alpha == 2 else quaternion_pipeline(h, beta=4)[1]
+        assert verify_certificate(cert).passed
+        assert lapack_counts(lapack_calls) == {"eigh": 2, "svd": len(cert.factors)}
+
+    def test_fallback_is_judged_under_the_callers_tolerance(self, lapack_calls):
+        # the Gram certificate meets the default bounds, but no exact ones
+        h = block_instance(5, 2, 8)
+        corner_decomposition_general(h)
+        assert lapack_counts(lapack_calls) == {"eigh": 3}
+        lapack_calls.clear()
+        corner_decomposition_general(h, Tolerance(atol=0.0, rtol=0.0))
+        assert lapack_counts(lapack_calls) == {"eigh": 3, "svd": 2}
+
+
 def padded_sorted(values, length):
     out = np.zeros(length)
     out[: values.size] = np.sort(values)[::-1]
@@ -516,7 +631,9 @@ class TestCertificates:
         assert derived == [(Fraction(1), (2, 3)), (Fraction(1, 2), None), (Fraction(1, 4), None)]
 
     def test_defects_measured_once_on_first_read(self, monkeypatch):
-        _, cert = self.fresh()
+        _, built = self.fresh()
+        assert "defects" in vars(built)  # a construction measures them to choose its route
+        cert = replace(built)
         assert "cores" in vars(cert)  # derived at construction, by the kind's rule
         assert "defects" not in vars(cert)
         calls = []

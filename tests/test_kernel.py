@@ -66,6 +66,28 @@ class TestValidateHermitianPsd:
         assert np.array_equal(values, [1.0, -1e-12])
         assert frobenius((vectors * values) @ dagger(vectors) - m) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "m",
+        [np.ones((2, 3)), [[0, 1], [0, 0]], [[1, 2], [2, 1]], np.diag([1.0, -1e-12]), np.eye(3)],
+        ids=["rectangular", "nilpotent", "indefinite", "within_slack", "identity"],
+    )
+    def test_spectrum_rule_matches_the_solving_rule(self, m, lapack_calls):
+        # same verdicts and messages from a spectrum the caller holds, with no solve
+        a = np.asarray(m, dtype=complex)
+        values = np.linalg.eigvalsh(a)[::-1] if a.shape[0] == a.shape[1] else np.zeros(1)
+        outcomes = []
+        for given in (None, values):
+            lapack_calls.clear()
+            try:
+                outcomes.append(validate_hermitian_psd(m, DEFAULT_TOL, given))
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        assert lapack_calls == []  # given the spectrum, no eigensolve
+        if isinstance(outcomes[0], str):
+            assert outcomes[1] == outcomes[0]
+        else:
+            assert outcomes[1][0] is values and outcomes[1][1] is None
+
 
 class TestHermitianEig:
     def test_diagonal_sorted(self):
@@ -76,6 +98,13 @@ class TestHermitianEig:
 
     def test_identity(self):
         assert np.allclose(hermitian_eigvalues(np.eye(5)), np.ones(5))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_non_square_is_a_usage_error(self, shape, lapack_calls):
+        # the kernel's own usage error, before any LAPACK call; not a NumericalError
+        with pytest.raises(DomainError, match=f"^matrix must be square, got {shape[0]}x{shape[1]}$"):
+            hermitian_eigvalues(np.ones(shape))
+        assert lapack_calls == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_residual_and_orthonormality(self, seed):
@@ -175,7 +204,8 @@ class TestPsdSqrt:
     [
         ("eigh", lambda: psd_sqrt(np.eye(2)), {}, "2x2"),
         ("eigvalsh", lambda: hermitian_eigvalues(np.eye(2)), {}, "2x2"),
-        ("svd", lambda: two_corner_decomposition(np.eye(3), 2, 1), {"full_matrices": False}, "3x2"),
+        # a singular slot core sends the construction to the polar factor
+        ("svd", lambda: two_corner_decomposition(np.diag([1.0, 0.0, 1.0]), 2, 1), {"full_matrices": False}, "3x2"),
         ("svd", lambda: corner_unitary(np.ones((3, 1)), 0), {"full_matrices": True}, "3x1"),
         ("svd", lambda: singular_values(np.ones((2, 3))), {"compute_uv": False}, "2x3"),
     ],
