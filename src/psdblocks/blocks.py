@@ -57,14 +57,11 @@ class BlockMatrix:
 
     def __post_init__(self) -> None:
         a = as_square(self.data).copy()
-        n = int(self.block_dim)
-        alpha = int(self.block_count)
+        n, alpha = int(self.block_dim), int(self.block_count)
         if n < 1 or alpha < 1:
             raise ValueError("block_dim and block_count must be positive")
         if a.shape[0] != n * alpha:
-            raise ValueError(
-                f"side {a.shape[0]} does not match block_dim*block_count = {n * alpha}"
-            )
+            raise ValueError(f"side {a.shape[0]} does not match block_dim*block_count = {n * alpha}")
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
         object.__setattr__(self, "block_dim", n)

@@ -76,11 +76,7 @@ class CheckReport:
         raise KeyError(f"no check named {name!r}")
 
     def merged_with(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport(
-            checks=self.checks + other.checks,
-            tolerance=self.tolerance,
-            warnings=self.warnings + other.warnings,
-        )
+        return CheckReport(self.checks + other.checks, self.tolerance, self.warnings + other.warnings)
 
 
 def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:

@@ -241,7 +241,9 @@ def _isometry_average(kind: str, target: np.ndarray, blocks, tol: Tolerance) -> 
     a Hermitian-block defect into the isometry defect, over ``min(mu)``
     (Higham, SIAM J. Sci. Stat. Comput. 7, 1986): where a core is not
     positive definite, or the certificate fails :func:`verify_certificate`'s
-    bounds under ``tol``, thin SVDs give the factors instead."""
+    bounds under ``tol`` or the default, whichever is tighter in each
+    component (so a default ``verify`` passes it), thin SVDs give the factors."""
+    strict = Tolerance(min(tol.atol, DEFAULT_TOL.atol), min(tol.rtol, DEFAULT_TOL.rtol))
     cores = _cores(kind, target, [x.shape[1] for x in blocks])
     roots: dict[int, np.ndarray] = {}
     with contextlib.suppress(NumericalError, ValueError):
@@ -253,7 +255,7 @@ def _isometry_average(kind: str, target: np.ndarray, blocks, tol: Tolerance) -> 
                 roots[id(core)] = (q / np.sqrt(mu)) @ dagger(q)
         with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows fails as_matrix
             cert = DecompositionCertificate(kind, target, tuple(x @ roots[id(c)] for x, c in zip(blocks, cores)))
-        if _judged(cert, cert.defects, tol).passed:
+        if _judged(cert, cert.defects, strict).passed:
             return cert
     cert = DecompositionCertificate(kind, target, tuple(_polar(x) for x in blocks))
     cert.defects  # measured on either route
@@ -426,8 +428,8 @@ def certificate_from_json(obj) -> DecompositionCertificate:
     """Parse and validate a certificate file. The stated weight, and a
     corner certificate's slots, must equal what the kind and the factors
     fix, and no other kind may state slots; stated ``"defects"`` (and an
-    earlier ``"core"``) are ignored. The weight is checked before any
-    matrix is decoded."""
+    earlier ``"core"``) are ignored. In a library payload the weight is
+    checked before any matrix is decoded; the CLI decodes them as it parses."""
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     try:

@@ -10,6 +10,7 @@ becomes a :class:`NumericalError`.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from itertools import chain
 
@@ -25,6 +26,7 @@ __all__ = [
     "hermitian_eigvalues",
     "hermitian_part",
     "matrix_from_json",
+    "matrix_object_hook",
     "matrix_to_json",
     "matrix_to_wire",
     "psd_sqrt",
@@ -199,7 +201,10 @@ def _malformed_entry(entries: list) -> ValueError:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the matrix wire format, validating shape and finiteness."""
+    """Parse the matrix wire format, validating shape and finiteness (an
+    array, as :func:`matrix_object_hook` leaves one, is :func:`as_matrix`'d)."""
+    if isinstance(obj, np.ndarray):
+        return as_matrix(obj)
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
@@ -226,3 +231,13 @@ def matrix_from_json(obj) -> np.ndarray:
     except OverflowError:
         raise _malformed_entry(entries) from None
     return as_matrix(flat.view(np.complex128).reshape(rows, cols))
+
+
+def matrix_object_hook(obj: dict):
+    """``json.loads`` object hook: an object whose keys are exactly rows, cols
+    and entries becomes its :func:`matrix_from_json` array as the parser closes
+    it; one that does not decode stays a dict, for its reader to reject in order."""
+    if obj.keys() == {"rows", "cols", "entries"}:
+        with contextlib.suppress(ValueError):
+            return matrix_from_json(obj)
+    return obj

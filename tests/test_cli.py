@@ -5,6 +5,7 @@ import gc
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -15,8 +16,10 @@ from psdblocks import (
     GeneratorSpec,
     block_matrix_to_json,
     certificate_to_json,
+    corner_decomposition_general,
     corner_unitary,
     direct_sum,
+    matrix_from_json,
     matrix_to_json,
     nonhermitian_counterexample,
     psd_sqrt,
@@ -29,7 +32,7 @@ from psdblocks import (
     two_corner_decomposition,
     verify_certificate,
 )
-from psdblocks.cli import build_parser, main
+from psdblocks.cli import _load_json, build_parser, main
 
 
 def run(argv):
@@ -631,6 +634,120 @@ def assert_same_bits(obj, cert):
         assert entries.dtype == np.float64
         assert (stated["rows"], stated["cols"]) == matrix.shape
         assert entries.view(np.uint64).tolist() == np.ascontiguousarray(matrix).view(np.uint64).reshape(-1, 2).tolist()
+
+
+def four_kinds():
+    """One certificate of each kind, as its library payload."""
+    h4 = random_block_psd(GeneratorSpec(seed=6, alpha=4, n=4, rank=3))
+    h2 = random_block_psd(GeneratorSpec(seed=6, alpha=2, n=5, rank=3))
+    return {
+        "corner_general": certificate_to_json(corner_decomposition_general(h4)),
+        "two_corner": certificate_to_json(two_corner_decomposition(h2.data, 3, 7)),
+        "two_block": certificate_to_json(two_block_isometries(h2)),
+        "quaternion": certificate_to_json(quaternion_pipeline(h4, beta=4)[1]),
+    }
+
+
+def reversed_keys(obj):
+    """The same JSON value with the keys of every object in reverse order."""
+    if isinstance(obj, dict):
+        return {key: reversed_keys(obj[key]) for key in reversed(obj)}
+    if isinstance(obj, list):
+        return [reversed_keys(x) for x in obj]
+    return obj
+
+
+class TestDecodeOnClose:
+    """``verify`` decodes each matrix as the parser closes its object: the
+    arrays, the reports and the rejections are those of a reader that
+    parses the whole file first."""
+
+    def malformed(self, edit):
+        obj = certificate_to_json(quaternion_pipeline(random_block_psd(GeneratorSpec(seed=3, alpha=4, n=2, rank=3)), beta=4)[1])
+        edit(obj)
+        return json.dumps(obj).replace("12345.0", "1e999")
+
+    @pytest.mark.parametrize("kind", ["corner_general", "two_corner", "two_block", "quaternion"])
+    def test_arrays_are_those_of_the_parsed_payload(self, tmp_path, kind):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(four_kinds()[kind]))
+        parsed, loaded = json.loads(path.read_text()), _load_json(str(path))
+        for stated, array in zip([parsed["target"], *parsed["factors"]], [loaded["target"], *loaded["factors"]], strict=True):
+            assert isinstance(array, np.ndarray)
+            assert array.tobytes() == matrix_from_json(stated).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, code, message",
+        [
+            (
+                lambda obj: (obj.update(weight="1/3"), obj["factors"][1]["entries"].__setitem__(5, [1.0, True])),
+                2,
+                "error: malformed certificate JSON: kind 'quaternion' carries weight 1/3, expected 1/4\n",
+            ),
+            (
+                lambda obj: obj["factors"][1]["entries"].__setitem__(5, [1.0, True]),
+                2,
+                "error: malformed certificate JSON: malformed matrix entry at index 5: "
+                "expected a pair of numbers [re, im], got [1.0, True]\n",
+            ),
+            (
+                lambda obj: obj["factors"][0]["entries"].__setitem__(2, [1.0, 12345.0]),
+                2,
+                "error: malformed certificate JSON: matrix entries must be finite\n",
+            ),
+            (lambda obj: obj.update(config={"m": {"rows": 1, "cols": 1, "entries": [[1.0, True]]}}), 0, ""),
+        ],
+        ids=["weight_before_entry", "entry", "infinite_entry", "matrix_under_config"],
+    )
+    def test_malformed_file_is_rejected_as_before(self, tmp_path, capsys, edit, code, message):
+        path = tmp_path / "cert.json"
+        path.write_text(self.malformed(edit))
+        assert run(["verify", path]) == code
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("verify", "malformed certificate JSON: 'kind'"), ("check", "malformed block matrix JSON: missing 'block_dim'")],
+    )
+    def test_bare_matrix_file_is_rejected_by_its_reader(self, tmp_path, capsys, command, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(2))))
+        assert run([command, path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_parse_peak_memory(self, tmp_path, monkeypatch):
+        # the parse holds the largest matrix's lists, not every matrix's
+        h = random_block_psd(GeneratorSpec(seed=1, alpha=4, n=16, rank=3))
+        text = json.dumps(certificate_to_json(quaternion_pipeline(h, beta=4)[1]))
+        monkeypatch.setattr(Path, "read_text", lambda self, encoding: text)  # the text is outside both peaks
+        peaks = []
+        for load in (lambda: json.loads(text), lambda: _load_json("cert.json")):
+            tracemalloc.start()
+            try:
+                load()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 0.7 * peaks[0]  # about 0.56x
+
+    @pytest.mark.parametrize("kind", ["corner_general", "two_corner", "two_block", "quaternion"])
+    def test_any_json_layout_is_read(self, tmp_path, kind):
+        # indented, keys reversed at every level, and one factor with an
+        # extra key, which leaves it to the decode after the parse
+        obj = four_kinds()[kind]
+        compact, other = tmp_path / "compact.json", tmp_path / "other.json"
+        compact.write_bytes(orjson.dumps(obj))
+        rewritten = reversed_keys(obj)
+        rewritten["factors"][0]["note"] = "not a wire key"
+        other.write_text(json.dumps(rewritten, indent=2))
+        reports = []
+        for path in (compact, other):
+            out = tmp_path / f"{path.stem}.report.json"
+            assert run(["verify", path, "-o", out]) == 0
+            report = json.loads(out.read_text())
+            report.pop("config")
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestIdempotence:

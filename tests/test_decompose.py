@@ -542,6 +542,13 @@ class TestGramRoute:
         assert verify_certificate(cert).passed
         assert lapack_counts(lapack_calls) == {"eigh": 2, "svd": len(cert.factors)}
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_looser_tolerance_still_passes_default_verify(self, seed):
+        # judged under rtol 1e-6 alone, the Gram factors here keep isometry
+        # defects of about 7e-8, past the default bound of 1.01e-8
+        cert = two_block_isometries(near_violation(seed, 2, 64, 0.5), Tolerance(atol=1e-10, rtol=1e-6))
+        assert verify_certificate(cert).passed
+
     def test_fallback_is_judged_under_the_callers_tolerance(self, lapack_calls):
         # the Gram certificate meets the default bounds, but no exact ones
         h = block_instance(5, 2, 8)

@@ -1,5 +1,6 @@
 """Matrix kernel tests: PSD acceptance, spectra, roots, LAPACK failures, JSON."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from psdblocks import (
     frobenius,
     hermitian_eigvalues,
     matrix_from_json,
+    matrix_object_hook,
     matrix_to_json,
     matrix_to_wire,
     psd_sqrt,
@@ -364,3 +366,44 @@ class TestMatrixJson:
         # each of these used to load as a 1 x 1 matrix
         with pytest.raises(ValueError):
             matrix_from_json({**sizes, "entries": [[1.0, 0.0]]})
+
+
+class TestMatrixObjectHook:
+    """Matrix objects decode as the parser closes them; anything else,
+    a matrix that ``matrix_from_json`` rejects included, stays as parsed."""
+
+    def test_matrix_objects_decode_in_place(self):
+        m = crandn(np.random.default_rng(9), (3, 2))
+        text = json.dumps({"target": matrix_to_json(m), "factors": [matrix_to_json(m.T)], "weight": "1/2"})
+        obj = json.loads(text, object_hook=matrix_object_hook)
+        assert obj["weight"] == "1/2"
+        assert np.array_equal(obj["target"], m) and np.array_equal(obj["factors"][0], m.T)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            pytest.param({"rows": 1, "cols": 1, "entries": [[1.0, True]]}, id="bool_entry"),
+            pytest.param({"rows": 1, "cols": 1, "entries": [[float("inf"), 0.0]]}, id="non_finite"),
+            pytest.param({"rows": 2, "cols": 1, "entries": [[1.0, 0.0]]}, id="short"),
+            pytest.param({"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], "block_dim": 1}, id="extra_key"),
+            pytest.param({"rows": 1, "entries": [[1.0, 0.0]]}, id="missing_key"),
+        ],
+    )
+    def test_other_objects_are_left_as_parsed(self, obj):
+        assert matrix_object_hook(obj) is obj
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            pytest.param(np.array([[1.0, np.nan]]), id="non_finite"),
+            pytest.param(np.ones(3), id="one_dimensional"),
+            pytest.param(np.ones((0, 2)), id="empty"),
+        ],
+    )
+    def test_decoded_array_is_checked_again(self, array):
+        with pytest.raises(ValueError):
+            matrix_from_json(array)
+
+    def test_decoded_array_is_returned_as_a_matrix(self):
+        back = matrix_from_json(np.eye(2))
+        assert back.dtype == np.complex128 and np.array_equal(back, np.eye(2))
