@@ -8,14 +8,13 @@ matrix, or on generated trials, not both) and
 the configuration: every artifact echoes its command's own flags under
 ``"config"`` (``decompose`` with the beta it used; ``--two-block``
 takes none), plus the command name and a timestamp, which lives only
-there. Tolerances must be finite. Artifacts are written by orjson as
-compact single-line UTF-8 JSON whose floats are shortest round-trip
-decimals, so any JSON reader recovers the exact values; every matrix is
-written straight from its float64 buffer (:func:`~.kernel.matrix_to_wire`),
-with no Python float built per entry. They are read back with
-``json.loads``, the cyclic garbage collector paused, each matrix decoded
-as its object closes (:func:`~.kernel.matrix_object_hook`): ``verify`` peaks
-at 97 and 290 MB on 18 and 74 MB certificates (135 and 441 MB parsed whole).
+there. Tolerances must be finite. Artifacts are compact single-line UTF-8
+JSON of shortest round-trip floats, which any JSON reader reads exactly,
+streamed by orjson from each matrix's float64 buffer in chunks of rows
+(:func:`~.kernel.matrix_to_wire`), and read with ``json.loads``, the cyclic
+collector paused, each matrix decoded as its object closes
+(:func:`~.kernel.matrix_object_hook`). Peaks of a fresh process at n = 128
+(a 74 MB certificate): ``gen`` 54, ``decompose`` 143, ``verify`` 290 MB.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
 or usage error (an allocation that fails, too), 3 numerical failure.
 """
@@ -132,8 +131,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Rows per orjson call: orjson 3.8 holds an untraced tree of the rows it is given (+37 MB RSS for a 512 x 512
+# matrix). Of 1024, 4096, 16384 and 65536 rows, 4096 was fastest (63-81 ms, 89-103 ms in one call), no RSS rise.
+_CHUNK_ROWS = 4096
+
+
+def _holds_matrix(obj) -> bool:
+    """Whether a 2-D array is reachable from ``obj`` through dict values and the first items of lists."""
+    if isinstance(obj, (dict, list)):
+        return any(map(_holds_matrix, obj.values() if isinstance(obj, dict) else obj[:1]))
+    return isinstance(obj, np.ndarray) and obj.ndim == 2
+
+
+def _write_value(out, obj) -> None:
+    """Write ``obj`` as ``orjson.dumps`` would, each 2-D array in row chunks and the rest in as few calls as that allows."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        out.write(b"[")
+        for start in range(0, len(obj), _CHUNK_ROWS):
+            out.write(b"," * (start > 0) + orjson.dumps(obj[start : start + _CHUNK_ROWS], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+        out.write(b"]")
+    elif _holds_matrix(obj):  # a dict or a list, walked item by item
+        keyed = isinstance(obj, dict)
+        out.write(b"{" if keyed else b"[")
+        for i, (key, value) in enumerate(obj.items() if keyed else enumerate(obj)):
+            out.write(b"," * (i > 0) + (orjson.dumps(key) + b":" if keyed else b""))
+            _write_value(out, value)
+        out.write(b"}" if keyed else b"]")
+    else:
+        out.write(orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY))
+
+
 def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_bytes(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
+    """Stream ``payload`` into ``path`` as ``orjson.dumps`` with ``OPT_APPEND_NEWLINE`` writes it; a failed write leaves it cut short."""
+    with open(path, "wb") as out:
+        _write_value(out, payload)
+        out.write(b"\n")
 
 
 def _load_json(path: str) -> dict:

@@ -219,15 +219,15 @@ class DecompositionCertificate:
 def measure_defects(cert: DecompositionCertificate) -> dict:
     """``||target - weight * sum_k F_k core_k F_k*||_F`` and each
     ``||F_k* F_k - I||_F``, recomputed. The power-of-two weight scales
-    each term, so the sum overflows no sooner than the target (exact in
-    the normal range); a defect that overflows raises
-    :class:`NumericalError`."""
+    each core (exact in the normal range), so no term overflows sooner
+    than the target; each term takes one full-size temporary, and the
+    residual reuses the sum's. A defect that overflows raises :class:`NumericalError`."""
     weight = float(cert.weight)
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.zeros_like(cert.target)
         for f, core in zip(cert.factors, cert.cores):
-            acc += weight * (f @ core @ dagger(f))
-        residual = frobenius(cert.target - acc)
+            acc += (f @ (weight * core)) @ dagger(f)
+        residual = frobenius(np.subtract(cert.target, acc, out=acc))
         isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
     if not np.isfinite([residual, *isometry]).all():
         raise NumericalError(f"{cert.kind} defects are not finite: reconstruction {residual}, isometry {isometry}")
@@ -358,11 +358,11 @@ def quaternion_pipeline(
         raise ValueError("partition must have 3 or 4 block rows")
     if beta == 3 and alpha != 3:
         raise ValueError("beta = 3 requires a 3x3 partition")
-    root = _hermitian_block_root(h, tol, "quaternion decomposition input")
     rows = beta * n
-    padded_root = np.pad(root, ((0, rows - h.side), (0, 0)))
+    padded_root = np.pad(_hermitian_block_root(h, tol, "quaternion decomposition input"), ((0, rows - h.side), (0, 0)))
     terms = [np.kron(dagger(u) / 2.0, r) for u, r in zip(quaternion_units(), np.hsplit(padded_root, alpha))]
     blocks = [sum(_SIGN4[a, k] * t for a, t in enumerate(terms)) for k in range(4)]
+    del padded_root, terms  # the terms are as large as the four blocks: not held through the construction
     copy = np.pad(h.data, (0, rows - h.side))
     cert = _isometry_average("quaternion", direct_sum(copy, copy), blocks, tol)
     return tuple(blocks), cert

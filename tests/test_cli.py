@@ -3,6 +3,9 @@
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,9 +14,11 @@ import numpy as np
 import orjson
 import pytest
 
+import psdblocks
 from psdblocks import (
     BlockMatrix,
     GeneratorSpec,
+    block_matrix_from_json,
     block_matrix_to_json,
     certificate_to_json,
     corner_decomposition_general,
@@ -21,6 +26,7 @@ from psdblocks import (
     direct_sum,
     matrix_from_json,
     matrix_to_json,
+    matrix_to_wire,
     nonhermitian_counterexample,
     psd_sqrt,
     quaternion_pipeline,
@@ -32,11 +38,30 @@ from psdblocks import (
     two_corner_decomposition,
     verify_certificate,
 )
-from psdblocks.cli import _load_json, build_parser, main
+from psdblocks.cli import _CHUNK_ROWS, _load_json, _write_json, build_parser, main
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def pythonpath():
+    """PYTHONPATH for a child process that imports this checkout's package."""
+    src = str(Path(psdblocks.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
+# Runs the CLI on its arguments, then prints the process's peak resident set
+# in KiB: VmHWM, which unlike ru_maxrss is not carried over from the parent
+# (here the test process) across exec.
+PEAK_CHILD = """
+import sys
+from psdblocks.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+sys.exit(code)
+"""
 
 
 def write_counterexample(path):
@@ -598,9 +623,47 @@ class TestCompactArtifacts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 1.6x: orjson's growing output buffer; plain-list entries
-        # (two Python floats and a list per ~41 bytes written) reach about 4.7x
-        assert peak < 2 * path.stat().st_size
+        # about 0.16x: the matrix and one chunk's text; a whole-file buffer
+        # reached about 1.6x, plain-list entries (two Python floats and a
+        # list per ~41 bytes written) about 4.7x
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_decompose_peak_memory(self, tmp_path):
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        assert run(["gen", "--alpha", 4, "--n", 32, "--seed", 1, "-o", h_path]) == 0
+        tracemalloc.start()
+        try:
+            assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.4x: the target, the factors and the construction's
+        # temporaries; a whole-file buffer and the dead terms reached 2.4x
+        assert peak < 1.8 * cert_path.stat().st_size
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status")
+    def test_gen_resident_peak(self, tmp_path):
+        # orjson's tree of an array's rows is outside tracemalloc: measure the
+        # peak resident set of fresh processes, as the rise over a tiny instance
+        out = tmp_path / "H.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": pythonpath()}
+
+        def peak_kib(n):
+            argv = [sys.executable, "-c", PEAK_CHILD, "gen", "--alpha", "2", "--n", str(n), "-o", str(out)]
+            return int(subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout.split()[-1])
+
+        base = peak_kib(2)
+        rise = 1024 * (peak_kib(256) - base)
+        # about 2.3x the 10 MB file: the matrix, its generation and one
+        # chunk at a time; orjson given the whole matrix reached 5.0x
+        assert rise < 3.5 * out.stat().st_size
+
+    def test_stdout_is_an_output_path(self, tmp_path):
+        # the writer opens the path it is given: no temporary file renamed over it
+        argv = [sys.executable, "-m", "psdblocks.cli", "gen", "--alpha", "2", "--n", "2", "-o", "/dev/stdout"]
+        done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": pythonpath()}, check=True, capture_output=True)
+        payload = json.loads(done.stdout.splitlines()[0])
+        assert block_matrix_from_json(payload).side == 4
 
     @pytest.mark.parametrize(
         "scale, rank",
@@ -624,6 +687,95 @@ class TestCompactArtifacts:
         assert_same_bits(obj, two_block_isometries(h))
         diagonal = np.array(obj["target"]["entries"])[::5, 0]
         assert diagonal.view(np.uint64).tolist() == np.array(special).view(np.uint64).tolist()
+
+
+def whole_file(payload):
+    """The bytes of one ``orjson.dumps`` call on the whole payload."""
+    return orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+
+
+class TestStreamedWriter:
+    """The writer streams each matrix in chunks of ``_CHUNK_ROWS`` entries
+    and writes the bytes of one whole-payload ``orjson.dumps`` call."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (64, _CHUNK_ROWS // 64), (_CHUNK_ROWS + 1, 1), (3, _CHUNK_ROWS + 5)],
+        ids=["one_entry", "one_chunk", "one_chunk_plus_one_row", "chunks_plus_remainder"],
+    )
+    def test_matrix_bytes_at_chunk_edges(self, tmp_path, monkeypatch, shape):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m.flat[0] = -0.0 + 5e-324j
+        payload = {"kind": "quaternion", "target": matrix_to_wire(m), "factors": [matrix_to_wire(m), matrix_to_wire(m[:1])]}
+        dumps, sizes = orjson.dumps, []
+
+        def spy(obj, *args, **kwargs):
+            if isinstance(obj, np.ndarray):
+                sizes.append(len(obj))
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(orjson, "dumps", spy)
+        path = tmp_path / "out.json"
+        _write_json(str(path), payload)
+        monkeypatch.undo()
+        assert path.read_bytes() == whole_file(payload)
+
+        def chunks(entries):
+            return [_CHUNK_ROWS] * (entries // _CHUNK_ROWS) + [entries % _CHUNK_ROWS] * bool(entries % _CHUNK_ROWS)
+
+        assert sizes == chunks(m.size) * 2 + chunks(shape[1])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"checks": [], "passed": True, "warnings": []},
+            {
+                "tolerance": {"atol": 1e-10, "rtol": 1e-8},
+                "checks": [{"name": "sums", "lhs": [[1.5, -0.0], [5e-324, 1e150]], "rhs": [[], [2.0]], "margin": 0.5, "passed": True}],
+                "passed": True,
+                "warnings": ["clamped 2 eigenvalues"],
+                "config": {"command": "verify", "out_path": "r\u00e9\"port\".json", "beta": None, "empty": {}},
+            },
+            {"reports": [{"checks": [], "warnings": []}, {"lhs": np.arange(3.0), "warnings": []}], "passed": False},
+            {"factors": [{"rows": 2}, matrix_to_wire(np.eye(2)), [matrix_to_wire(np.eye(3))]], "defects": {}},
+        ],
+        ids=["empty_warnings", "nested_float_lists", "list_of_reports", "matrix_after_first_item"],
+    )
+    def test_report_bytes(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        _write_json(str(path), payload)
+        assert path.read_bytes() == whole_file(payload)
+
+    def test_failed_write_leaves_a_file_every_reader_rejects(self, tmp_path, monkeypatch, capsys):
+        h_path, cut_h, cut_cert = tmp_path / "H.json", tmp_path / "cut_H.json", tmp_path / "cut_cert.json"
+        gen = ["gen", "--alpha", 4, "--n", 20, "--seed", 1]  # 80 x 80: 6400 entries, two chunks
+        assert run([*gen, "-o", h_path]) == 0
+        dumps = orjson.dumps
+
+        def full_disk_after_one_chunk():
+            chunks = []
+
+            def failing(obj, *args, **kwargs):
+                if isinstance(obj, np.ndarray):
+                    if chunks:
+                        raise OSError(28, "No space left on device")
+                    chunks.append(obj)
+                return dumps(obj, *args, **kwargs)
+
+            return failing
+
+        for argv in ([*gen, "-o", cut_h], ["decompose", "--quaternion", h_path, "-o", cut_cert]):
+            with monkeypatch.context() as patched:
+                patched.setattr(orjson, "dumps", full_disk_after_one_chunk())
+                assert run(argv) == 2
+            assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        for path in (cut_h, cut_cert):
+            # the header and the first chunk of the first matrix, no more
+            assert path.read_bytes().count(b"],[") == _CHUNK_ROWS - 1
+            for command in ("verify", "check"):
+                assert run([command, path]) == 2
+                assert capsys.readouterr().err.startswith("error: ")
 
 
 def assert_same_bits(obj, cert):
