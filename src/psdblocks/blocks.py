@@ -19,9 +19,9 @@ from .errors import NumericalError
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
+    _skew_defect,
     as_matrix,
     as_square,
-    dagger,
     frobenius,
     hermitian_eigvalues,
     matrix_from_json,
@@ -113,17 +113,12 @@ def validate_hermitian_blocks(
     h: BlockMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[tuple[int, int, float], ...]:
     """The 1-based (s, t, defect) triples, row-major, of the blocks whose
-    ``defect = ||A_st - A_st*||_F`` exceeds the slack at scale ``||H||_F``;
-    an empty tuple means the hypothesis holds."""
-    scale = frobenius(h.data)
-    bad = []
-    for s in range(1, h.block_count + 1):
-        for t in range(1, h.block_count + 1):
-            blk = get_block(h, s, t)
-            defect = frobenius(blk - dagger(blk))
-            if not tol.allows(defect, scale):
-                bad.append((s, t, defect))
-    return tuple(bad)
+    ``defect = ||A_st - A_st*||_F`` :meth:`Tolerance.allows` rejects at
+    scale ``||H||_F``; an empty tuple means the hypothesis holds."""
+    pairs = [(s, t) for s in range(1, h.block_count + 1) for t in range(1, h.block_count + 1)]
+    defects = [_skew_defect(get_block(h, s, t)) for s, t in pairs]
+    allowed = tol.allows(np.array(defects), frobenius(h.data))
+    return tuple((s, t, d) for (s, t), d, ok in zip(pairs, defects, allowed) if not ok)
 
 
 def duplicate_blocks(h: BlockMatrix) -> BlockMatrix:

@@ -1,11 +1,12 @@
 """Norm, eigenvalue, trace and determinant inequality checks.
 
 Every check returns a :class:`CheckReport` whose items carry the computed
-left and right sides plus a margin. One slack convention throughout: an
-inequality ``lhs <= rhs`` passes iff
-``rhs - lhs >= -(atol + rtol * max(|lhs|, |rhs|))`` componentwise, so the
-exact equality cases pass by construction. Spectra of different sizes are
-compared after padding the shorter one with zeros.
+left and right sides plus a margin. Every verdict is
+:meth:`~.kernel.Tolerance.allows` at a stated scale: an inequality
+``lhs <= rhs`` passes iff ``lhs - rhs <= atol + rtol * scale``
+componentwise, the scale ``max(|lhs|, |rhs|)`` unless the check states
+another, so the exact equality cases pass by construction. Spectra of
+different sizes are compared after padding the shorter one with zeros.
 """
 
 from __future__ import annotations
@@ -79,12 +80,13 @@ class CheckReport:
         return CheckReport(self.checks + other.checks, self.tolerance, self.warnings + other.warnings)
 
 
-def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """Judge ``lhs <= rhs`` componentwise under the shared slack rule.
+def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL, scale=None) -> Check:
+    """Judge ``lhs <= rhs`` componentwise as ``tol.allows(lhs - rhs, scale)``, the
+    scale (a number or one per component) ``max(|lhs|, |rhs|)`` by default.
 
-    A non-finite side cannot be judged, and a margin that overflows
-    cannot be reported: both raise :class:`NumericalError` instead of
-    yielding a NaN or infinite margin.
+    A non-finite side cannot be judged, nor a difference or a slack that
+    overflows: each raises :class:`NumericalError` instead of yielding a
+    NaN or infinite margin.
     """
     lv = np.atleast_1d(np.asarray(lhs, dtype=float))
     rv = np.atleast_1d(np.asarray(rhs, dtype=float))
@@ -93,27 +95,28 @@ def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL) -> Check:
     if not (np.all(np.isfinite(lv)) and np.all(np.isfinite(rv))):
         raise NumericalError(f"check {name!r} has a non-finite side: lhs {lhs}, rhs {rhs}")
     with np.errstate(over="ignore"):
-        margins = rv - lv
+        margins, excess = rv - lv, lv - rv
     margin = float(margins.min())
     if not np.isfinite(margin):
         raise NumericalError(f"check {name!r} has a margin beyond the float range: lhs {lhs}, rhs {rhs}")
-    slacks = tol.slack(np.maximum(np.abs(lv), np.abs(rv)))
+    passed = tol.allows(excess, np.maximum(np.abs(lv), np.abs(rv)) if scale is None else scale)
     scalar = np.ndim(lhs) == 0
     return Check(
         name=name,
         lhs=float(lv[0]) if scalar else tuple(float(x) for x in lv),
         rhs=float(rv[0]) if scalar else tuple(float(x) for x in rv),
         margin=margin,
-        passed=bool(np.all(margins >= -slacks)),
+        passed=bool(np.all(passed)),
     )
 
 
-def compare_eq(name: str, a, b, tol: Tolerance = DEFAULT_TOL) -> Check:
-    """Judge ``a == b`` as the two-sided inequality, same slack rule
+def compare_eq(name: str, a, b, tol: Tolerance = DEFAULT_TOL, scale=None) -> Check:
+    """Judge ``a == b`` as the two-sided inequality, same rule and scale
     (non-finite sides raise :class:`NumericalError`)."""
     av = np.atleast_1d(np.asarray(a, dtype=float))
     bv = np.atleast_1d(np.asarray(b, dtype=float))
-    return compare_le(name, np.concatenate([av, bv]), np.concatenate([bv, av]), tol)
+    scale = None if scale is None else np.concatenate([np.broadcast_to(scale, av.shape)] * 2)
+    return compare_le(name, np.concatenate([av, bv]), np.concatenate([bv, av]), tol, scale)
 
 
 def _descending(seq) -> np.ndarray:
@@ -294,8 +297,8 @@ def operator_pair_check(t_mat, s_list, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     :class:`HypothesisError`. The ``gram_spectrum`` item checks that the
     zero-padded spectrum of ``Y* Y`` is that of ``Y Y*``, at the
     spectrum's scale: the padding meets eigenvalues of ``Y Y*`` that are
-    zero only up to rounding of ``||Y||_2^2``, so the absolute slack is
-    ``tol.slack(||Y||_2^2)``.
+    zero only up to rounding of ``||Y||_2^2``, so each component's scale
+    is ``||Y||_2^2 + max(|a|, |b|)``.
     """
     if len(s_list) not in (1, 3, 4):
         raise ValueError(f"operator pairs take 1, 3 or 4 S matrices, got {len(s_list)}")
@@ -306,10 +309,11 @@ def operator_pair_check(t_mat, s_list, tol: Tolerance = DEFAULT_TOL) -> CheckRep
     if bad:
         offending = ", ".join(f"({i},{j})" for i, j, _ in bad)
         raise HypothesisError(f"Gram blocks T S_s S_t T are not Hermitian at {offending}")
-    lam_small = hermitian_eigvalues(hermitian_part(dagger(y) @ y))
-    spectrum_tol = Tolerance(atol=tol.slack(h.eigenvalues[0]), rtol=tol.rtol)
-    gram = compare_eq("gram_spectrum", np.pad(lam_small, (0, h.side - lam_small.size)), h.eigenvalues, spectrum_tol)
     report = hiroshima_check(h, tol).merged_with(eigen_step_check(h, tol))
+    lam_small = np.pad(hermitian_eigvalues(hermitian_part(dagger(y) @ y)), (0, h.side - y.shape[1]))
+    with np.errstate(over="ignore"):  # a scale that overflows fails in compare_eq
+        scale = h.eigenvalues[0] + np.maximum(np.abs(lam_small), np.abs(h.eigenvalues))
+    gram = compare_eq("gram_spectrum", lam_small, h.eigenvalues, tol, scale)
     return report.merged_with(CheckReport(checks=(gram,), tolerance=tol))
 
 

@@ -55,7 +55,7 @@ from .blocks import (
     partial_trace,
     validate_hermitian_blocks,
 )
-from .checks import CheckReport, compare_le
+from .checks import Check, CheckReport
 from .errors import (
     HypothesisError,
     MalformedCertificateError,
@@ -391,16 +391,14 @@ def quaternion_stage_defects(blocks, cert: DecompositionCertificate) -> tuple[fl
     return equal, skew
 
 
-_EXACT = Tolerance(atol=0.0, rtol=0.0)
-
-
 def _judged(cert: DecompositionCertificate, defects: dict, tol: Tolerance) -> CheckReport:
-    """Each defect against its bound, which is the slack itself, so no
-    further slack is added: the reconstruction bound scales with
-    ``1 + ||target||_F``, and isometry defects are judged at unit scale."""
-    bound = tol.slack(1.0 + frobenius(cert.target))
-    items = [compare_le("reconstruction_defect", defects["reconstruction"], bound, _EXACT)]
-    items += [compare_le(f"isometry_defect_{k}", d, tol.slack(1.0), _EXACT) for k, d in enumerate(defects["isometry"], 1)]
+    """Each defect ``d`` judged by ``tol.allows(d, s)`` at its scale ``s``:
+    ``1 + ||target||_F`` for the reconstruction, 1 for each isometry. The
+    item's rhs is the bound ``tol.slack(s)`` and its margin ``rhs - d``, so
+    no second slack is added."""
+    named = [("reconstruction_defect", defects["reconstruction"], 1.0 + frobenius(cert.target))]
+    named += [(f"isometry_defect_{k}", d, 1.0) for k, d in enumerate(defects["isometry"], 1)]
+    items = [Check(name, d, tol.slack(s), tol.slack(s) - d, bool(tol.allows(d, s))) for name, d, s in named]
     return CheckReport(checks=tuple(items), tolerance=tol)
 
 

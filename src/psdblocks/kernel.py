@@ -45,15 +45,20 @@ def frobenius(m: np.ndarray) -> float:
 
     ``np.linalg.norm`` squares the entries, so above about 1e154 it
     overflows; only then is the norm recomputed on the matrix scaled by a
-    power of two (exact), so the common path is unchanged.
+    power of two (exact), so the common path is unchanged. An infinite entry gives inf.
     """
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(m))
-        if norm == np.inf:
-            a = np.asarray(m)
-            exponent = np.frexp(np.max(np.abs(a)))[1]
-            norm = float(np.ldexp(np.linalg.norm(a * np.ldexp(1.0, -exponent)), exponent))
+        if norm == np.inf and (top := np.max(np.abs(m))) < np.inf:
+            exponent = np.frexp(top)[1]
+            norm = float(np.ldexp(np.linalg.norm(np.asarray(m) * np.ldexp(1.0, -exponent)), exponent))
     return norm
+
+
+def _skew_defect(m: np.ndarray) -> float:
+    """``||M - M*||_F``, inf where the difference overflows."""
+    with np.errstate(over="ignore"):
+        return frobenius(m - dagger(m))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -70,8 +75,8 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 class Tolerance:
     """Absolute plus relative slack.
 
-    A defect ``d`` measured on a quantity of scale ``s`` is acceptable iff
-    ``d <= atol + rtol * s``.
+    The one pass rule, :meth:`allows`: an excess ``d`` (a defect, or lhs - rhs)
+    measured on a quantity of scale ``s`` is acceptable iff ``d <= atol + rtol * |s|``.
     """
 
     atol: float = 1e-10
@@ -84,8 +89,16 @@ class Tolerance:
     def slack(self, scale: float = 0.0) -> float:
         return self.atol + self.rtol * abs(scale)
 
-    def allows(self, defect: float, scale: float = 0.0) -> bool:
-        return defect <= self.slack(scale)
+    def allows(self, excess, scale=0.0):
+        """``excess <= slack(scale)``, componentwise; an excess or a slack that is
+        not finite cannot be judged, so an overflow raises :class:`NumericalError`."""
+        with np.errstate(over="ignore"):
+            slack = self.slack(scale)
+        unjudged = ~(np.isfinite(excess) & np.isfinite(slack))
+        if unjudged.any():  # named by its first such component
+            first = [np.broadcast_to(x, unjudged.shape)[unjudged][0] for x in (excess, slack)]
+            raise NumericalError("cannot judge an excess of {:.6e} against a slack of {:.6e}: not finite".format(*first))
+        return excess <= slack
 
 
 DEFAULT_TOL = Tolerance()
@@ -126,23 +139,23 @@ def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL, values=None) -> tupl
     :class:`DomainError`. Given ``values``, M's spectrum as above, no
     eigensolve runs and ``vectors`` is None.
 
-    Hermiticity is ``||M - M*||_F`` within the slack ``atol + rtol*||M||_F``;
-    positivity is the smallest eigenvalue of the Hermitian part at least
-    ``-slack`` (it is returned as measured, not clamped).
+    Both rules are :meth:`Tolerance.allows` at scale ``||M||_F``, of the excess
+    ``||M - M*||_F`` and of minus the smallest eigenvalue of the Hermitian
+    part (returned as measured, not clamped), so an overflow is a :class:`NumericalError`.
     """
     a = as_square(m)
-    slack = tol.slack(frobenius(a))
-    skew = frobenius(a - dagger(a))
-    if skew > slack:
-        raise DomainError(f"matrix is not Hermitian within tolerance: ||M - M*||_F {skew:.6e} > {slack:.6e}")
+    scale = frobenius(a)
+    skew = _skew_defect(a)
+    if not tol.allows(skew, scale):
+        raise DomainError(f"matrix is not Hermitian within tolerance: ||M - M*||_F {skew:.6e} > {tol.slack(scale):.6e}")
     v = None
     if values is None:
         w, v = _lapack("eigh", hermitian_part(a))
         # non-increasing order, copied contiguous: the roots stay bit-for-bit stable
         values, v = w[::-1].copy(), v[:, ::-1].copy()
     smallest = float(values[-1])
-    if smallest < -slack:
-        raise DomainError(f"matrix is not PSD within tolerance: min eigenvalue {smallest:.6e} < {-slack:.6e}")
+    if not tol.allows(-smallest, scale):
+        raise DomainError(f"matrix is not PSD within tolerance: min eigenvalue {smallest:.6e} < {-tol.slack(scale):.6e}")
     return values, v
 
 

@@ -19,6 +19,7 @@ from psdblocks import (
     random_block_psd,
     GeneratorSpec,
     nonhermitian_counterexample,
+    NumericalError,
     validate_hermitian_blocks,
 )
 
@@ -137,6 +138,16 @@ class TestValidateHermitianBlocks:
     def test_sampler_outputs_pass(self, seed):
         h = seeded_instance(seed, alpha=2 + seed % 3, n=1 + seed % 4)
         assert validate_hermitian_blocks(h) == ()
+
+    def test_overflowing_block_defect_is_numerical_error(self):
+        # ||H||_F is finite but block (1, 1)'s A - A* overflows: no verdict,
+        # and no numpy warning
+        data = np.zeros((4, 4))
+        data[0, 1], data[1, 0] = 1e308, -1e308
+        h = BlockMatrix(data, block_dim=2, block_count=2)
+        assert frobenius(h.data) < np.inf
+        with pytest.raises(NumericalError, match="cannot judge an excess of inf"):
+            validate_hermitian_blocks(h)
 
 
 class TestInterleavePermutation:

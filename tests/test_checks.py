@@ -407,6 +407,33 @@ class TestReportConventions:
             with pytest.raises(NumericalError, match="check 'x' has a margin beyond the float range"):
                 compare("x", lhs, rhs)
 
+    def test_one_overflowing_component_is_numerical_error(self):
+        # the least margin is finite, but lhs - rhs overflows in the first
+        # component: an excess that is not finite is never judged
+        with pytest.raises(NumericalError, match="cannot judge an excess of -inf"):
+            compare_le("x", [-1.5e308, 0.0], [1.5e308, 1.0])
+
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [(1.0, 1.0 + 1e-9), (2.0, 1.0), (-3.0, 1e-12), ([1.0, 2.0, 0.0], [1.0, 1.5, 1e-11]), ([1e150, -1e-150], [1e150, 0.0])],
+    )
+    def test_stated_default_scale_is_the_default(self, lhs, rhs):
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        assert compare_le("x", lhs, rhs, scale=scale) == compare_le("x", lhs, rhs)
+        assert compare_eq("x", lhs, rhs, scale=scale) == compare_eq("x", lhs, rhs)
+
+    def test_stated_scale_decides(self):
+        # 1e-9 above 0 is past the slack at scale 1e-9, inside it at scale 1e3
+        assert not compare_le("x", 1e-9, 0.0).passed
+        item = compare_le("x", 1e-9, 0.0, scale=1e3)
+        assert item.passed and item.margin == -1e-9 and (item.lhs, item.rhs) == (1e-9, 0.0)
+        assert not compare_eq("x", 0.0, 1e-9).passed
+        assert compare_eq("x", 0.0, 1e-9, scale=1e3).passed
+
+    def test_compare_eq_takes_a_scale_per_component(self):
+        assert compare_eq("x", [1.0, 1e-9], [1.0, 0.0], scale=np.array([1.0, 1e3])).passed
+        assert not compare_eq("x", [1.0, 1e-9], [1.0, 0.0], scale=np.array([1e3, 0.0])).passed
+
     def test_tolerance_override(self):
         strict = Tolerance(atol=0.0, rtol=0.0)
         report = weak_majorization([1.0 + 1e-12], [1.0], strict)

@@ -409,7 +409,8 @@ class TestMalformedFields:
 
 class TestOverflow:
     """Inputs past 1e154, where a squared Frobenius norm overflows: the
-    tolerance slack stays finite, so validation stays on."""
+    tolerance slack stays finite, so validation stays on, until the norm
+    itself passes the float range and no verdict can be made (exit 3)."""
 
     def write(self, path, data):
         path.write_text(json.dumps(block_matrix_to_json(BlockMatrix(data, block_dim=2, block_count=2))))
@@ -423,6 +424,20 @@ class TestOverflow:
     def test_scaled_counterexample_rejected(self, tmp_path):
         path = self.write(tmp_path / "bad.json", 1e160 * nonhermitian_counterexample().data)
         assert run(["decompose", "--two-block", path, "-o", tmp_path / "c.json"]) == 2
+
+    @pytest.mark.parametrize("command", [["check"], ["decompose", "--two-block"]], ids=["check", "decompose"])
+    def test_overflowing_skew_is_numerical_failure(self, tmp_path, command):
+        # M - M* overflows and ||M||_F passes the float range: no verdict
+        # either way, and stderr is the one message, with no numpy warning
+        path, out = tmp_path / "H.json", tmp_path / "out.json"
+        h = BlockMatrix([[8.9e307, -1.7e308], [8e307, 8.9e307]], block_dim=1, block_count=2)
+        path.write_text(json.dumps(block_matrix_to_json(h)))
+        argv = [sys.executable, "-m", "psdblocks.cli", *command, str(path), "-o", str(out)]
+        done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": pythonpath()}, capture_output=True, text=True)
+        assert done.returncode == 3
+        assert done.stderr.startswith("numerical failure: cannot judge an excess of ")
+        assert done.stderr.endswith("against a slack of inf: not finite\n") and done.stderr.count("\n") == 1
+        assert done.stdout == "" and not out.exists()
 
     def test_large_scale_certificate_verifies(self, tmp_path):
         h_path, cert_path = tmp_path / "H.json", tmp_path / "c.json"

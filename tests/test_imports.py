@@ -3,7 +3,9 @@ name a module lists in ``__all__`` is defined there (every listed
 function and class with a docstring), ``__init__`` re-exports exactly the
 listed names (a star import counts as its module's list) and no name from
 two modules, and the third-party modules the package imports are exactly its
-declared dependencies. Every python code block of README.md runs.
+declared dependencies. Every python code block of README.md runs. The slack
+rule is stated once: no comparison outside ``Tolerance.allows`` reads a
+slack, and ``Tolerance(...)`` is built only where a tolerance is defined.
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
 linter. ``__init__.py`` is skipped by the unused-import check: its
@@ -252,3 +254,73 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("source", README_BLOCKS, ids=[f"block_{i + 1}" for i in range(len(README_BLOCKS))])
 def test_readme_example_runs(source):
     exec(compile(source, "README.md", "exec"), {"__name__": "readme_example"})
+
+
+def scoped_nodes(tree: ast.Module):
+    """``(scope, node, parent)`` for every node, ``scope`` the dotted name
+    of the functions and classes that hold it ("" at module level)."""
+    stack = [("", tree, None)]
+    while stack:
+        scope, node, parent = stack.pop()
+        yield scope, node, parent
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        stack.extend((scope, child, node) for child in ast.iter_child_nodes(node))
+
+
+def names_slack(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Name) and "slack" in n.id or isinstance(n, ast.Attribute) and "slack" in n.attr
+        for n in ast.walk(node)
+    )
+
+
+def slack_comparisons(tree: ast.Module) -> list[str]:
+    """Comparisons outside ``Tolerance.allows`` with an operand that names
+    or calls a slack: a second statement of the pass rule."""
+    return sorted(
+        ast.unparse(node)
+        for scope, node, _ in scoped_nodes(tree)
+        if isinstance(node, ast.Compare)
+        and scope != "Tolerance.allows"
+        and any(map(names_slack, [node.left, *node.comparators]))
+    )
+
+
+def tolerance_builds(module: str, tree: ast.Module) -> list[str]:
+    """Each ``Tolerance(...)`` call as ``module.scope.target``, ``target``
+    the name the call is assigned to, if any."""
+    builds = []
+    for scope, node, parent in scoped_nodes(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Tolerance":
+            targets = [t.id for t in parent.targets if isinstance(t, ast.Name)] if isinstance(parent, ast.Assign) else []
+            builds.append(".".join(filter(None, [module, scope, *targets])))
+    return sorted(builds)
+
+
+def test_no_second_slack_rule():
+    found = {p.stem: slack_comparisons(parse(p)) for p in MODULES}
+    assert {m: c for m, c in found.items() if c} == {}
+
+
+def test_tolerances_are_built_only_where_defined():
+    builds = sorted(b for p in MODULES for b in tolerance_builds(p.stem, parse(p)))
+    assert builds == ["cli._tolerance", "decompose._isometry_average.strict", "kernel.DEFAULT_TOL"]
+
+
+def test_detector_sees_slack_comparisons_and_tolerance_builds():
+    source = (
+        "class Tolerance:\n"
+        "    def allows(self, excess, scale):\n"
+        "        slack = self.slack(scale)\n"
+        "        return excess <= slack\n"
+        "EXACT = Tolerance(0, 0)\n"
+        "def check(d, tol):\n"
+        "    strict = Tolerance(1, 1)\n"
+        "    if d > tol.slack(1.0) or d < -slacks or d > 2 * slack_of(d):\n"
+        "        return tol.allows(d, 1.0) == True\n"
+        "    return Tolerance(2, 2)\n"
+    )
+    tree = ast.parse(source)
+    assert slack_comparisons(tree) == ["d < -slacks", "d > 2 * slack_of(d)", "d > tol.slack(1.0)"]
+    assert tolerance_builds("m", tree) == ["m.EXACT", "m.check", "m.check.strict"]

@@ -61,6 +61,12 @@ class TestValidateHermitianPsd:
         with pytest.raises(ValueError):
             validate_hermitian_psd([[np.nan, 0], [0, 1]])
 
+    def test_overflowing_skew_is_numerical_error(self):
+        # M - M* overflows and ||M||_F passes the float range: neither
+        # Hermitian nor not, so no verdict, and no numpy warning
+        with pytest.raises(NumericalError, match="cannot judge an excess of inf against a slack of inf"):
+            validate_hermitian_psd(OVERFLOWING_SKEW)
+
     def test_tiny_negative_within_slack_is_psd(self):
         # accepted, and the eigenpairs come back as measured, not clamped
         m = np.diag([1.0, -1e-12])
@@ -142,6 +148,11 @@ class TestFrobenius:
     def test_huge_and_tiny_entries(self):
         m = np.diag([3e200, 4e200, 1e-300])
         assert frobenius(m) == pytest.approx(5e200, rel=1e-15)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_infinite_entry_is_inf(self, dtype):
+        # no NaN from rescaling an infinite entry, and no numpy warning
+        assert frobenius(np.array([[0.0, -np.inf], [np.inf, 0.0]], dtype=dtype)) == np.inf
 
 
 class TestPsdSqrt:
@@ -246,12 +257,38 @@ class TestSingularValues:
         assert np.abs(singular_values(m) - hermitian_eigvalues(m)).max() <= 1e-9
 
 
+# finite entries whose M - M* overflows, and whose norm passes 1.8e308
+OVERFLOWING_SKEW = np.array([[8.9e307, -1.7e308], [8e307, 8.9e307]])
+
+
 class TestTolerance:
     def test_pass_rule(self):
         tol = Tolerance(atol=1e-10, rtol=1e-8)
-        assert tol.allows(1e-10, 0.0)
+        assert tol.allows(1e-10, 0.0)  # equality at the slack passes
+        assert tol.allows(tol.slack(-3.0), -3.0)  # the scale enters by magnitude
         assert tol.allows(1e-6, 100.0)
         assert not tol.allows(2e-6, 100.0)
+        # componentwise, against one scale or a scale per component
+        assert tol.allows(np.array([1e-10, 2e-10, -5.0]), 0.0).tolist() == [True, False, True]
+        assert tol.allows(np.array([1e-6, 1e-6]), np.array([100.0, 1.0])).tolist() == [True, False]
+        assert tol.allows(1e-6, np.array([100.0, 1.0])).tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "excess, scale, tol",
+        [
+            (np.nan, 1.0, DEFAULT_TOL),
+            (np.inf, 1.0, DEFAULT_TOL),
+            (-np.inf, 1.0, DEFAULT_TOL),
+            (0.0, 1e308, Tolerance(rtol=10.0)),
+            (np.array([0.0, np.nan]), 1.0, DEFAULT_TOL),
+            (np.zeros(2), np.array([1.0, 1e308]), Tolerance(rtol=10.0)),
+        ],
+        ids=["nan_excess", "inf_excess", "minus_inf_excess", "inf_slack", "nan_component", "inf_slack_component"],
+    )
+    def test_non_finite_cannot_be_judged(self, excess, scale, tol):
+        # neither a pass nor a fail: an overflow never passes, and no numpy warning
+        with pytest.raises(NumericalError, match="cannot judge .* not finite"):
+            tol.allows(excess, scale)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
