@@ -117,7 +117,7 @@ def validate_hermitian_blocks(
     scale ``||H||_F``; an empty tuple means the hypothesis holds."""
     pairs = [(s, t) for s in range(1, h.block_count + 1) for t in range(1, h.block_count + 1)]
     defects = [_skew_defect(get_block(h, s, t)) for s, t in pairs]
-    allowed = tol.allows(np.array(defects), frobenius(h.data))
+    allowed = tol.allows(np.array(defects), frobenius(h.data), "Hermitian-block test")
     return tuple((s, t, d) for (s, t), d, ok in zip(pairs, defects, allowed) if not ok)
 
 

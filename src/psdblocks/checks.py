@@ -99,7 +99,7 @@ def compare_le(name: str, lhs, rhs, tol: Tolerance = DEFAULT_TOL, scale=None) ->
     margin = float(margins.min())
     if not np.isfinite(margin):
         raise NumericalError(f"check {name!r} has a margin beyond the float range: lhs {lhs}, rhs {rhs}")
-    passed = tol.allows(excess, np.maximum(np.abs(lv), np.abs(rv)) if scale is None else scale)
+    passed = tol.allows(excess, np.maximum(np.abs(lv), np.abs(rv)) if scale is None else scale, name)
     scalar = np.ndim(lhs) == 0
     return Check(
         name=name,

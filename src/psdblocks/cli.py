@@ -11,10 +11,13 @@ takes none), plus the command name and a timestamp, which lives only
 there. Tolerances must be finite. Artifacts are compact single-line UTF-8
 JSON of shortest round-trip floats, which any JSON reader reads exactly,
 streamed by orjson from each matrix's float64 buffer in chunks of rows
-(:func:`~.kernel.matrix_to_wire`), and read with ``json.loads``, the cyclic
-collector paused, each matrix decoded as its object closes
-(:func:`~.kernel.matrix_object_hook`). Peaks of a fresh process at n = 128
-(a 74 MB certificate): ``gen`` 54, ``decompose`` 143, ``verify`` 290 MB.
+(:func:`~.kernel.matrix_to_wire`), and read from their bytes, the cyclic
+collector paused: each ``"entries"`` array by orjson in chunks of rows into
+float64, the rest by ``json.loads`` (:func:`~.kernel.loads_matrices`); a file that path
+does not take goes whole through ``json.loads`` with
+:func:`~.kernel.matrix_object_hook`, which makes every rejection. Peaks of a
+fresh process at n = 128 (a 74 MB certificate): ``gen`` 54, ``decompose``
+143, ``verify`` 140 MB.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
 or usage error (an allocation that fails, too), 3 numerical failure.
 """
@@ -25,6 +28,7 @@ import argparse
 import datetime
 import functools
 import gc
+import io
 import json
 import sys
 from pathlib import Path
@@ -56,7 +60,7 @@ from .generate import (
     nonhermitian_counterexample,
     random_block_psd,
 )
-from .kernel import Tolerance, frobenius, matrix_object_hook, matrix_to_json, matrix_to_wire, validate_hermitian_psd
+from .kernel import Tolerance, frobenius, loads_matrices, matrix_object_hook, matrix_to_json, matrix_to_wire, validate_hermitian_psd
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -169,13 +173,23 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _load_json(path: str) -> dict:
-    # read as text, so only UTF-8 files are accepted; the parsed lists are
-    # acyclic, so the collector's passes over them would find nothing
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON document in ``path``, each matrix object decoded as the parser closes it (one
+    with other keys keeps its entries as a ``(k, 2)`` float64 array). Only UTF-8 files are read.
+    A file :func:`~.kernel.loads_matrices` does not take goes whole through the whole-text reader,
+    ``json.loads`` with :func:`~.kernel.matrix_object_hook`, which makes every rejection. Every
+    parse runs with the cyclic collector paused: the parsed lists are acyclic, its passes would find nothing."""
+    data = Path(path).read_bytes()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj = json.loads(text, object_hook=matrix_object_hook)
+        try:
+            obj = loads_matrices(data)  # never None: a file with an "entries" array
+        except (ValueError, TypeError, RecursionError, MemoryError):  # a file it does not take
+            obj = None
+        if obj is None:
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as Path.read_text decodes it
+            del data
+            obj = json.loads(text, object_hook=matrix_object_hook)
         # a document that is one bare matrix stays an object, for its reader to reject
         return matrix_to_json(obj) if isinstance(obj, np.ndarray) else obj
     except RecursionError:
@@ -318,7 +332,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"  reconstruction defect {_fmt(cert.defects['reconstruction'])}")
     print(f"  max isometry defect {_fmt(max(cert.defects['isometry']))}")
     scale = frobenius(h.data)
-    ok &= tol.allows(skew, scale) and tol.allows(equal, scale)
+    ok &= tol.allows(skew, scale, "off-diagonal skew defect") and tol.allows(equal, scale, "equal-diagonal defect")
     ok &= verify_certificate(cert, tol).passed
 
     h3 = random_block_psd(spec3)

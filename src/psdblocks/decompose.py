@@ -398,7 +398,7 @@ def _judged(cert: DecompositionCertificate, defects: dict, tol: Tolerance) -> Ch
     no second slack is added."""
     named = [("reconstruction_defect", defects["reconstruction"], 1.0 + frobenius(cert.target))]
     named += [(f"isometry_defect_{k}", d, 1.0) for k, d in enumerate(defects["isometry"], 1)]
-    items = [Check(name, d, tol.slack(s), tol.slack(s) - d, bool(tol.allows(d, s))) for name, d, s in named]
+    items = [Check(name, d, tol.slack(s), tol.slack(s) - d, bool(tol.allows(d, s, name))) for name, d, s in named]
     return CheckReport(checks=tuple(items), tolerance=tol)
 
 

@@ -11,10 +11,13 @@ becomes a :class:`NumericalError`.
 from __future__ import annotations
 
 import contextlib
+import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import DomainError, NumericalError
 
@@ -25,6 +28,7 @@ __all__ = [
     "frobenius",
     "hermitian_eigvalues",
     "hermitian_part",
+    "loads_matrices",
     "matrix_from_json",
     "matrix_object_hook",
     "matrix_to_json",
@@ -89,15 +93,19 @@ class Tolerance:
     def slack(self, scale: float = 0.0) -> float:
         return self.atol + self.rtol * abs(scale)
 
-    def allows(self, excess, scale=0.0):
+    def allows(self, excess, scale=0.0, name: str | None = None):
         """``excess <= slack(scale)``, componentwise; an excess or a slack that is
-        not finite cannot be judged, so an overflow raises :class:`NumericalError`."""
+        not finite cannot be judged, so an overflow raises :class:`NumericalError`,
+        led by the decision's ``name`` and the scale of its first such component.
+        Every decision of the package names itself; ``name`` may be left out by
+        other callers of this public rule, whose message then starts at "cannot"."""
         with np.errstate(over="ignore"):
             slack = self.slack(scale)
         unjudged = ~(np.isfinite(excess) & np.isfinite(slack))
         if unjudged.any():  # named by its first such component
-            first = [np.broadcast_to(x, unjudged.shape)[unjudged][0] for x in (excess, slack)]
-            raise NumericalError("cannot judge an excess of {:.6e} against a slack of {:.6e}: not finite".format(*first))
+            first = [np.broadcast_to(x, unjudged.shape)[unjudged][0] for x in (excess, slack, scale)]
+            where = f"{name} at scale {first[2]:.6e}: " if name else ""
+            raise NumericalError(where + "cannot judge an excess of {:.6e} against a slack of {:.6e}: not finite".format(*first))
         return excess <= slack
 
 
@@ -146,7 +154,7 @@ def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL, values=None) -> tupl
     a = as_square(m)
     scale = frobenius(a)
     skew = _skew_defect(a)
-    if not tol.allows(skew, scale):
+    if not tol.allows(skew, scale, "Hermitian test"):
         raise DomainError(f"matrix is not Hermitian within tolerance: ||M - M*||_F {skew:.6e} > {tol.slack(scale):.6e}")
     v = None
     if values is None:
@@ -154,7 +162,7 @@ def validate_hermitian_psd(m, tol: Tolerance = DEFAULT_TOL, values=None) -> tupl
         # non-increasing order, copied contiguous: the roots stay bit-for-bit stable
         values, v = w[::-1].copy(), v[:, ::-1].copy()
     smallest = float(values[-1])
-    if not tol.allows(-smallest, scale):
+    if not tol.allows(-smallest, scale, "PSD test"):
         raise DomainError(f"matrix is not PSD within tolerance: min eigenvalue {smallest:.6e} < {-tol.slack(scale):.6e}")
     return values, v
 
@@ -199,6 +207,7 @@ def matrix_to_json(m) -> dict:
 
 
 _NUMBER = {int, float}  # by exact type, so bool and str entries are rejected
+_MATRIX_KEYS = {"rows", "cols", "entries"}
 
 
 def _malformed_entry(entries: list) -> ValueError:
@@ -215,7 +224,9 @@ def _malformed_entry(entries: list) -> ValueError:
 
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format, validating shape and finiteness (an
-    array, as :func:`matrix_object_hook` leaves one, is :func:`as_matrix`'d)."""
+    array, as :func:`matrix_object_hook` leaves one, is :func:`as_matrix`'d).
+    The entries are a list of ``[re, im]`` pairs or a ``(rows*cols, 2)``
+    float64 array, as :func:`matrix_to_wire` states them."""
     if isinstance(obj, np.ndarray):
         return as_matrix(obj)
     if not isinstance(obj, dict):
@@ -228,6 +239,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"matrix rows and cols must be integers, got {rows!r:.20} and {cols!r:.20}")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
+    if isinstance(entries, np.ndarray) and entries.dtype == np.float64 and entries.shape == (rows * cols, 2):
+        return as_matrix(np.ascontiguousarray(entries).view(np.complex128).reshape(rows, cols))
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
     # exact-type checks in C-level passes, then one preallocated fill: np.array
@@ -250,7 +263,85 @@ def matrix_object_hook(obj: dict):
     """``json.loads`` object hook: an object whose keys are exactly rows, cols
     and entries becomes its :func:`matrix_from_json` array as the parser closes
     it; one that does not decode stays a dict, for its reader to reject in order."""
-    if obj.keys() == {"rows", "cols", "entries"}:
+    if obj.keys() == _MATRIX_KEYS:
         with contextlib.suppress(ValueError):
             return matrix_from_json(obj)
+    return obj
+
+
+# Bytes of entries text per orjson call in loads_matrices, in whole [re, im] rows: one chunk's Python
+# lists (about 1 MB) are alive at a time, never a matrix's. Of 16 KB to 4 MB, 256 KB read fastest.
+_READ_BYTES = 1 << 18
+_ENTRIES = re.compile(rb'"entries"[ \t\n\r]*:[ \t\n\r]*\[')
+_ROWS_END = re.compile(rb"\][ \t\n\r]*\]")
+_NUMBER_TEXT = b"0123456789+-.eE[], \t\n\r"  # all an array of pairs of numbers is written with
+
+
+class _Unusual(ValueError):
+    """A document :func:`loads_matrices` does not take."""
+
+
+def _decode_entries(data: bytes, start: int, end: int) -> np.ndarray:
+    """The ``(k, 2)`` float64 array of the ``[[re, im], ...]`` text ``data[start:end]``, with the checks
+    :func:`matrix_from_json` makes of a list. Each chunk of whole rows must hold only the characters of
+    numbers, its type check made on the bytes (a pass over the parsed values' types cost a quarter of the
+    read); orjson, which takes only RFC 8259 numbers that are finite doubles, parses it; each row is a pair."""
+    out = np.empty((data.count(b"]", start, end) - 1, 2))  # one "]" per row, and the array's own
+    flat, filled, pos, view = out.reshape(-1), 0, start + 1, memoryview(data)
+    while pos < end - 1:
+        cut = data.find(b"],", pos + _READ_BYTES, end - 1) + 1 or end - 1  # after a row's "]", or the last row's
+        chunk = b"".join((b"[", view[pos:cut], b"]"))
+        if chunk.translate(None, _NUMBER_TEXT):  # a bool, null or string, which fromiter would coerce
+            raise _Unusual
+        rows = orjson.loads(chunk)
+        if set(map(len, rows)) != {2}:
+            raise _Unusual
+        n = 2 * len(rows)
+        flat[filled : filled + n] = np.fromiter(chain.from_iterable(rows), np.float64, count=n)  # a nested list raises
+        filled, pos = filled + n, cut + 1
+    return out
+
+
+def loads_matrices(data: bytes):
+    """``json.loads(data, object_hook=matrix_object_hook)`` for a UTF-8 document whose every
+    ``"entries"`` array is a matrix's, with each such array decoded by orjson in chunks of rows
+    straight into float64: the parser meets a ``NaN`` in its place. An object with exactly the
+    matrix keys becomes the matrix; one with more keeps a ``(k, 2)`` float64 ``entries``, which
+    :func:`matrix_from_json` takes. Anything unusual raises ``ValueError``, for the caller to
+    read the document with ``json.loads`` instead, which makes every rejection."""
+    skeleton, spans, pos = [], [], 0
+    while key := _ENTRIES.search(data, pos):
+        start, end = key.end() - 1, _ROWS_END.search(data, key.end())
+        if end is None:
+            raise _Unusual
+        skeleton += [data[pos:start], b"NaN"]
+        spans.append((start, end.end()))
+        pos = end.end()
+    if not spans:  # nothing to gain
+        raise _Unusual
+    skeleton.append(data[pos:])
+    unplaced, spans = {}, iter(spans)
+
+    def constant(name: str):
+        if name != "NaN":
+            return float(name)
+        span = next(spans, None)
+        if span is None:  # a NaN of the document's own left one too many
+            raise _Unusual
+        entries = _decode_entries(data, *span)
+        unplaced[id(entries)] = entries
+        return entries
+
+    def hook(obj: dict):
+        if "entries" not in obj:
+            return obj
+        entries = obj["entries"]
+        # matrix_from_json judges rows and cols before it counts, so only a miscount reads differently
+        if unplaced.pop(id(entries), None) is not entries or obj.get("rows", 0) * obj.get("cols", 0) != len(entries):
+            raise _Unusual
+        return matrix_from_json(obj) if obj.keys() == _MATRIX_KEYS else obj
+
+    obj = json.loads(b"".join(skeleton).decode("utf-8"), object_hook=hook, parse_constant=constant)
+    if unplaced:
+        raise _Unusual
     return obj

@@ -413,6 +413,11 @@ class TestReportConventions:
         with pytest.raises(NumericalError, match="cannot judge an excess of -inf"):
             compare_le("x", [-1.5e308, 0.0], [1.5e308, 1.0])
 
+    def test_undecided_component_names_the_check_and_its_scale(self):
+        with pytest.raises(NumericalError) as exc:
+            compare_le("x", [-1.5e308, 0.0], [1.5e308, 1.0])
+        assert str(exc.value).startswith("x at scale 1.500000e+308: cannot judge an excess of -inf against a slack of ")
+
     @pytest.mark.parametrize(
         "lhs, rhs",
         [(1.0, 1.0 + 1e-9), (2.0, 1.0), (-3.0, 1e-12), ([1.0, 2.0, 0.0], [1.0, 1.5, 1e-11]), ([1e150, -1e-150], [1e150, 0.0])],

@@ -64,6 +64,17 @@ sys.exit(code)
 """
 
 
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status")
+
+
+def peak_kib(*argv) -> int:
+    """The peak resident set, in KiB, of a fresh process running the CLI on
+    ``argv`` with one BLAS thread; the run must exit 0."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": pythonpath()}
+    done = subprocess.run([sys.executable, "-c", PEAK_CHILD, *map(str, argv)], env=env, check=True, capture_output=True, text=True)
+    return int(done.stdout.split()[-1])
+
+
 def write_counterexample(path):
     path.write_text(json.dumps(block_matrix_to_json(nonhermitian_counterexample())))
 
@@ -260,13 +271,17 @@ class TestErrorPaths:
             assert run(["gen", "--alpha", 2, "--n", 2, "-o", h_path]) == 0
         else:
             h_path.write_text(text)
-        loads, paused = json.loads, []
+        paused = {"json": [], "orjson": []}
 
-        def spy(*args, **kwargs):
-            paused.append(not gc.isenabled())
-            return loads(*args, **kwargs)
+        def spy(module, loads):
+            def paused_loads(*args, **kwargs):
+                paused[module.__name__].append(not gc.isenabled())
+                return loads(*args, **kwargs)
 
-        monkeypatch.setattr(json, "loads", spy)
+            monkeypatch.setattr(module, "loads", paused_loads)
+
+        spy(json, json.loads)
+        spy(orjson, orjson.loads)
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -274,7 +289,9 @@ class TestErrorPaths:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
-        assert paused == [True]
+        # one json.loads, of the whole file or of its skeleton, and orjson
+        # for the one chunk of entries a decoded file holds
+        assert paused == {"json": [True], "orjson": [True] * (text is None)}
 
 
 def forge_core(cert):
@@ -416,6 +433,20 @@ class TestOverflow:
         path.write_text(json.dumps(block_matrix_to_json(BlockMatrix(data, block_dim=2, block_count=2))))
         return path
 
+    @pytest.mark.parametrize(
+        "command, rule",
+        [(["check"], "Hermitian test"), (["decompose", "--two-block"], "Hermitian-block test")],
+        ids=["check", "decompose"],
+    )
+    def test_undecided_rule_is_named(self, tmp_path, capsys, command, rule):
+        # PSD with finite entries, but ||H||_F passes the float range: the
+        # first decision at that scale has an infinite slack, and says which
+        b = np.array([[0.0, 1.2e308], [-1.2e308, 0.0]])
+        path = self.write(tmp_path / "H.json", np.block([[1.3e308 * np.eye(2), b], [b.T, 1.3e308 * np.eye(2)]]))
+        assert run([*command, path, "-o", tmp_path / "out.json"]) == 3
+        message = "cannot judge an excess of 0.000000e+00 against a slack of inf: not finite"
+        assert capsys.readouterr().err == f"numerical failure: {rule} at scale inf: {message}\n"
+
     def test_negative_definite_input_rejected(self, tmp_path):
         path = self.write(tmp_path / "neg.json", -1e160 * np.eye(4))
         assert run(["decompose", "--two-block", path, "-o", tmp_path / "c.json"]) == 2
@@ -425,17 +456,22 @@ class TestOverflow:
         path = self.write(tmp_path / "bad.json", 1e160 * nonhermitian_counterexample().data)
         assert run(["decompose", "--two-block", path, "-o", tmp_path / "c.json"]) == 2
 
-    @pytest.mark.parametrize("command", [["check"], ["decompose", "--two-block"]], ids=["check", "decompose"])
-    def test_overflowing_skew_is_numerical_failure(self, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, rule",
+        [(["check"], "Hermitian test"), (["decompose", "--two-block"], "Hermitian-block test")],
+        ids=["check", "decompose"],
+    )
+    def test_overflowing_skew_is_numerical_failure(self, tmp_path, command, rule):
         # M - M* overflows and ||M||_F passes the float range: no verdict
-        # either way, and stderr is the one message, with no numpy warning
+        # either way, and stderr is the one message, naming the rule and its
+        # scale, with no numpy warning
         path, out = tmp_path / "H.json", tmp_path / "out.json"
         h = BlockMatrix([[8.9e307, -1.7e308], [8e307, 8.9e307]], block_dim=1, block_count=2)
         path.write_text(json.dumps(block_matrix_to_json(h)))
         argv = [sys.executable, "-m", "psdblocks.cli", *command, str(path), "-o", str(out)]
         done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": pythonpath()}, capture_output=True, text=True)
         assert done.returncode == 3
-        assert done.stderr.startswith("numerical failure: cannot judge an excess of ")
+        assert done.stderr.startswith(f"numerical failure: {rule} at scale inf: cannot judge an excess of ")
         assert done.stderr.endswith("against a slack of inf: not finite\n") and done.stderr.count("\n") == 1
         assert done.stdout == "" and not out.exists()
 
@@ -656,22 +692,41 @@ class TestCompactArtifacts:
         # temporaries; a whole-file buffer and the dead terms reached 2.4x
         assert peak < 1.8 * cert_path.stat().st_size
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status")
+    @needs_vmhwm
     def test_gen_resident_peak(self, tmp_path):
         # orjson's tree of an array's rows is outside tracemalloc: measure the
         # peak resident set of fresh processes, as the rise over a tiny instance
         out = tmp_path / "H.json"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": pythonpath()}
-
-        def peak_kib(n):
-            argv = [sys.executable, "-c", PEAK_CHILD, "gen", "--alpha", "2", "--n", str(n), "-o", str(out)]
-            return int(subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout.split()[-1])
-
-        base = peak_kib(2)
-        rise = 1024 * (peak_kib(256) - base)
+        base = peak_kib("gen", "--alpha", 2, "--n", 2, "-o", out)
+        rise = 1024 * (peak_kib("gen", "--alpha", 2, "--n", 256, "-o", out) - base)
         # about 2.3x the 10 MB file: the matrix, its generation and one
         # chunk at a time; orjson given the whole matrix reached 5.0x
         assert rise < 3.5 * out.stat().st_size
+
+    @needs_vmhwm
+    def test_verify_resident_peak(self, tmp_path):
+        certs = []
+        for n in (1, 48):
+            h_path, cert_path = tmp_path / f"H{n}.json", tmp_path / f"cert{n}.json"
+            assert run(["gen", "--alpha", 4, "--n", n, "--seed", 1, "-o", h_path]) == 0
+            assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
+            certs.append(cert_path)
+        rise = 1024 * (peak_kib("verify", certs[1]) - peak_kib("verify", certs[0]))
+        # about 1.75x the 10 MB certificate: its bytes, the arrays and one
+        # chunk's lists; the whole text and a matrix's lists reached 3.5x
+        assert rise < 2.5 * certs[1].stat().st_size
+
+    @needs_vmhwm
+    def test_check_file_resident_peak(self, tmp_path):
+        # scale 1e-3 keeps det(I + H) in range, so the suite decides (exit 0)
+        paths = []
+        for n in (1, 64):
+            paths.append(tmp_path / f"H{n}.json")
+            assert run(["gen", "--alpha", 4, "--n", n, "--seed", 1, "--scale", "1e-3", "-o", paths[-1]]) == 0
+        rise = 1024 * (peak_kib("check", paths[1]) - peak_kib("check", paths[0]))
+        # about 2.1x the 3.1 MB instance, with the suite's eigensolves at
+        # side 256; the whole text and the matrix's lists reached 3.9x
+        assert rise < 3.0 * paths[1].stat().st_size
 
     def test_stdout_is_an_output_path(self, tmp_path):
         # the writer opens the path it is given: no temporary file renamed over it
@@ -883,10 +938,13 @@ class TestDecodeOnClose:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_parse_peak_memory(self, tmp_path, monkeypatch):
-        # the parse holds the largest matrix's lists, not every matrix's
+        # the parse holds one chunk's lists, not a matrix's: chunks of 4 KB
+        # against matrices of 0.1 to 0.4 MB of text
         h = random_block_psd(GeneratorSpec(seed=1, alpha=4, n=16, rank=3))
         text = json.dumps(certificate_to_json(quaternion_pipeline(h, beta=4)[1]))
-        monkeypatch.setattr(Path, "read_text", lambda self, encoding: text)  # the text is outside both peaks
+        data = text.encode()
+        monkeypatch.setattr(Path, "read_bytes", lambda self: data)  # the file is outside both peaks
+        monkeypatch.setattr("psdblocks.kernel._READ_BYTES", 4096)
         peaks = []
         for load in (lambda: json.loads(text), lambda: _load_json("cert.json")):
             tracemalloc.start()
@@ -895,7 +953,9 @@ class TestDecodeOnClose:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 0.7 * peaks[0]  # about 0.56x
+        # about 0.12x, the arrays; decoding each matrix's lists as its
+        # object closed reached 0.56x
+        assert peaks[1] < 0.2 * peaks[0]
 
     @pytest.mark.parametrize("kind", ["corner_general", "two_corner", "two_block", "quaternion"])
     def test_any_json_layout_is_read(self, tmp_path, kind):

@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from psdblocks import (
     GeneratorSpec,
     HypothesisError,
     MalformedCertificateError,
+    NumericalError,
     Tolerance,
     certificate_from_json,
     certificate_to_json,
@@ -584,6 +586,13 @@ class TestCertificates:
         assert not item.passed and not report.passed
         for item in report.checks:
             assert item.passed == (item.lhs <= item.rhs)
+
+    def test_undecided_defect_names_its_check_and_scale(self):
+        # ||target||_F past the float range makes the reconstruction bound inf
+        huge = SimpleNamespace(target=np.full((2, 2), 1.5e308))
+        with pytest.raises(NumericalError) as exc:
+            decompose_module._judged(huge, {"reconstruction": 0.0, "isometry": [0.0]}, DEFAULT_TOL)
+        assert str(exc.value) == "reconstruction_defect at scale inf: cannot judge an excess of 0.000000e+00 against a slack of inf: not finite"
 
     def test_zeroed_factor_column_fails_isometry(self):
         _, cert = self.fresh()

@@ -290,6 +290,11 @@ class TestTolerance:
         with pytest.raises(NumericalError, match="cannot judge .* not finite"):
             tol.allows(excess, scale)
 
+    def test_unnamed_decision_message(self):
+        with pytest.raises(NumericalError) as exc:
+            DEFAULT_TOL.allows(np.inf, 1.0)
+        assert str(exc.value) == "cannot judge an excess of inf against a slack of 1.010000e-08: not finite"
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Tolerance(atol=-1.0)
@@ -380,6 +385,20 @@ class TestMatrixJson:
             tracemalloc.stop()
         assert back.nbytes == 16 * 256 * 256
         assert peak < 2 * back.nbytes
+
+    def test_float64_entries_accepted(self):
+        # a (rows*cols, 2) float64 array stands for the list, as the wire view
+        # states it; any other array is counted as before
+        m = crandn(np.random.default_rng(9), (3, 4))
+        wire = matrix_to_wire(m)
+        assert matrix_from_json(wire).tobytes() == m.tobytes()
+        assert matrix_from_json({**wire, "entries": np.asfortranarray(wire["entries"])}).tobytes() == m.tobytes()
+        wire["entries"][0, 0] = np.inf
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            matrix_from_json(wire)
+        for entries in (wire["entries"][:-1], wire["entries"].astype(np.float32), wire["entries"].reshape(-1)):
+            with pytest.raises(ValueError, match="expected 12 entries, got ndarray"):
+                matrix_from_json({**wire, "entries": entries})
 
     def test_integer_entries_accepted(self):
         back = matrix_from_json({"rows": 1, "cols": 2, "entries": [[1, -2], [0, 3.5]]})

@@ -1,0 +1,245 @@
+"""The CLI reader against the reader it replaces.
+
+``cli._load_json`` decodes each ``"entries"`` array with orjson in chunks
+of rows and hands everything it does not take to ``json.loads`` with the
+matrix hook, whole. Over a corpus of values, layouts and malformed files,
+both readers give the same arrays to the last bit, and ``verify`` and
+``check`` the same exit code, stdout, stderr and report (timestamp aside).
+"""
+
+import gc
+import json
+from itertools import chain
+from pathlib import Path
+
+import numpy as np
+import orjson
+import pytest
+
+from psdblocks import (
+    BlockMatrix,
+    GeneratorSpec,
+    block_matrix_to_json,
+    certificate_to_json,
+    loads_matrices,
+    matrix_object_hook,
+    matrix_to_json,
+    random_block_psd,
+    two_block_isometries,
+)
+from psdblocks import cli, kernel
+
+
+def reference_load(path):
+    """The reader before spans: the whole text through ``json.loads`` with
+    the matrix hook, the collector paused."""
+    text = Path(path).read_text(encoding="utf-8")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        obj = json.loads(text, object_hook=matrix_object_hook)
+        return matrix_to_json(obj) if isinstance(obj, np.ndarray) else obj
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+MARK = 12345.0  # an entry the corpus rewrites; its text is "12345.0" in every layout
+
+
+def certificate():
+    h = random_block_psd(GeneratorSpec(seed=5, alpha=2, n=3, rank=3))
+    obj = certificate_to_json(two_block_isometries(h))
+    obj["target"]["entries"][7] = [MARK, 0.5]
+    return obj
+
+
+def instance():
+    """A ``gen`` payload: the matrix keys beside block_dim, block_count and config."""
+    obj = block_matrix_to_json(random_block_psd(GeneratorSpec(seed=5, alpha=2, n=3, rank=3)))
+    obj["config"] = {"command": "gen", "seed": 5, "timestamp": "t"}
+    return obj
+
+
+def random_values():
+    """An instance whose entries are random float64 bit patterns, with both
+    zeros, the least subnormal, a subnormal and both largest finite values."""
+    bits = np.random.default_rng(22).integers(0, 2**64, size=2 * 64, dtype=np.uint64).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, 1.5)
+    bits[:6] = [0.0, -0.0, 5e-324, 2.2250738585072e-309, 1.7976931348623157e308, -1.7976931348623157e308]
+    return block_matrix_to_json(BlockMatrix(bits.view(np.complex128).reshape(8, 8), block_dim=4, block_count=2))
+
+
+def reversed_keys(obj):
+    if isinstance(obj, dict):
+        return {key: reversed_keys(obj[key]) for key in reversed(obj)}
+    if isinstance(obj, list):
+        return [reversed_keys(x) for x in obj]
+    return obj
+
+
+def with_extra_factor_key(obj):
+    obj["factors"][1]["note"] = "not a wire key"
+    return obj
+
+
+def dumped(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+def marked(token: str, before=f"{MARK}") -> bytes:
+    """The certificate in ``json.dumps`` layout with the marked text replaced."""
+    text = dumped(certificate())
+    assert text.count(before.encode()) == 1
+    return text.replace(before.encode(), token.encode())
+
+
+CORPUS = {
+    # values
+    "random_bits_compact": lambda: orjson.dumps(random_values()),
+    "random_bits_default": lambda: dumped(random_values()),
+    "minus_zero_integer": lambda: marked("-0"),
+    "exponent_upper_plus": lambda: marked("1E+5"),
+    "exponent_leading_zero": lambda: marked("1e05"),
+    "integer_rounding_tie": lambda: marked(str(2**64 + 2**11)),
+    "integer_past_the_tie": lambda: marked(str(2**64 + 2**11 + 1)),
+    "integer_in_uint64": lambda: marked(str(2**64 - 1)),
+    "long_decimal": lambda: marked("0.1000000000000000055511151231257827021181583404541015625"),
+    # layouts
+    "orjson_compact": lambda: orjson.dumps(certificate()),
+    "json_dumps_default": lambda: dumped(certificate()),
+    "indent_2": lambda: json.dumps(certificate(), indent=2).encode(),
+    "keys_reversed": lambda: dumped(reversed_keys(certificate())),
+    "factor_with_extra_key": lambda: dumped(with_extra_factor_key(certificate())),
+    "bare_matrix": lambda: dumped(matrix_to_json(np.eye(3))),
+    "matrix_under_config": lambda: dumped({**certificate(), "config": {"m": matrix_to_json(np.eye(2))}}),
+    "instance_compact": lambda: orjson.dumps(instance()),
+    "instance_default": lambda: dumped(instance()),
+    "crlf_indent": lambda: json.dumps(certificate(), indent=1).replace("\n", "\r\n").encode(),
+    # rejections
+    "nan_entry": lambda: marked("NaN"),
+    "infinity_entry": lambda: marked("Infinity"),
+    "overflowing_decimal": lambda: marked("1e999"),
+    "overflowing_integer": lambda: marked(str(10**400)),
+    "plus_sign": lambda: marked("+1"),
+    "leading_zero": lambda: marked("01"),
+    "bare_point": lambda: marked("1."),
+    "no_leading_digit": lambda: marked(".5"),
+    "true_entry": lambda: marked("true"),
+    "null_entry": lambda: marked("null"),
+    "string_entry": lambda: marked('"12345.0"'),
+    "one_element_pair": lambda: marked(f"[{MARK}]", f"[{MARK}, 0.5]"),
+    "three_element_pair": lambda: marked(f"[{MARK}, 0.5, 1.0]", f"[{MARK}, 0.5]"),
+    "nested_pair": lambda: marked(f"[{MARK}, [0.5]]", f"[{MARK}, 0.5]"),
+    "pair_too_few": lambda: marked("", f", [{MARK}, 0.5]"),
+    "pair_too_many": lambda: marked(f"[{MARK}, 0.5], [1.0, 0.0]", f"[{MARK}, 0.5]"),
+    "empty_entries": lambda: dumped({**certificate(), "target": {"rows": 1, "cols": 1, "entries": []}}),
+    "rows_not_integer": lambda: dumped({**certificate(), "target": {**certificate()["target"], "rows": 6.0}}),
+    "instance_pair_too_few": lambda: dumped({**instance(), "entries": instance()["entries"][:-1]}),
+    "truncated": lambda: dumped(certificate())[:900],
+    "non_utf8_in_span": lambda: dumped(certificate()).replace(b"12345.0", b"1234\xff5.0"),
+    "non_utf8_outside_span": lambda: dumped({**certificate(), "note": "x"}).replace(b'"x"', b'"\xff"'),
+    "utf8_bom": lambda: b"\xef\xbb\xbf" + dumped(certificate()),
+    "key_ending_in_entries": lambda: dumped({**certificate(), 'foo "entries': [[1.0, 2.0]]}),
+    "duplicate_entries_key": lambda: dumped(certificate()).replace(b'"entries": ', b'"entries": [[1.0, 0.0]], "entries": ', 1),
+    "placeholder_in_string": lambda: dumped({**certificate(), "note": "NaN"}),
+    "placeholder_as_value": lambda: dumped({**certificate(), "note": 1.0}).replace(b'"note": 1.0', b'"note": NaN'),
+    "placeholder_before_spans": lambda: dumped({"note": 1.0, **certificate()}).replace(b'"note": 1.0', b'"note": NaN'),
+    "infinity_outside_span": lambda: dumped({**certificate(), "note": 1.0}).replace(b'"note": 1.0', b'"note": -Infinity'),
+    "entries_not_an_array": lambda: dumped({**certificate(), "config": {"entries": 5}}),
+    "entries_without_rows": lambda: dumped({**certificate(), "config": {"entries": [[1.0, 0.0]]}}),
+}
+
+# the layouts gen, decompose and json.dumps write: a silent fallback here would lose the gain
+FAST = ["random_bits_compact", "random_bits_default", "orjson_compact", "json_dumps_default", "instance_compact", "instance_default"]
+
+
+@pytest.fixture(params=[1, 100, kernel._READ_BYTES], ids=["row_chunks", "few_row_chunks", "default_chunks"])
+def chunk_bytes(request, monkeypatch):
+    monkeypatch.setattr(kernel, "_READ_BYTES", request.param)
+    return request.param
+
+
+def loaded(load, path):
+    try:
+        return "value", load(path)
+    except Exception as exc:  # the rejection is what is compared
+        return "error", (type(exc), str(exc))
+
+
+def same(a, b, key=None) -> bool:
+    """Equal JSON values, arrays to the last bit; under an ``"entries"`` key
+    a ``(k, 2)`` float64 array equals the list of pairs it was read from."""
+    if key == "entries" and isinstance(a, np.ndarray) and isinstance(b, list):
+        b = np.fromiter(chain.from_iterable(b), np.float64).reshape(-1, 2)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(same(a[k], b[k], k) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_reader_parity(tmp_path, chunk_bytes, name):
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS[name]())
+    (kind, new), (ref_kind, ref) = loaded(cli._load_json, str(path)), loaded(reference_load, str(path))
+    assert kind == ref_kind
+    assert new == ref if kind == "error" else same(new, ref)
+
+
+def test_mutated_files_read_alike(tmp_path, monkeypatch):
+    # one to three random byte edits of written layouts, at random chunk sizes
+    rng = np.random.default_rng(2201)
+    layouts = [CORPUS[name]() for name in FAST] + [CORPUS["indent_2"]()]
+    alphabet = b'[]{},:" \n\r-+.eE0123456789NaInfitylsru\\\xff'
+    path = tmp_path / "file.json"
+    for _ in range(400):
+        data = bytearray(layouts[rng.integers(len(layouts))])
+        for _ in range(rng.integers(1, 4)):
+            k, edit = int(rng.integers(len(data))), bytes(rng.choice(list(alphabet), size=rng.integers(1, 4)).tolist())
+            data[k : k + int(rng.integers(0, 3))] = edit
+        path.write_bytes(data)
+        monkeypatch.setattr(kernel, "_READ_BYTES", int(rng.choice([1, 50, 1 << 18])))
+        (kind, new), (ref_kind, ref) = loaded(cli._load_json, str(path)), loaded(reference_load, str(path))
+        assert kind == ref_kind, bytes(data)
+        assert new == ref if kind == "error" else same(new, ref), bytes(data)
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_command_parity(tmp_path, monkeypatch, capsys, name):
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS[name]())
+    command = "check" if name.startswith("instance") or name.startswith("random_bits") else "verify"
+    outcomes = []
+    for load in (cli._load_json, reference_load):
+        monkeypatch.setattr(cli, "_load_json", load)
+        report = tmp_path / f"report_{len(outcomes)}.json"
+        code = cli.main([command, str(path), "-o", str(report)])
+        out, err = capsys.readouterr()
+        written = json.loads(report.read_text()) if report.exists() else None
+        if written is not None:
+            written["config"].pop("timestamp")
+            written["config"].pop("out_path")
+        outcomes.append((code, out, err, written))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_written_layouts_take_the_span_reader(chunk_bytes, name):
+    obj = loads_matrices(CORPUS[name]())
+    matrices = [obj] if "block_dim" in obj else [obj["target"], *obj["factors"]]
+    assert all(isinstance(m["entries"] if isinstance(m, dict) else m, np.ndarray) for m in matrices)
+
+
+def test_gen_and_decompose_files_take_the_span_reader(tmp_path):
+    h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+    assert cli.main(["gen", "--alpha", "4", "--n", "3", "--seed", "2", "-o", str(h_path)]) == 0
+    assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
+    h, cert = (loads_matrices(p.read_bytes()) for p in (h_path, cert_path))
+    assert h["entries"].shape == (144, 2) and h["entries"].dtype == np.float64
+    assert all(isinstance(m, np.ndarray) for m in [cert["target"], *cert["factors"]])
