@@ -12,9 +12,9 @@ there. Tolerances must be finite. Artifacts are compact single-line UTF-8
 JSON of shortest round-trip floats, which any JSON reader reads exactly,
 streamed by orjson from each matrix's float64 buffer in chunks of rows
 (:func:`~.kernel.matrix_to_wire`), and read from their bytes, the cyclic
-collector paused: each ``"entries"`` array by orjson in chunks of rows into
-float64, the rest by ``json.loads`` (:func:`~.kernel.loads_matrices`); a file that path
-does not take goes whole through ``json.loads`` with
+collector paused: the skeleton by ``json.loads``, on which ``verify`` judges the certificate's header,
+then each ``"entries"`` array by orjson in chunks of rows into float64 (:func:`~.kernel.loads_matrices`);
+a file that path does not take goes whole through ``json.loads`` with
 :func:`~.kernel.matrix_object_hook`, which makes every rejection. Peaks of a
 fresh process at n = 128 (a 74 MB certificate): ``gen`` 54, ``decompose``
 143, ``verify`` 140 MB.
@@ -45,6 +45,7 @@ from .checks import (
     run_inequality_suite,
 )
 from .decompose import (
+    _certificate_header,
     certificate_from_json,
     certificate_to_json,
     quaternion_pipeline,
@@ -52,7 +53,7 @@ from .decompose import (
     two_block_isometries,
     verify_certificate,
 )
-from .errors import NumericalError
+from .errors import MalformedCertificateError, NumericalError
 from .generate import (
     GeneratorSpec,
     equality_case_instance,
@@ -172,18 +173,20 @@ def _write_json(path: str, payload: dict) -> None:
         out.write(b"\n")
 
 
-def _load_json(path: str) -> dict:
-    """The JSON document in ``path``, each matrix object decoded as the parser closes it (one
-    with other keys keeps its entries as a ``(k, 2)`` float64 array). Only UTF-8 files are read.
-    A file :func:`~.kernel.loads_matrices` does not take goes whole through the whole-text reader,
-    ``json.loads`` with :func:`~.kernel.matrix_object_hook`, which makes every rejection. Every
-    parse runs with the cyclic collector paused: the parsed lists are acyclic, its passes would find nothing."""
+def _load_json(path: str, judge=None) -> dict:
+    """The JSON document in ``path``, each matrix object decoded (one with other keys keeps its entries as a ``(k, 2)``
+    float64 array). Only UTF-8 files are read. :func:`~.kernel.loads_matrices` calls ``judge`` on the skeleton before it
+    decodes an array, and a :class:`MalformedCertificateError` it raises is final. Any other file it does not take goes
+    whole through the whole-text reader, ``json.loads`` with :func:`~.kernel.matrix_object_hook`, which makes every
+    rejection. Every parse runs with the cyclic collector paused: the parsed lists are acyclic, its passes would find nothing."""
     data = Path(path).read_bytes()
     enabled = gc.isenabled()
     gc.disable()
     try:
         try:
-            obj = loads_matrices(data)  # never None: a file with an "entries" array
+            obj = loads_matrices(data, judge)  # never None: a file with an "entries" array
+        except MalformedCertificateError:  # the judge's verdict, a ValueError not to read again
+            raise
         except (ValueError, TypeError, RecursionError, MemoryError):  # a file it does not take
             obj = None
         if obj is None:
@@ -239,8 +242,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _judge_skeleton(skeleton) -> None:
+    """:func:`~.decompose._certificate_header` on a skeleton; a weight that may hold a matrix waits for the decode, whose message shows the array."""
+    if not (isinstance(skeleton, dict) and isinstance(skeleton.get("weight"), (dict, list))):
+        _certificate_header(skeleton)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cert = certificate_from_json(_load_json(args.input_path))
+    cert = certificate_from_json(_load_json(args.input_path, _judge_skeleton))
     report = verify_certificate(cert, _tolerance(args))
     payload = report_to_json(report)
     payload["config"] = _config(args)

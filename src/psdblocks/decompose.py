@@ -422,12 +422,9 @@ def certificate_to_json(cert: DecompositionCertificate, encode=matrix_to_json) -
     return obj
 
 
-def certificate_from_json(obj) -> DecompositionCertificate:
-    """Parse and validate a certificate file. The stated weight, and a
-    corner certificate's slots, must equal what the kind and the factors
-    fix, and no other kind may state slots; stated ``"defects"`` (and an
-    earlier ``"core"``) are ignored. In a library payload the weight is
-    checked before any matrix is decoded; the CLI decodes them as it parses."""
+def _certificate_header(obj) -> None:
+    """What a certificate states before its matrices: an object whose weight is the exact fraction string its kind fixes
+    (an unknown kind is rejected on construction). :func:`certificate_from_json` judges it first, ``verify`` before any decode."""
     if not isinstance(obj, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     try:
@@ -435,18 +432,28 @@ def certificate_from_json(obj) -> DecompositionCertificate:
         if type(weight) is not str:
             raise ValueError(f"weight must be an exact fraction string such as \"1/4\", got {weight!r:.20}")
         weight = Fraction(weight)
-        if kind in KINDS and weight != _WEIGHT[kind]:  # an unknown kind is rejected on construction
+        if kind in KINDS and weight != _WEIGHT[kind]:
             raise ValueError(f"kind {kind!r} carries weight {weight}, expected {_WEIGHT[kind]}")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedCertificateError(f"malformed certificate JSON: {exc}") from exc
+
+
+def certificate_from_json(obj) -> DecompositionCertificate:
+    """Parse and validate a certificate file. The stated weight, and a corner certificate's slots, must equal what the
+    kind and the factors fix, and no other kind may state slots; stated ``"defects"`` (and an earlier ``"core"``) are
+    ignored. The header is judged (:func:`_certificate_header`) before any matrix is read."""
+    _certificate_header(obj)
+    try:
         target = matrix_from_json(obj["target"])
         factors = tuple(matrix_from_json(f) for f in obj["factors"])
         slots = obj.get("slots")
         if "slots" in obj and not (isinstance(slots, list) and all(type(w) is int for w in slots)):
             raise ValueError(f"slots must be a list of integers, got {slots!r}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"malformed certificate JSON: {exc}") from exc
-    cert = DecompositionCertificate(kind=kind, target=target, factors=factors)
+    cert = DecompositionCertificate(kind=obj["kind"], target=target, factors=factors)
     if cert.slots is None and "slots" in obj:
-        raise MalformedCertificateError(f"{kind} certificate must not state slots, got {slots}")
+        raise MalformedCertificateError(f"{cert.kind} certificate must not state slots, got {slots}")
     if cert.slots is not None and slots != list(cert.slots):
         raise MalformedCertificateError(f"corner certificate slots {slots} must equal the factor widths {list(cert.slots)}")
     return cert

@@ -281,12 +281,12 @@ class _Unusual(ValueError):
     """A document :func:`loads_matrices` does not take."""
 
 
-def _decode_entries(data: bytes, start: int, end: int) -> np.ndarray:
-    """The ``(k, 2)`` float64 array of the ``[[re, im], ...]`` text ``data[start:end]``, with the checks
-    :func:`matrix_from_json` makes of a list. Each chunk of whole rows must hold only the characters of
-    numbers, its type check made on the bytes (a pass over the parsed values' types cost a quarter of the
-    read); orjson, which takes only RFC 8259 numbers that are finite doubles, parses it; each row is a pair."""
-    out = np.empty((data.count(b"]", start, end) - 1, 2))  # one "]" per row, and the array's own
+def _decode_entries(data: bytes, start: int, end: int, count: int) -> np.ndarray:
+    """The ``(count, 2)`` float64 array of the ``[[re, im], ...]`` text ``data[start:end]``, with the checks :func:`matrix_from_json`
+    makes of a list. Each chunk of whole rows must hold only the characters of numbers, its type check made on the bytes (a pass
+    over the parsed values' types cost a quarter of the read); orjson, which takes only RFC 8259 numbers that are finite doubles,
+    parses it; each row is a pair, and the chunks must fill the buffer exactly."""
+    out = np.empty((count, 2))
     flat, filled, pos, view = out.reshape(-1), 0, start + 1, memoryview(data)
     while pos < end - 1:
         cut = data.find(b"],", pos + _READ_BYTES, end - 1) + 1 or end - 1  # after a row's "]", or the last row's
@@ -297,18 +297,30 @@ def _decode_entries(data: bytes, start: int, end: int) -> np.ndarray:
         if set(map(len, rows)) != {2}:
             raise _Unusual
         n = 2 * len(rows)
-        flat[filled : filled + n] = np.fromiter(chain.from_iterable(rows), np.float64, count=n)  # a nested list raises
+        flat[filled : filled + n] = np.fromiter(chain.from_iterable(rows), np.float64, count=n)  # a nested list or an overrun raises
         filled, pos = filled + n, cut + 1
+    if filled != flat.size:
+        raise _Unusual
     return out
 
 
-def loads_matrices(data: bytes):
-    """``json.loads(data, object_hook=matrix_object_hook)`` for a UTF-8 document whose every
-    ``"entries"`` array is a matrix's, with each such array decoded by orjson in chunks of rows
-    straight into float64: the parser meets a ``NaN`` in its place. An object with exactly the
-    matrix keys becomes the matrix; one with more keeps a ``(k, 2)`` float64 ``entries``, which
-    :func:`matrix_from_json` takes. Anything unusual raises ``ValueError``, for the caller to
-    read the document with ``json.loads`` instead, which makes every rejection."""
+def _placed(obj):
+    """``obj`` with each object in it that has exactly the matrix keys replaced by its array."""
+    if isinstance(obj, dict) and obj.keys() == _MATRIX_KEYS:
+        return matrix_from_json(obj)
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ():
+        obj[key] = _placed(value)
+    return obj
+
+
+def loads_matrices(data: bytes, judge=None):
+    """``json.loads(data, object_hook=matrix_object_hook)`` for a UTF-8 document whose every ``"entries"`` array
+    is a matrix's, in two phases. ``json.loads`` parses the skeleton, each such array's text a ``NaN`` token that
+    becomes the array's span, and ``judge``, if given, is called on it (what it raises is the caller's); then orjson
+    decodes each array in chunks of rows straight into a float64 buffer of the ``rows * cols`` rows its object states.
+    An object with exactly the matrix keys becomes the matrix; one with more keeps a ``(k, 2)`` float64 ``entries``,
+    which :func:`matrix_from_json` takes. Anything unusual raises ``ValueError``, for the caller to read the
+    document with ``json.loads`` instead, which makes every rejection."""
     skeleton, spans, pos = [], [], 0
     while key := _ENTRIES.search(data, pos):
         start, end = key.end() - 1, _ROWS_END.search(data, key.end())
@@ -320,28 +332,29 @@ def loads_matrices(data: bytes):
     if not spans:  # nothing to gain
         raise _Unusual
     skeleton.append(data[pos:])
-    unplaced, spans = {}, iter(spans)
+    holders, unread = [], iter(spans)
 
-    def constant(name: str):
-        if name != "NaN":
-            return float(name)
-        span = next(spans, None)
-        if span is None:  # a NaN of the document's own left one too many
+    def constant(name: str):  # each NaN takes the next span, so a NaN of the document's own leaves one too many
+        span = next(unread, None) if name == "NaN" else float(name)
+        if span is None:
             raise _Unusual
-        entries = _decode_entries(data, *span)
-        unplaced[id(entries)] = entries
-        return entries
+        return span
 
     def hook(obj: dict):
-        if "entries" not in obj:
-            return obj
-        entries = obj["entries"]
-        # matrix_from_json judges rows and cols before it counts, so only a miscount reads differently
-        if unplaced.pop(id(entries), None) is not entries or obj.get("rows", 0) * obj.get("cols", 0) != len(entries):
-            raise _Unusual
-        return matrix_from_json(obj) if obj.keys() == _MATRIX_KEYS else obj
+        if "entries" in obj:
+            span, rows, cols = obj["entries"], obj.get("rows"), obj.get("cols")
+            # only a span is a tuple; rows * cols sizes its buffer, refused before allocating where the span's bytes
+            # cannot hold it (a row takes at least the 5 of "[0,0]")
+            if type(span) is not tuple or {type(rows), type(cols)} != {int} or min(rows, cols) < 1 or 5 * rows * cols > span[1] - span[0]:
+                raise _Unusual
+            holders.append(obj)
+        return obj
 
     obj = json.loads(b"".join(skeleton).decode("utf-8"), object_hook=hook, parse_constant=constant)
-    if unplaced:
+    if len(holders) != len(spans):  # a span under another key, or dropped with a duplicate key
         raise _Unusual
-    return obj
+    if judge is not None:
+        judge(obj)
+    for holder in holders:
+        holder["entries"] = _decode_entries(data, *holder["entries"], holder["rows"] * holder["cols"])
+    return _placed(obj)

@@ -880,9 +880,11 @@ def reversed_keys(obj):
 
 
 class TestDecodeOnClose:
-    """``verify`` decodes each matrix as the parser closes its object: the
-    arrays, the reports and the rejections are those of a reader that
-    parses the whole file first."""
+    """``verify`` parses the file's skeleton, judges the certificate's
+    header on it, and only then decodes each matrix: the arrays, the
+    reports and the rejections are those of a reader that parses the whole
+    file first, except that a bad header is named before a number that
+    reader cannot parse (``tests/test_reader.py``)."""
 
     def malformed(self, edit):
         obj = certificate_to_json(quaternion_pipeline(random_block_psd(GeneratorSpec(seed=3, alpha=4, n=2, rank=3)), beta=4)[1])

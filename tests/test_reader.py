@@ -5,10 +5,15 @@ of rows and hands everything it does not take to ``json.loads`` with the
 matrix hook, whole. Over a corpus of values, layouts and malformed files,
 both readers give the same arrays to the last bit, and ``verify`` and
 ``check`` the same exit code, stdout, stderr and report (timestamp aside).
+``verify`` judges the certificate's header on the skeleton before any
+array is decoded, so a bad header is named before a number the
+whole-text reader cannot parse: the one place the two differ.
 """
 
 import gc
 import json
+import re
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 
@@ -28,22 +33,27 @@ from psdblocks import (
     two_block_isometries,
 )
 from psdblocks import cli, kernel
+from psdblocks.decompose import _certificate_header
 
 
-def reference_load(path):
+def reference_load(path, judge=None):
     """The reader before spans: the whole text through ``json.loads`` with
-    the matrix hook, the collector paused."""
+    the matrix hook, the collector paused; then ``judge``, which the CLI's
+    reader calls on the skeleton, on the whole document."""
     text = Path(path).read_text(encoding="utf-8")
     enabled = gc.isenabled()
     gc.disable()
     try:
         obj = json.loads(text, object_hook=matrix_object_hook)
-        return matrix_to_json(obj) if isinstance(obj, np.ndarray) else obj
+        obj = matrix_to_json(obj) if isinstance(obj, np.ndarray) else obj
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     finally:
         if enabled:
             gc.enable()
+    if judge is not None:
+        judge(obj)
+    return obj
 
 
 MARK = 12345.0  # an entry the corpus rewrites; its text is "12345.0" in every layout
@@ -83,6 +93,21 @@ def reversed_keys(obj):
 def with_extra_factor_key(obj):
     obj["factors"][1]["note"] = "not a wire key"
     return obj
+
+
+def with_target_count(rows, cols):
+    """The certificate with a target of four pairs that states ``rows`` x ``cols``."""
+    return {**certificate(), "target": {"rows": rows, "cols": cols, "entries": [[1.0, 0.0]] * 4}}
+
+
+def with_own_nan_before_spans():
+    """A target of the factors' shape whose entries are the file's own ``NaN``, and after the factors an array under the key
+    ``x "entries``: were each placeholder read in order, every array would slide one matrix up and still fit."""
+    obj = certificate()
+    factor = obj["factors"][-1]
+    obj["target"] = {"rows": factor["rows"], "cols": factor["cols"], "entries": "own"}
+    obj["z"] = {'x "entries': factor["entries"]}
+    return dumped(obj).replace(b'"own"', b"NaN")
 
 
 def dumped(obj) -> bytes:
@@ -146,10 +171,22 @@ CORPUS = {
     "duplicate_entries_key": lambda: dumped(certificate()).replace(b'"entries": ', b'"entries": [[1.0, 0.0]], "entries": ', 1),
     "placeholder_in_string": lambda: dumped({**certificate(), "note": "NaN"}),
     "placeholder_as_value": lambda: dumped({**certificate(), "note": 1.0}).replace(b'"note": 1.0', b'"note": NaN'),
+    "own_nan_before_spans_and_key_ending_in_entries": with_own_nan_before_spans,
     "placeholder_before_spans": lambda: dumped({"note": 1.0, **certificate()}).replace(b'"note": 1.0', b'"note": NaN'),
     "infinity_outside_span": lambda: dumped({**certificate(), "note": 1.0}).replace(b'"note": 1.0', b'"note": -Infinity'),
     "entries_not_an_array": lambda: dumped({**certificate(), "config": {"entries": 5}}),
     "entries_without_rows": lambda: dumped({**certificate(), "config": {"entries": [[1.0, 0.0]]}}),
+    "count_past_the_bytes": lambda: dumped(with_target_count(2**31, 2**31)),
+    "count_one_more": lambda: dumped(with_target_count(5, 1)),
+    "count_one_fewer": lambda: dumped(with_target_count(3, 1)),
+    # headers, each the one fault of a file whose matrices are valid
+    "weight_wrong": lambda: dumped({**certificate(), "weight": "1/3"}),
+    "weight_true": lambda: dumped({**certificate(), "weight": True}),
+    "weight_zero_denominator": lambda: dumped({**certificate(), "weight": "1/0"}),
+    "weight_holds_a_matrix": lambda: dumped({**certificate(), "weight": matrix_to_json(np.eye(2))}),
+    "kind_missing": lambda: dumped({key: value for key, value in certificate().items() if key != "kind"}),
+    "kind_unknown": lambda: dumped({**certificate(), "kind": "nope"}),  # no header fault: judged after the decode
+    "list_holding_a_matrix": lambda: dumped([matrix_to_json(np.eye(2))]),
 }
 
 # the layouts gen, decompose and json.dumps write: a silent fallback here would lose the gain
@@ -243,3 +280,80 @@ def test_gen_and_decompose_files_take_the_span_reader(tmp_path):
     h, cert = (loads_matrices(p.read_bytes()) for p in (h_path, cert_path))
     assert h["entries"].shape == (144, 2) and h["entries"].dtype == np.float64
     assert all(isinstance(m, np.ndarray) for m in [cert["target"], *cert["factors"]])
+
+
+def test_bad_header_decodes_no_matrix(tmp_path, monkeypatch, capsys):
+    # the weight is judged on the skeleton: one json.loads, and no orjson chunk
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS["weight_wrong"]())
+    calls = []
+
+    def spy(module):
+        loads = module.loads
+        monkeypatch.setattr(module, "loads", lambda *args, **kwargs: calls.append(module.__name__) or loads(*args, **kwargs))
+
+    spy(json)
+    spy(orjson)
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed certificate JSON: kind 'two_block_isometry' carries weight 1/3, expected 1/2\n"
+    assert calls == ["json"]
+
+
+def test_bad_header_is_named_before_a_bad_number(tmp_path, capsys):
+    # the one precedence the skeleton changes: the whole-text reader stops at the number
+    path = tmp_path / "file.json"
+    path.write_bytes(marked("01").replace(b'"weight": "1/2"', b'"weight": "1/3"'))
+    with pytest.raises(json.JSONDecodeError):
+        reference_load(str(path))
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed certificate JSON: kind 'two_block_isometry' carries weight 1/3, expected 1/2\n"
+
+
+@pytest.mark.parametrize("side", [2**31, 2**13], ids=["count_2_62", "count_2_26"])
+def test_impossible_count_allocates_nothing(tmp_path, side):
+    # four pairs cannot hold side**2 rows: refused before a (side**2, 2) buffer is asked for
+    path = tmp_path / "file.json"
+    path.write_bytes(dumped(with_target_count(side, side)))
+    tracemalloc.start()
+    try:
+        obj = cli._load_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obj["target"]["rows"] == side  # read whole, for its reader to reject
+    assert peak < 1 << 20
+
+
+def header_message(data: bytes):
+    """What ``_certificate_header`` says of ``data`` with every ``"entries"`` array set to one valid pair, or None."""
+    repaired = re.sub(rb'("entries"\s*:\s*)\[.*?\]\s*\]', rb"\1[[0, 0]]", data, flags=re.S)
+    try:
+        _certificate_header(json.loads(repaired))
+    except (ValueError, UnicodeDecodeError) as exc:
+        return f"error: {exc}\n"
+    return None
+
+
+def test_mutated_certificates_verify_alike(tmp_path, monkeypatch, capsys):
+    # one to three random byte edits of the written certificate layouts, half of them with a wrong weight
+    rng = np.random.default_rng(2301)
+    layouts = [CORPUS["orjson_compact"](), CORPUS["json_dumps_default"]()]
+    alphabet = b'[]{},:" \n\r-+.eE0123456789NaInfitylsru\\\xff'
+    path, reader = tmp_path / "file.json", cli._load_json
+    named_first = 0
+    for trial in range(400):
+        data = bytearray(layouts[rng.integers(len(layouts))])
+        if trial % 2:
+            data = bytearray(data.replace(b'1/2"', b'1/3"'))
+        for _ in range(rng.integers(1, 4)):
+            k, edit = int(rng.integers(len(data))), bytes(rng.choice(list(alphabet), size=rng.integers(1, 4)).tolist())
+            data[k : k + int(rng.integers(0, 3))] = edit
+        path.write_bytes(data)
+        outcomes = []
+        for load in (reader, reference_load):
+            monkeypatch.setattr(cli, "_load_json", load)
+            outcomes.append((cli.main(["verify", str(path)]), capsys.readouterr().err))
+        if outcomes[0] != outcomes[1]:  # only a header the skeleton shows to be bad, named before the decode error
+            assert outcomes[0] == (2, header_message(bytes(data))), bytes(data)
+            named_first += 1
+    assert named_first > 0, named_first
