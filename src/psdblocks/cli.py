@@ -15,7 +15,10 @@ streamed by orjson from each matrix's float64 buffer in chunks of rows
 collector paused: the skeleton by ``json.loads``, on which ``verify`` judges the certificate's header,
 then each ``"entries"`` array by orjson in chunks of rows into float64 (:func:`~.kernel.loads_matrices`);
 a file that path does not take goes whole through ``json.loads`` with
-:func:`~.kernel.matrix_object_hook`, which makes every rejection. Peaks of a
+:func:`~.kernel.matrix_object_hook`. Either reader returns the document as
+parsed but for each ``"entries"`` array, which becomes a ``(k, 2)`` float64
+array; :func:`~.kernel.matrix_from_json` alone makes a matrix of a wire
+object, and the command's reader makes every rejection. Peaks of a
 fresh process at n = 128 (a 74 MB certificate): ``gen`` 54, ``decompose``
 143, ``verify`` 140 MB.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
@@ -61,7 +64,7 @@ from .generate import (
     nonhermitian_counterexample,
     random_block_psd,
 )
-from .kernel import Tolerance, frobenius, loads_matrices, matrix_object_hook, matrix_to_json, matrix_to_wire, validate_hermitian_psd
+from .kernel import Tolerance, frobenius, loads_matrices, matrix_object_hook, matrix_to_wire, validate_hermitian_psd
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -174,27 +177,25 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _load_json(path: str, judge=None) -> dict:
-    """The JSON document in ``path``, each matrix object decoded (one with other keys keeps its entries as a ``(k, 2)``
-    float64 array). Only UTF-8 files are read. :func:`~.kernel.loads_matrices` calls ``judge`` on the skeleton before it
-    decodes an array, and a :class:`MalformedCertificateError` it raises is final. Any other file it does not take goes
-    whole through the whole-text reader, ``json.loads`` with :func:`~.kernel.matrix_object_hook`, which makes every
-    rejection. Every parse runs with the cyclic collector paused: the parsed lists are acyclic, its passes would find nothing."""
+    """The JSON document in ``path`` as parsed, each ``"entries"`` array of ``rows * cols`` number pairs a ``(k, 2)``
+    float64 array, for :func:`~.kernel.matrix_from_json` to make the matrix. Only UTF-8 files are read.
+    :func:`~.kernel.loads_matrices` calls ``judge`` on the skeleton before it decodes an array, and a
+    :class:`MalformedCertificateError` it raises is final. Any other file it does not take goes whole through the
+    whole-text reader, ``json.loads`` with :func:`~.kernel.matrix_object_hook`, and its reader makes every rejection.
+    Every parse runs with the cyclic collector paused: the parsed lists are acyclic, its passes would find nothing."""
     data = Path(path).read_bytes()
     enabled = gc.isenabled()
     gc.disable()
     try:
         try:
-            obj = loads_matrices(data, judge)  # never None: a file with an "entries" array
+            return loads_matrices(data, judge)
         except MalformedCertificateError:  # the judge's verdict, a ValueError not to read again
             raise
-        except (ValueError, TypeError, RecursionError, MemoryError):  # a file it does not take
-            obj = None
-        if obj is None:
-            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as Path.read_text decodes it
-            del data
-            obj = json.loads(text, object_hook=matrix_object_hook)
-        # a document that is one bare matrix stays an object, for its reader to reject
-        return matrix_to_json(obj) if isinstance(obj, np.ndarray) else obj
+        except (ValueError, TypeError, RecursionError, MemoryError):  # a file it does not take, read whole below
+            pass
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as Path.read_text decodes it
+        del data
+        return json.loads(text, object_hook=matrix_object_hook)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     finally:
@@ -242,14 +243,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _judge_skeleton(skeleton) -> None:
-    """:func:`~.decompose._certificate_header` on a skeleton; a weight that may hold a matrix waits for the decode, whose message shows the array."""
-    if not (isinstance(skeleton, dict) and isinstance(skeleton.get("weight"), (dict, list))):
-        _certificate_header(skeleton)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cert = certificate_from_json(_load_json(args.input_path, _judge_skeleton))
+    cert = certificate_from_json(_load_json(args.input_path, _certificate_header))
     report = verify_certificate(cert, _tolerance(args))
     payload = report_to_json(report)
     payload["config"] = _config(args)

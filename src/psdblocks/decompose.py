@@ -429,8 +429,9 @@ def _certificate_header(obj) -> None:
         raise MalformedCertificateError("certificate JSON must be an object")
     try:
         kind, weight = obj["kind"], obj["weight"]
-        if type(weight) is not str:
-            raise ValueError(f"weight must be an exact fraction string such as \"1/4\", got {weight!r:.20}")
+        if type(weight) is not str:  # an object or an array by its JSON type, whose parts a skeleton has yet to read
+            got = {dict: "an object", list: "an array"}.get(type(weight)) or f"{weight!r:.20}"
+            raise ValueError(f"weight must be an exact fraction string such as \"1/4\", got {got}")
         weight = Fraction(weight)
         if kind in KINDS and weight != _WEIGHT[kind]:
             raise ValueError(f"kind {kind!r} carries weight {weight}, expected {_WEIGHT[kind]}")

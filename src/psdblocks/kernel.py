@@ -1,7 +1,10 @@
 """Dense complex-matrix kernel shared by every other module.
 
-Matrices are plain numpy arrays with dtype complex128. All functions are
-pure: arguments are never mutated and outputs are freshly allocated.
+Matrices are plain numpy arrays with dtype complex128. No function but
+:func:`matrix_object_hook`, which fills in the object the parser hands it,
+mutates its arguments, but an output may share an input's memory:
+:func:`as_matrix` returns a complex128 input itself, and :func:`matrix_to_wire`
+states the entries as a view of the matrix's buffer.
 
 :func:`validate_hermitian_psd` is the one PSD acceptance rule, and every
 LAPACK call goes through ``_lapack``, the one place a LAPACK failure
@@ -207,7 +210,6 @@ def matrix_to_json(m) -> dict:
 
 
 _NUMBER = {int, float}  # by exact type, so bool and str entries are rejected
-_MATRIX_KEYS = {"rows", "cols", "entries"}
 
 
 def _malformed_entry(entries: list) -> ValueError:
@@ -222,27 +224,13 @@ def _malformed_entry(entries: list) -> ValueError:
     return ValueError("malformed matrix entries")
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    """Parse the matrix wire format, validating shape and finiteness (an
-    array, as :func:`matrix_object_hook` leaves one, is :func:`as_matrix`'d).
-    The entries are a list of ``[re, im]`` pairs or a ``(rows*cols, 2)``
-    float64 array, as :func:`matrix_to_wire` states them."""
-    if isinstance(obj, np.ndarray):
-        return as_matrix(obj)
-    if not isinstance(obj, dict):
-        raise ValueError("matrix JSON must be an object")
-    try:
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    except KeyError as exc:
-        raise ValueError(f"malformed matrix JSON: missing {exc}") from exc
-    if type(rows) is not int or type(cols) is not int:
-        raise ValueError(f"matrix rows and cols must be integers, got {rows!r:.20} and {cols!r:.20}")
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    if isinstance(entries, np.ndarray) and entries.dtype == np.float64 and entries.shape == (rows * cols, 2):
-        return as_matrix(np.ascontiguousarray(entries).view(np.complex128).reshape(rows, cols))
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
+def _pairs(entries, count: int) -> np.ndarray:
+    """The ``(count, 2)`` float64 array of ``entries``: such an array itself, or a list of ``count`` ``[re, im]``
+    pairs of numbers; anything else raises ``ValueError``, naming the first bad entry."""
+    if isinstance(entries, np.ndarray) and entries.dtype == np.float64 and entries.shape == (count, 2):
+        return entries
+    if not isinstance(entries, list) or len(entries) != count:
+        raise ValueError(f"expected {count} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
     # exact-type checks in C-level passes, then one preallocated fill: np.array
     # over the nested lists would coerce [1.0, false] and peak at three times
     # the result's memory
@@ -253,19 +241,37 @@ def matrix_from_json(obj) -> np.ndarray:
     ):
         raise _malformed_entry(entries)
     try:
-        flat = np.fromiter(chain.from_iterable(entries), np.float64, count=2 * rows * cols)
+        return np.fromiter(chain.from_iterable(entries), np.float64, count=2 * count).reshape(count, 2)
     except OverflowError:
         raise _malformed_entry(entries) from None
-    return as_matrix(flat.view(np.complex128).reshape(rows, cols))
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    """Parse the matrix wire format, validating shape and finiteness. The
+    entries are a list of ``[re, im]`` pairs or a ``(rows*cols, 2)``
+    float64 array, as :func:`matrix_to_wire` states them and both readers
+    (:func:`matrix_object_hook`, :func:`loads_matrices`) leave them."""
+    if not isinstance(obj, dict):
+        raise ValueError("matrix JSON must be an object")
+    try:
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except KeyError as exc:
+        raise ValueError(f"malformed matrix JSON: missing {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"matrix rows and cols must be integers, got {rows!r:.20} and {cols!r:.20}")
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix dimensions must be positive")
+    return as_matrix(np.ascontiguousarray(_pairs(entries, rows * cols)).view(np.complex128).reshape(rows, cols))
 
 
 def matrix_object_hook(obj: dict):
-    """``json.loads`` object hook: an object whose keys are exactly rows, cols
-    and entries becomes its :func:`matrix_from_json` array as the parser closes
-    it; one that does not decode stays a dict, for its reader to reject in order."""
-    if obj.keys() == _MATRIX_KEYS:
+    """``json.loads`` object hook: an object's ``"entries"`` list of ``rows * cols`` pairs of numbers becomes its
+    ``(rows*cols, 2)`` float64 array as the parser closes the object, so the parse holds one matrix's lists at a
+    time; anything else stays as parsed, for :func:`matrix_from_json` to take or reject."""
+    rows, cols = obj.get("rows"), obj.get("cols")
+    if "entries" in obj and type(rows) is int and type(cols) is int:
         with contextlib.suppress(ValueError):
-            return matrix_from_json(obj)
+            obj["entries"] = _pairs(obj["entries"], rows * cols)
     return obj
 
 
@@ -304,23 +310,14 @@ def _decode_entries(data: bytes, start: int, end: int, count: int) -> np.ndarray
     return out
 
 
-def _placed(obj):
-    """``obj`` with each object in it that has exactly the matrix keys replaced by its array."""
-    if isinstance(obj, dict) and obj.keys() == _MATRIX_KEYS:
-        return matrix_from_json(obj)
-    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ():
-        obj[key] = _placed(value)
-    return obj
-
-
 def loads_matrices(data: bytes, judge=None):
     """``json.loads(data, object_hook=matrix_object_hook)`` for a UTF-8 document whose every ``"entries"`` array
     is a matrix's, in two phases. ``json.loads`` parses the skeleton, each such array's text a ``NaN`` token that
     becomes the array's span, and ``judge``, if given, is called on it (what it raises is the caller's); then orjson
     decodes each array in chunks of rows straight into a float64 buffer of the ``rows * cols`` rows its object states.
-    An object with exactly the matrix keys becomes the matrix; one with more keeps a ``(k, 2)`` float64 ``entries``,
-    which :func:`matrix_from_json` takes. Anything unusual raises ``ValueError``, for the caller to read the
-    document with ``json.loads`` instead, which makes every rejection."""
+    The skeleton is returned with each span replaced by its ``(rows*cols, 2)`` array, which :func:`matrix_from_json`
+    takes. Anything unusual raises ``ValueError``, for the caller to read the document with ``json.loads`` instead,
+    which makes every rejection."""
     skeleton, spans, pos = [], [], 0
     while key := _ENTRIES.search(data, pos):
         start, end = key.end() - 1, _ROWS_END.search(data, key.end())
@@ -357,4 +354,4 @@ def loads_matrices(data: bytes, judge=None):
         judge(obj)
     for holder in holders:
         holder["entries"] = _decode_entries(data, *holder["entries"], holder["rows"] * holder["cols"])
-    return _placed(obj)
+    return obj

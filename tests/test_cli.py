@@ -896,9 +896,9 @@ class TestDecodeOnClose:
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(four_kinds()[kind]))
         parsed, loaded = json.loads(path.read_text()), _load_json(str(path))
-        for stated, array in zip([parsed["target"], *parsed["factors"]], [loaded["target"], *loaded["factors"]], strict=True):
-            assert isinstance(array, np.ndarray)
-            assert array.tobytes() == matrix_from_json(stated).tobytes()
+        for stated, read in zip([parsed["target"], *parsed["factors"]], [loaded["target"], *loaded["factors"]], strict=True):
+            assert list(read) == list(stated) and isinstance(read["entries"], np.ndarray) and read["entries"].dtype == np.float64
+            assert read["entries"].tobytes() == matrix_from_json(stated).tobytes()
 
     @pytest.mark.parametrize(
         "edit, code, message",

@@ -739,6 +739,13 @@ class TestCertificates:
         with pytest.raises(MalformedCertificateError, match="weight must be"):
             certificate_from_json(obj)
 
+    @pytest.mark.parametrize("weight, got", [({"entries": (20, 31)}, "an object"), ([1, 4], "an array")], ids=["object", "array"])
+    def test_object_or_array_weight_is_named_by_its_json_type(self, weight, got):
+        # a skeleton's weight may hold an array's span, which the message must not show
+        obj = {**certificate_to_json(two_corner_decomposition(random_psd(5, rank=3, seed=5), 2, 3)), "weight": weight}
+        with pytest.raises(MalformedCertificateError, match=f"fraction string such as \"1/4\", got {got}$"):
+            certificate_from_json(obj)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_spectral_consequence(self, seed):
         """Eigenvalues of the target are weakly majorized by the

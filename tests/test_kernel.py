@@ -425,41 +425,31 @@ class TestMatrixJson:
 
 
 class TestMatrixObjectHook:
-    """Matrix objects decode as the parser closes them; anything else,
-    a matrix that ``matrix_from_json`` rejects included, stays as parsed."""
+    """As the parser closes an object, its ``"entries"`` list of ``rows * cols``
+    pairs of numbers becomes the ``(rows*cols, 2)`` float64 array; no object
+    is replaced, and anything else stays as parsed for ``matrix_from_json``."""
 
     def test_matrix_objects_decode_in_place(self):
         m = crandn(np.random.default_rng(9), (3, 2))
         text = json.dumps({"target": matrix_to_json(m), "factors": [matrix_to_json(m.T)], "weight": "1/2"})
         obj = json.loads(text, object_hook=matrix_object_hook)
-        assert obj["weight"] == "1/2"
-        assert np.array_equal(obj["target"], m) and np.array_equal(obj["factors"][0], m.T)
+        assert obj["weight"] == "1/2" and obj["target"].keys() == {"rows", "cols", "entries"}
+        for stated, matrix in ((obj["target"], m), (obj["factors"][0], m.T)):
+            assert stated["entries"].dtype == np.float64 and stated["entries"].shape == (6, 2)
+            assert matrix_from_json(stated).tobytes() == np.ascontiguousarray(matrix).tobytes()
 
     @pytest.mark.parametrize(
-        "obj",
+        "obj, decoded",
         [
-            pytest.param({"rows": 1, "cols": 1, "entries": [[1.0, True]]}, id="bool_entry"),
-            pytest.param({"rows": 1, "cols": 1, "entries": [[float("inf"), 0.0]]}, id="non_finite"),
-            pytest.param({"rows": 2, "cols": 1, "entries": [[1.0, 0.0]]}, id="short"),
-            pytest.param({"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], "block_dim": 1}, id="extra_key"),
-            pytest.param({"rows": 1, "entries": [[1.0, 0.0]]}, id="missing_key"),
+            pytest.param({"rows": 1, "cols": 1, "entries": [[1.0, True]]}, False, id="bool_entry"),
+            # a pair of numbers, which matrix_from_json then finds not finite
+            pytest.param({"rows": 1, "cols": 1, "entries": [[float("inf"), 0.0]]}, True, id="non_finite"),
+            pytest.param({"rows": 2, "cols": 1, "entries": [[1.0, 0.0]]}, False, id="short"),
+            pytest.param({"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], "block_dim": 1}, True, id="extra_key"),
+            pytest.param({"rows": 1, "entries": [[1.0, 0.0]]}, False, id="missing_key"),
         ],
     )
-    def test_other_objects_are_left_as_parsed(self, obj):
-        assert matrix_object_hook(obj) is obj
-
-    @pytest.mark.parametrize(
-        "array",
-        [
-            pytest.param(np.array([[1.0, np.nan]]), id="non_finite"),
-            pytest.param(np.ones(3), id="one_dimensional"),
-            pytest.param(np.ones((0, 2)), id="empty"),
-        ],
-    )
-    def test_decoded_array_is_checked_again(self, array):
-        with pytest.raises(ValueError):
-            matrix_from_json(array)
-
-    def test_decoded_array_is_returned_as_a_matrix(self):
-        back = matrix_from_json(np.eye(2))
-        assert back.dtype == np.complex128 and np.array_equal(back, np.eye(2))
+    def test_other_objects_are_left_as_parsed(self, obj, decoded):
+        entries, keys = obj["entries"], list(obj)
+        assert matrix_object_hook(obj) is obj and list(obj) == keys
+        assert isinstance(obj["entries"], np.ndarray) if decoded else obj["entries"] is entries

@@ -14,7 +14,6 @@ import gc
 import json
 import re
 import tracemalloc
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from psdblocks import (
     random_block_psd,
     two_block_isometries,
 )
-from psdblocks import cli, kernel
+from psdblocks import cli, decompose, kernel
 from psdblocks.decompose import _certificate_header
 
 
@@ -45,7 +44,6 @@ def reference_load(path, judge=None):
     gc.disable()
     try:
         obj = json.loads(text, object_hook=matrix_object_hook)
-        obj = matrix_to_json(obj) if isinstance(obj, np.ndarray) else obj
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     finally:
@@ -184,6 +182,8 @@ CORPUS = {
     "weight_true": lambda: dumped({**certificate(), "weight": True}),
     "weight_zero_denominator": lambda: dumped({**certificate(), "weight": "1/0"}),
     "weight_holds_a_matrix": lambda: dumped({**certificate(), "weight": matrix_to_json(np.eye(2))}),
+    # named by its JSON type, so the skeleton's span never shows in the message
+    "weight_object_entries_first": lambda: dumped({**certificate(), "weight": {"entries": [[1.0, 0.0]], "rows": 1, "cols": 1}}),
     "kind_missing": lambda: dumped({key: value for key, value in certificate().items() if key != "kind"}),
     "kind_unknown": lambda: dumped({**certificate(), "kind": "nope"}),  # no header fault: judged after the decode
     "list_holding_a_matrix": lambda: dumped([matrix_to_json(np.eye(2))]),
@@ -206,15 +206,12 @@ def loaded(load, path):
         return "error", (type(exc), str(exc))
 
 
-def same(a, b, key=None) -> bool:
-    """Equal JSON values, arrays to the last bit; under an ``"entries"`` key
-    a ``(k, 2)`` float64 array equals the list of pairs it was read from."""
-    if key == "entries" and isinstance(a, np.ndarray) and isinstance(b, list):
-        b = np.fromiter(chain.from_iterable(b), np.float64).reshape(-1, 2)
+def same(a, b) -> bool:
+    """Equal JSON values, arrays to the last bit."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     if isinstance(a, dict):
-        return isinstance(b, dict) and list(a) == list(b) and all(same(a[k], b[k], k) for k in a)
+        return isinstance(b, dict) and list(a) == list(b) and all(same(a[k], b[k]) for k in a)
     if isinstance(a, list):
         return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
     return type(a) is type(b) and (a == b or a != a and b != b)
@@ -270,7 +267,7 @@ def test_command_parity(tmp_path, monkeypatch, capsys, name):
 def test_written_layouts_take_the_span_reader(chunk_bytes, name):
     obj = loads_matrices(CORPUS[name]())
     matrices = [obj] if "block_dim" in obj else [obj["target"], *obj["factors"]]
-    assert all(isinstance(m["entries"] if isinstance(m, dict) else m, np.ndarray) for m in matrices)
+    assert all(isinstance(m["entries"], np.ndarray) for m in matrices)
 
 
 def test_gen_and_decompose_files_take_the_span_reader(tmp_path):
@@ -279,7 +276,21 @@ def test_gen_and_decompose_files_take_the_span_reader(tmp_path):
     assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
     h, cert = (loads_matrices(p.read_bytes()) for p in (h_path, cert_path))
     assert h["entries"].shape == (144, 2) and h["entries"].dtype == np.float64
-    assert all(isinstance(m, np.ndarray) for m in [cert["target"], *cert["factors"]])
+    assert all(m["entries"].dtype == np.float64 and m["entries"].shape == (m["rows"] * m["cols"], 2) for m in [cert["target"], *cert["factors"]])
+
+
+def test_verify_decodes_each_matrix_once(tmp_path, monkeypatch):
+    # a quaternion certificate states five matrices: each becomes a matrix in matrix_from_json, once
+    h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+    assert cli.main(["gen", "--alpha", "4", "--n", "2", "--seed", "2", "-o", str(h_path)]) == 0
+    assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
+    calls = []
+    decode = kernel.matrix_from_json
+    spy = lambda obj: calls.append(type(obj)) or decode(obj)  # noqa: E731
+    for module in (kernel, decompose):
+        monkeypatch.setattr(module, "matrix_from_json", spy)
+    assert cli.main(["verify", str(cert_path)]) == 0
+    assert calls == [dict] * 5
 
 
 def test_bad_header_decodes_no_matrix(tmp_path, monkeypatch, capsys):
