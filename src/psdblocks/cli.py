@@ -11,16 +11,16 @@ takes none), plus the command name and a timestamp, which lives only
 there. Tolerances must be finite. Artifacts are compact single-line UTF-8
 JSON of shortest round-trip floats, which any JSON reader reads exactly,
 streamed by orjson from each matrix's float64 buffer in chunks of rows
-(:func:`~.kernel.matrix_to_wire`), and read from their bytes, the cyclic
-collector paused: the skeleton by ``json.loads``, on which ``verify`` judges the certificate's header,
-then each ``"entries"`` array by orjson in chunks of rows into float64 (:func:`~.kernel.loads_matrices`);
-a file that path does not take goes whole through ``json.loads`` with
+(:func:`~.kernel.matrix_to_wire`), and read with the cyclic collector
+paused: the skeleton by ``json.loads`` from the file's bytes, on which ``verify`` judges the certificate's header,
+then, those bytes dropped, each ``"entries"`` array by orjson in chunks of rows read from the file into float64
+(:func:`~.kernel.loads_matrices`); a file that path does not take goes whole through ``json.loads`` with
 :func:`~.kernel.matrix_object_hook`. Either reader returns the document as
 parsed but for each ``"entries"`` array, which becomes a ``(k, 2)`` float64
 array; :func:`~.kernel.matrix_from_json` alone makes a matrix of a wire
 object, and the command's reader makes every rejection. Peaks of a
 fresh process at n = 128 (a 74 MB certificate): ``gen`` 54, ``decompose``
-143, ``verify`` 140 MB.
+131, ``verify`` 104 MB.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
 or usage error (an allocation that fails, too), 3 numerical failure.
 """
@@ -33,6 +33,7 @@ import functools
 import gc
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -179,22 +180,27 @@ def _write_json(path: str, payload: dict) -> None:
 def _load_json(path: str, judge=None) -> dict:
     """The JSON document in ``path`` as parsed, each ``"entries"`` array of ``rows * cols`` number pairs a ``(k, 2)``
     float64 array, for :func:`~.kernel.matrix_from_json` to make the matrix. Only UTF-8 files are read.
-    :func:`~.kernel.loads_matrices` calls ``judge`` on the skeleton before it decodes an array, and a
-    :class:`MalformedCertificateError` it raises is final. Any other file it does not take goes whole through the
-    whole-text reader, ``json.loads`` with :func:`~.kernel.matrix_object_hook`, and its reader makes every rejection.
-    Every parse runs with the cyclic collector paused: the parsed lists are acyclic, its passes would find nothing."""
-    data = Path(path).read_bytes()
+    :func:`~.kernel.loads_matrices` reads the file whole for the skeleton, calls ``judge`` on it before it decodes an
+    array (a :class:`MalformedCertificateError` it raises is final), then drops the bytes and reads each array from the
+    file; a pipe is read into memory first. Any other file it does not take, or whose size or modification time changed
+    while it read, goes whole, read again, through ``json.loads`` with :func:`~.kernel.matrix_object_hook`, and its
+    reader makes every rejection. Every parse runs with the cyclic collector paused: the parsed lists are acyclic."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            return loads_matrices(data, judge)
-        except MalformedCertificateError:  # the judge's verdict, a ValueError not to read again
-            raise
-        except (ValueError, TypeError, RecursionError, MemoryError):  # a file it does not take, read whole below
-            pass
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # as Path.read_text decodes it
-        del data
+        with Path(path).open("rb") as disk:
+            file = disk if disk.seekable() else io.BytesIO(disk.read())
+            before = os.fstat(disk.fileno())
+            try:
+                obj, after = loads_matrices(file, judge), os.fstat(disk.fileno())
+                if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+                    return obj
+            except MalformedCertificateError:  # the judge's verdict, a ValueError not to read again
+                raise
+            except (ValueError, TypeError, RecursionError, MemoryError):  # a file it does not take, read whole below
+                pass
+            file.seek(0)
+            text = io.TextIOWrapper(io.BytesIO(file.read()), encoding="utf-8").read()  # as Path.read_text decodes it
         return json.loads(text, object_hook=matrix_object_hook)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None

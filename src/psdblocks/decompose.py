@@ -189,7 +189,7 @@ class DecompositionCertificate:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise MalformedCertificateError(f"unknown certificate kind {self.kind!r}")
+            raise MalformedCertificateError(f"unknown certificate kind {self.kind!r:.60}")
         object.__setattr__(self, "target", as_matrix(self.target))
         object.__setattr__(self, "factors", tuple(as_matrix(f) for f in self.factors))
         expected = [(self.target.shape[0], core.shape[0]) for core in self.cores]
@@ -216,17 +216,23 @@ class DecompositionCertificate:
         return measure_defects(self)
 
 
+_SUM_ROWS = 64  # rows of a term's block in measure_defects: at most 1 MB up to side 1024, the quaternion route's at n = 128
+
+
 def measure_defects(cert: DecompositionCertificate) -> dict:
     """``||target - weight * sum_k F_k core_k F_k*||_F`` and each
     ``||F_k* F_k - I||_F``, recomputed. The power-of-two weight scales
     each core (exact in the normal range), so no term overflows sooner
-    than the target; each term takes one full-size temporary, and the
-    residual reuses the sum's. A defect that overflows raises :class:`NumericalError`."""
+    than the target; each term is added into the sum in blocks of
+    ``_SUM_ROWS`` rows, so the only full-size temporary is the sum, which
+    the residual reuses. A defect that overflows raises :class:`NumericalError`."""
     weight = float(cert.weight)
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.zeros_like(cert.target)
         for f, core in zip(cert.factors, cert.cores):
-            acc += (f @ (weight * core)) @ dagger(f)
+            left, right = f @ (weight * core), dagger(f)
+            for i in range(0, len(acc), _SUM_ROWS):
+                acc[i : i + _SUM_ROWS] += left[i : i + _SUM_ROWS] @ right
         residual = frobenius(np.subtract(cert.target, acc, out=acc))
         isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
     if not np.isfinite([residual, *isometry]).all():
@@ -253,6 +259,7 @@ def _isometry_average(kind: str, target: np.ndarray, blocks, tol: Tolerance) -> 
                 if not mu[0] > 0:
                     raise NumericalError(f"{kind} core is not positive definite")
                 roots[id(core)] = (q / np.sqrt(mu)) @ dagger(q)
+                del q  # not held through the factors and their defects
         with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows fails as_matrix
             cert = DecompositionCertificate(kind, target, tuple(x @ roots[id(c)] for x, c in zip(blocks, cores)))
         if _judged(cert, cert.defects, strict).passed:
@@ -363,8 +370,8 @@ def quaternion_pipeline(
     terms = [np.kron(dagger(u) / 2.0, r) for u, r in zip(quaternion_units(), np.hsplit(padded_root, alpha))]
     blocks = [sum(_SIGN4[a, k] * t for a, t in enumerate(terms)) for k in range(4)]
     del padded_root, terms  # the terms are as large as the four blocks: not held through the construction
-    copy = np.pad(h.data, (0, rows - h.side))
-    cert = _isometry_average("quaternion", direct_sum(copy, copy), blocks, tol)
+    # the padded copy of H lives only as direct_sum's two arguments, not through the construction
+    cert = _isometry_average("quaternion", direct_sum(*[np.pad(h.data, (0, rows - h.side))] * 2), blocks, tol)
     return tuple(blocks), cert
 
 
@@ -449,12 +456,12 @@ def certificate_from_json(obj) -> DecompositionCertificate:
         factors = tuple(matrix_from_json(f) for f in obj["factors"])
         slots = obj.get("slots")
         if "slots" in obj and not (isinstance(slots, list) and all(type(w) is int for w in slots)):
-            raise ValueError(f"slots must be a list of integers, got {slots!r}")
+            raise ValueError(f"slots must be a list of integers, got {slots!r:.60}")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"malformed certificate JSON: {exc}") from exc
     cert = DecompositionCertificate(kind=obj["kind"], target=target, factors=factors)
     if cert.slots is None and "slots" in obj:
-        raise MalformedCertificateError(f"{cert.kind} certificate must not state slots, got {slots}")
+        raise MalformedCertificateError(f"{cert.kind} certificate must not state slots, got {slots!s:.60}")
     if cert.slots is not None and slots != list(cert.slots):
-        raise MalformedCertificateError(f"corner certificate slots {slots} must equal the factor widths {list(cert.slots)}")
+        raise MalformedCertificateError(f"corner certificate slots {slots!s:.60} must equal the factor widths {list(cert.slots)}")
     return cert

@@ -278,6 +278,7 @@ def matrix_object_hook(obj: dict):
 # Bytes of entries text per orjson call in loads_matrices, in whole [re, im] rows: one chunk's Python
 # lists (about 1 MB) are alive at a time, never a matrix's. Of 16 KB to 4 MB, 256 KB read fastest.
 _READ_BYTES = 1 << 18
+_MARGIN = 1 << 12  # read past _READ_BYTES for the row that crosses it: a written row takes at most 50 bytes
 _ENTRIES = re.compile(rb'"entries"[ \t\n\r]*:[ \t\n\r]*\[')
 _ROWS_END = re.compile(rb"\][ \t\n\r]*\]")
 _NUMBER_TEXT = b"0123456789+-.eE[], \t\n\r"  # all an array of pairs of numbers is written with
@@ -287,16 +288,21 @@ class _Unusual(ValueError):
     """A document :func:`loads_matrices` does not take."""
 
 
-def _decode_entries(data: bytes, start: int, end: int, count: int) -> np.ndarray:
-    """The ``(count, 2)`` float64 array of the ``[[re, im], ...]`` text ``data[start:end]``, with the checks :func:`matrix_from_json`
-    makes of a list. Each chunk of whole rows must hold only the characters of numbers, its type check made on the bytes (a pass
-    over the parsed values' types cost a quarter of the read); orjson, which takes only RFC 8259 numbers that are finite doubles,
-    parses it; each row is a pair, and the chunks must fill the buffer exactly."""
+def _decode_entries(file, start: int, end: int, count: int) -> np.ndarray:
+    """The ``(count, 2)`` float64 array of the ``[[re, im], ...]`` text at bytes ``start:end`` of ``file``, with the checks
+    :func:`matrix_from_json` makes of a list. Each chunk of whole rows is cut from a window of ``_READ_BYTES`` plus a margin
+    read at its offset (a window with no row end in its margin is unusual); it must hold only the characters of numbers, its
+    type check made on the bytes (a pass over the parsed values' types cost a quarter of the read); orjson, which takes only
+    RFC 8259 numbers that are finite doubles, parses it; each row is a pair, and the chunks must fill the buffer exactly."""
     out = np.empty((count, 2))
-    flat, filled, pos, view = out.reshape(-1), 0, start + 1, memoryview(data)
+    flat, filled, pos = out.reshape(-1), 0, start + 1
     while pos < end - 1:
-        cut = data.find(b"],", pos + _READ_BYTES, end - 1) + 1 or end - 1  # after a row's "]", or the last row's
-        chunk = b"".join((b"[", view[pos:cut], b"]"))
+        file.seek(pos)
+        window = file.read(min(_READ_BYTES + _MARGIN, end - 1 - pos))
+        cut = window.find(b"],", _READ_BYTES) + 1 or end - 1 - pos  # after a row's "]", or the last row's
+        if cut > len(window):  # no row ends in the window before the array does, or the file is now shorter
+            raise _Unusual
+        chunk = b"".join((b"[", memoryview(window)[:cut], b"]"))
         if chunk.translate(None, _NUMBER_TEXT):  # a bool, null or string, which fromiter would coerce
             raise _Unusual
         rows = orjson.loads(chunk)
@@ -304,20 +310,22 @@ def _decode_entries(data: bytes, start: int, end: int, count: int) -> np.ndarray
             raise _Unusual
         n = 2 * len(rows)
         flat[filled : filled + n] = np.fromiter(chain.from_iterable(rows), np.float64, count=n)  # a nested list or an overrun raises
-        filled, pos = filled + n, cut + 1
+        filled, pos = filled + n, pos + cut + 1
     if filled != flat.size:
         raise _Unusual
     return out
 
 
-def loads_matrices(data: bytes, judge=None):
-    """``json.loads(data, object_hook=matrix_object_hook)`` for a UTF-8 document whose every ``"entries"`` array
-    is a matrix's, in two phases. ``json.loads`` parses the skeleton, each such array's text a ``NaN`` token that
-    becomes the array's span, and ``judge``, if given, is called on it (what it raises is the caller's); then orjson
-    decodes each array in chunks of rows straight into a float64 buffer of the ``rows * cols`` rows its object states.
-    The skeleton is returned with each span replaced by its ``(rows*cols, 2)`` array, which :func:`matrix_from_json`
-    takes. Anything unusual raises ``ValueError``, for the caller to read the document with ``json.loads`` instead,
-    which makes every rejection."""
+def loads_matrices(file, judge=None):
+    """``json.loads(file.read(), object_hook=matrix_object_hook)`` for a seekable binary ``file`` at its start holding a
+    UTF-8 document whose every ``"entries"`` array is a matrix's, in two phases. The file is read whole: ``json.loads``
+    parses the skeleton, each such array's text a ``NaN`` token that becomes the array's span, and ``judge``, if given, is
+    called on it (what it raises is the caller's). The bytes are dropped; orjson decodes each array in chunks of rows read
+    at its offset in the file, straight into a float64 buffer of the ``rows * cols`` rows its object states. The skeleton
+    is returned with each span replaced by its ``(rows*cols, 2)`` array, which :func:`matrix_from_json` takes. Anything
+    unusual raises ``ValueError``, for the caller to read the document with ``json.loads`` instead, which makes every
+    rejection."""
+    data = file.read()
     skeleton, spans, pos = [], [], 0
     while key := _ENTRIES.search(data, pos):
         start, end = key.end() - 1, _ROWS_END.search(data, key.end())
@@ -329,6 +337,7 @@ def loads_matrices(data: bytes, judge=None):
     if not spans:  # nothing to gain
         raise _Unusual
     skeleton.append(data[pos:])
+    del data, end  # a match holds the bytes it searched: the arrays are read from the file
     holders, unread = [], iter(spans)
 
     def constant(name: str):  # each NaN takes the next span, so a NaN of the document's own leaves one too many
@@ -353,5 +362,5 @@ def loads_matrices(data: bytes, judge=None):
     if judge is not None:
         judge(obj)
     for holder in holders:
-        holder["entries"] = _decode_entries(data, *holder["entries"], holder["rows"] * holder["cols"])
+        holder["entries"] = _decode_entries(file, *holder["entries"], holder["rows"] * holder["cols"])
     return obj

@@ -798,3 +798,24 @@ class TestDefectHelpers:
         measured = measure_defects(cert)
         assert measured["reconstruction"] == pytest.approx(frobenius(t - acc), abs=1e-15)
         assert measured["isometry"] == pytest.approx(isometry, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: two_corner_decomposition(block_instance(4, alpha=2, n=75).data, 70, 80),
+            lambda: corner_decomposition_general(block_instance(4, alpha=3, n=50)),
+            lambda: two_block_isometries(block_instance(4, alpha=2, n=75)),
+            lambda: quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1],
+            lambda: quaternion_pipeline(block_instance(4, alpha=4, n=16), beta=4)[1],
+        ],
+        ids=["two_corner_150", "corner_general_150", "two_block_150", "quaternion_b3_150", "quaternion_b4_128"],
+    )
+    def test_row_blocks_sum_to_the_full_products(self, build):
+        # each term added in blocks of rows gives the sum of the whole products, to the last bit,
+        # also where the last block is short (side 150 against 64 rows a block)
+        cert = build()
+        assert cert.target.shape[0] > decompose_module._SUM_ROWS
+        acc = np.zeros_like(cert.target)
+        for f, core in zip(cert.factors, cert.cores, strict=True):
+            acc += (f @ (float(cert.weight) * core)) @ dagger(f)
+        assert measure_defects(cert)["reconstruction"] == frobenius(cert.target - acc)

@@ -11,8 +11,11 @@ whole-text reader cannot parse: the one place the two differ.
 """
 
 import gc
+import io
 import json
+import os
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -141,6 +144,7 @@ CORPUS = {
     "instance_compact": lambda: orjson.dumps(instance()),
     "instance_default": lambda: dumped(instance()),
     "crlf_indent": lambda: json.dumps(certificate(), indent=1).replace("\n", "\r\n").encode(),
+    "row_past_the_margin": lambda: marked(f"{MARK}" + " " * (kernel._MARGIN + 1)),  # in one-byte chunks, read whole
     # rejections
     "nan_entry": lambda: marked("NaN"),
     "infinity_entry": lambda: marked("Infinity"),
@@ -265,7 +269,7 @@ def test_command_parity(tmp_path, monkeypatch, capsys, name):
 
 @pytest.mark.parametrize("name", FAST)
 def test_written_layouts_take_the_span_reader(chunk_bytes, name):
-    obj = loads_matrices(CORPUS[name]())
+    obj = loads_matrices(io.BytesIO(CORPUS[name]()))
     matrices = [obj] if "block_dim" in obj else [obj["target"], *obj["factors"]]
     assert all(isinstance(m["entries"], np.ndarray) for m in matrices)
 
@@ -274,9 +278,53 @@ def test_gen_and_decompose_files_take_the_span_reader(tmp_path):
     h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
     assert cli.main(["gen", "--alpha", "4", "--n", "3", "--seed", "2", "-o", str(h_path)]) == 0
     assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
-    h, cert = (loads_matrices(p.read_bytes()) for p in (h_path, cert_path))
+    h, cert = (loads_matrices(io.BytesIO(p.read_bytes())) for p in (h_path, cert_path))
     assert h["entries"].shape == (144, 2) and h["entries"].dtype == np.float64
     assert all(m["entries"].dtype == np.float64 and m["entries"].shape == (m["rows"] * m["cols"], 2) for m in [cert["target"], *cert["factors"]])
+
+
+def whole_text_reads(monkeypatch) -> list:
+    """The objects the whole-text reader's hook is handed from now on."""
+    hook, seen = cli.matrix_object_hook, []
+    monkeypatch.setattr(cli, "matrix_object_hook", lambda obj: seen.append(obj) or hook(obj))
+    return seen
+
+
+def test_file_rewritten_before_its_arrays_is_read_whole(tmp_path, monkeypatch):
+    # the new file has the old one's offsets, so its arrays would decode beside the old skeleton's "note"
+    old, new = (orjson.dumps({**certificate(), "note": note}) for note in ("old", "new"))
+    path, fresh = tmp_path / "file.json", tmp_path / "new.json"
+    path.write_bytes(old)
+    fresh.write_bytes(new + b" ")
+    expected = cli._load_json(str(fresh))
+    decode, rewrites = kernel._decode_entries, []
+
+    def rewrite_then_decode(*args):
+        if not rewrites:
+            rewrites.append(path.write_bytes(new + b" "))
+        return decode(*args)
+
+    monkeypatch.setattr(kernel, "_decode_entries", rewrite_then_decode)
+    whole = whole_text_reads(monkeypatch)
+    obj = cli._load_json(str(path))
+    assert rewrites and whole and obj["note"] == "new"
+    assert same(obj, expected)
+
+
+def test_pipe_takes_the_span_reader(tmp_path, monkeypatch):
+    # a FIFO cannot seek: it is read into memory once, and its arrays decoded from there
+    data, fifo, path = CORPUS["orjson_compact"](), tmp_path / "pipe", tmp_path / "file.json"
+    path.write_bytes(data)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    whole = whole_text_reads(monkeypatch)
+    try:
+        obj = cli._load_json(str(fifo))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive() and whole == []
+    assert same(obj, reference_load(str(path)))
 
 
 def test_verify_decodes_each_matrix_once(tmp_path, monkeypatch):
