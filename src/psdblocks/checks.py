@@ -25,7 +25,6 @@ from .kernel import (
     dagger,
     hermitian_eigvalues,
     hermitian_part,
-    singular_values,
 )
 
 __all__ = [
@@ -37,12 +36,10 @@ __all__ = [
     "det_sandwich",
     "eigen_step_check",
     "hiroshima_check",
-    "ky_fan_norm",
     "operator_pair_check",
     "report_to_json",
     "run_inequality_suite",
     "trace_concave_check",
-    "weak_majorization",
     "weyl_check",
 ]
 
@@ -119,10 +116,6 @@ def compare_eq(name: str, a, b, tol: Tolerance = DEFAULT_TOL, scale=None) -> Che
     return compare_le(name, np.concatenate([av, bv]), np.concatenate([bv, av]), tol, scale)
 
 
-def _descending(seq) -> np.ndarray:
-    return np.sort(np.asarray(seq, dtype=float))[::-1]
-
-
 def _partial_sums_le(name: str, s: np.ndarray, t: np.ndarray, tol: Tolerance) -> Check:
     """:func:`compare_le` of the partial sums of s and t, the shorter one
     zero-padded; a sum that overflows raises :class:`NumericalError`."""
@@ -130,25 +123,6 @@ def _partial_sums_le(name: str, s: np.ndarray, t: np.ndarray, tol: Tolerance) ->
     with np.errstate(over="ignore"):
         lhs, rhs = (np.cumsum(np.pad(v, (0, length - v.size))) for v in (s, t))
     return compare_le(name, lhs, rhs, tol)
-
-
-def ky_fan_norm(m, k: int) -> float:
-    """Sum of the k largest singular values."""
-    sv = singular_values(m)
-    if not 1 <= k <= sv.size:
-        raise ValueError(f"k must lie in [1, {sv.size}], got {k}")
-    return float(sv[:k].sum())
-
-
-def weak_majorization(s, t, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Partial-sum dominance of t over s, one sub-inequality per length.
-
-    Inputs are sorted non-increasingly and zero-padded to a common
-    length; the check passes iff every partial sum of s stays below the
-    matching partial sum of t.
-    """
-    item = _partial_sums_le("partial_sums", _descending(s), _descending(t), tol)
-    return CheckReport(checks=(item,), tolerance=tol)
 
 
 def hiroshima_check(h: BlockMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:

@@ -13,14 +13,15 @@ JSON of shortest round-trip floats, which any JSON reader reads exactly,
 streamed by orjson from each matrix's float64 buffer in chunks of rows
 (:func:`~.kernel.matrix_to_wire`), and read with the cyclic collector
 paused: the skeleton by ``json.loads`` from the file's bytes, on which ``verify`` judges the certificate's header,
-then, those bytes dropped, each ``"entries"`` array by orjson in chunks of rows read from the file into float64
+then, those bytes dropped, each ``"entries"`` array by orjson in chunks of rows read from the file into float64, each
+chunk one flat list of numbers, about half the text in a forked child where there is enough of it
 (:func:`~.kernel.loads_matrices`); a file that path does not take goes whole through ``json.loads`` with
 :func:`~.kernel.matrix_object_hook`. Either reader returns the document as
 parsed but for each ``"entries"`` array, which becomes a ``(k, 2)`` float64
 array; :func:`~.kernel.matrix_from_json` alone makes a matrix of a wire
 object, and the command's reader makes every rejection. Peaks of a
 fresh process at n = 128 (a 74 MB certificate): ``gen`` 54, ``decompose``
-131, ``verify`` 104 MB.
+130, ``verify`` 104 MB, and 37 MB for the child ``verify`` forks.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
 or usage error (an allocation that fails, too), 3 numerical failure.
 """

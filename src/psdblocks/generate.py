@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import BlockMatrix
 from .errors import NumericalError
-from .kernel import as_matrix, dagger, frobenius, hermitian_part
+from .kernel import as_matrix, dagger, hermitian_part
 
 __all__ = [
     "GeneratorSpec",
@@ -26,9 +26,6 @@ __all__ = [
     "geometric_mean_instance",
     "nonhermitian_counterexample",
     "random_block_psd",
-    "random_commuting_family",
-    "random_hermitian",
-    "random_psd",
 ]
 
 
@@ -113,46 +110,6 @@ class GeneratorSpec:
             raise ValueError("rank must be nonnegative")
         if not 0 < self.scale < np.inf:
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
-
-
-def random_hermitian(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Hermitian matrix with Gaussian entries, Frobenius norm capped at scale*n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = _stream(seed, "hermitian")
-    m = _hermitian_draw(rng, n) * scale
-    cap = scale * n
-    norm = frobenius(m)
-    if norm > cap:
-        m *= cap / norm
-    return m
-
-
-def random_commuting_family(count: int, n: int, seed: int, scale: float = 1.0) -> list[np.ndarray]:
-    """Hermitian matrices sharing one random eigenbasis, hence commuting
-    up to roundoff."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = _stream(seed, "commuting_family")
-    q = _random_unitary(n, rng)
-    family = []
-    for _ in range(count):
-        diag = rng.uniform(-scale, scale, size=n)
-        family.append(hermitian_part((q * diag) @ dagger(q)))
-    return family
-
-
-def random_psd(side: int, rank: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """PSD matrix of the given side as a Gram product of a side x rank draw."""
-    if side < 1 or rank < 0:
-        raise ValueError("side must be positive and rank nonnegative")
-    rng = _stream(seed, "psd")
-    g = _crandn(rng, (side, max(rank, 1)))
-    if rank == 0:
-        return np.zeros((side, side), dtype=np.complex128)
-    return hermitian_part(g @ dagger(g)) * scale
 
 
 def random_block_psd(spec: GeneratorSpec) -> BlockMatrix:

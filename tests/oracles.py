@@ -8,13 +8,18 @@ LAPACK-backed spectral routines. The unitary reference is plain
 left-looking Gram-Schmidt, one column and one projection at a time.
 The dense forms of the constructions' fixed maps (the interleave
 permutation and the two-block balancing unitary), which the package
-never forms, live here too.
+never forms, live here too, as do the seeded samplers and the
+majorization helpers that only the tests call.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+
+from psdblocks import DEFAULT_TOL, CheckReport, Tolerance, dagger, frobenius, hermitian_part, singular_values
+from psdblocks.checks import _partial_sums_le
+from psdblocks.generate import _crandn, _hermitian_draw, _random_unitary, _stream
 
 
 def charpoly_coefficients(m: np.ndarray, dps: int = 120) -> list:
@@ -134,3 +139,66 @@ def two_block_congruence(n: int) -> np.ndarray:
     """
     eye = np.eye(n)
     return np.block([[-1j * eye, 1j * eye], [eye, eye]]) / np.sqrt(2.0)
+
+
+def random_hermitian(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """Hermitian matrix with Gaussian entries, Frobenius norm capped at scale*n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    rng = _stream(seed, "hermitian")
+    m = _hermitian_draw(rng, n) * scale
+    cap = scale * n
+    norm = frobenius(m)
+    if norm > cap:
+        m *= cap / norm
+    return m
+
+
+def random_commuting_family(count: int, n: int, seed: int, scale: float = 1.0) -> list[np.ndarray]:
+    """Hermitian matrices sharing one random eigenbasis, hence commuting
+    up to roundoff."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
+    rng = _stream(seed, "commuting_family")
+    q = _random_unitary(n, rng)
+    family = []
+    for _ in range(count):
+        diag = rng.uniform(-scale, scale, size=n)
+        family.append(hermitian_part((q * diag) @ dagger(q)))
+    return family
+
+
+def random_psd(side: int, rank: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """PSD matrix of the given side as a Gram product of a side x rank draw."""
+    if side < 1 or rank < 0:
+        raise ValueError("side must be positive and rank nonnegative")
+    rng = _stream(seed, "psd")
+    g = _crandn(rng, (side, max(rank, 1)))
+    if rank == 0:
+        return np.zeros((side, side), dtype=np.complex128)
+    return hermitian_part(g @ dagger(g)) * scale
+
+
+def ky_fan_norm(m, k: int) -> float:
+    """Sum of the k largest singular values."""
+    sv = singular_values(m)
+    if not 1 <= k <= sv.size:
+        raise ValueError(f"k must lie in [1, {sv.size}], got {k}")
+    return float(sv[:k].sum())
+
+
+def _descending(seq) -> np.ndarray:
+    return np.sort(np.asarray(seq, dtype=float))[::-1]
+
+
+def weak_majorization(s, t, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Partial-sum dominance of t over s, one sub-inequality per length.
+
+    Inputs are sorted non-increasingly and zero-padded to a common
+    length; the check passes iff every partial sum of s stays below the
+    matching partial sum of t.
+    """
+    item = _partial_sums_le("partial_sums", _descending(s), _descending(t), tol)
+    return CheckReport(checks=(item,), tolerance=tol)

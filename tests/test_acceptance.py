@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import charpoly_eigenvalues, two_block_congruence
+from oracles import charpoly_eigenvalues, random_commuting_family, random_hermitian, random_psd, two_block_congruence
 
 from psdblocks import (
     BlockMatrix,
@@ -37,9 +37,6 @@ from psdblocks import (
     quaternion_stage_defects,
     quaternion_units,
     random_block_psd,
-    random_commuting_family,
-    random_hermitian,
-    random_psd,
     run_inequality_suite,
     two_block_isometries,
     two_corner_decomposition,

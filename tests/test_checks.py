@@ -4,6 +4,7 @@ eigenvalue bounds, operator pairs, and the report conventions."""
 import numpy as np
 import pytest
 
+from oracles import ky_fan_norm, random_commuting_family, random_hermitian, weak_majorization
 from psdblocks import (
     BlockMatrix,
     DomainError,
@@ -24,17 +25,13 @@ from psdblocks import (
     hermitian_eigvalues,
     hermitian_part,
     hiroshima_check,
-    ky_fan_norm,
     nonhermitian_counterexample,
     operator_pair_check,
     partial_trace,
     random_block_psd,
-    random_commuting_family,
-    random_hermitian,
     report_to_json,
     run_inequality_suite,
     trace_concave_check,
-    weak_majorization,
     weyl_check,
 )
 

@@ -16,6 +16,7 @@ import orjson
 import pytest
 
 import psdblocks
+from oracles import random_psd
 from psdblocks import (
     BlockMatrix,
     GeneratorSpec,
@@ -32,7 +33,6 @@ from psdblocks import (
     psd_sqrt,
     quaternion_pipeline,
     random_block_psd,
-    random_psd,
     report_to_json,
     run_inequality_suite,
     two_block_isometries,
@@ -54,13 +54,16 @@ def pythonpath():
 
 # Runs the CLI on its arguments, then prints the process's peak resident set
 # in KiB: VmHWM, which unlike ru_maxrss is not carried over from the parent
-# (here the test process) across exec.
+# (here the test process) across exec; then the peak of the largest child it
+# reaped (``verify`` forks one to decode arrays), 0 if none, as ru_maxrss,
+# which counts the pages the child shares with it.
 PEAK_CHILD = """
-import sys
+import resource, sys
 from psdblocks.cli import main
 code = main(sys.argv[1:])
 with open("/proc/self/status") as status:
     print(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 sys.exit(code)
 """
 
@@ -68,12 +71,18 @@ sys.exit(code)
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status")
 
 
-def peak_kib(*argv) -> int:
-    """The peak resident set, in KiB, of a fresh process running the CLI on
-    ``argv`` with one BLAS thread; the run must exit 0."""
+def peaks_kib(*argv) -> tuple[int, int]:
+    """The peak resident sets, in KiB, of a fresh process running the CLI on
+    ``argv`` with one BLAS thread and of its largest child; the run must exit 0."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": pythonpath()}
     done = subprocess.run([sys.executable, "-c", PEAK_CHILD, *map(str, argv)], env=env, check=True, capture_output=True, text=True)
-    return int(done.stdout.split()[-1])
+    parent, child = map(int, done.stdout.split()[-2:])
+    return parent, child
+
+
+def peak_kib(*argv) -> int:
+    """The peak resident set, in KiB, of the process alone."""
+    return peaks_kib(*argv)[0]
 
 
 def write_counterexample(path):
@@ -731,12 +740,18 @@ class TestCompactArtifacts:
             assert run(["gen", "--alpha", 4, "--n", n, "--seed", 1, "-o", h_path]) == 0
             assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
             certs.append(cert_path)
-        rise = 1024 * (peak_kib("verify", certs[1]) - peak_kib("verify", certs[0]))
-        # about 1.35x the 10 MB certificate: its bytes while the skeleton is
-        # parsed, then the arrays, one chunk's lists and the defects' sum;
+        (base, no_child), (peak, child) = peaks_kib("verify", certs[0]), peaks_kib("verify", certs[1])
+        size = certs[1].stat().st_size
+        # about 1.2x the 10 MB certificate: its bytes while the skeleton is
+        # parsed, then the arrays, one chunk's list and the defects' sum;
         # the bytes held through the decode reached 1.75x, the whole text
         # and a matrix's lists 3.5x
-        assert rise < 1.55 * certs[1].stat().st_size
+        assert 1024 * (peak - base) < 1.35 * size
+        # the child that decodes about half the arrays, which the tiny
+        # certificate does not fork for: about 0.7x the certificate below the
+        # fresh process's own peak, as it holds no bytes of the file and
+        # counts only the pages it maps, shared ones too
+        assert no_child == 0 and 0 < 1024 * child < 1024 * base + 0.1 * size
 
     @needs_vmhwm
     def test_decompose_resident_peak(self, tmp_path):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import interleave_permutation, two_block_congruence
+from oracles import interleave_permutation, random_hermitian, random_psd, two_block_congruence
 
 import psdblocks.decompose as decompose_module
 from psdblocks import (
@@ -43,8 +43,6 @@ from psdblocks import (
     quaternion_stage_defects,
     quaternion_units,
     random_block_psd,
-    random_hermitian,
-    random_psd,
     two_block_isometries,
     two_corner_decomposition,
     validate_hermitian_blocks,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import gram_schmidt_unitary
+from oracles import gram_schmidt_unitary, random_commuting_family, random_hermitian
 
 from psdblocks import generate
 from psdblocks import (
@@ -25,8 +25,6 @@ from psdblocks import (
     nonhermitian_counterexample,
     partial_trace,
     random_block_psd,
-    random_commuting_family,
-    random_hermitian,
     two_corner_decomposition,
     validate_hermitian_blocks,
 )

@@ -7,7 +7,7 @@ import numpy as np
 import orjson
 import pytest
 
-from oracles import charpoly_eigenvalues
+from oracles import charpoly_eigenvalues, random_hermitian, random_psd
 
 from psdblocks import (
     DEFAULT_TOL,
@@ -23,8 +23,6 @@ from psdblocks import (
     matrix_to_json,
     matrix_to_wire,
     psd_sqrt,
-    random_hermitian,
-    random_psd,
     singular_values,
     two_corner_decomposition,
     validate_hermitian_psd,

@@ -7,7 +7,9 @@ both readers give the same arrays to the last bit, and ``verify`` and
 ``check`` the same exit code, stdout, stderr and report (timestamp aside).
 ``verify`` judges the certificate's header on the skeleton before any
 array is decoded, so a bad header is named before a number the
-whole-text reader cannot parse: the one place the two differ.
+whole-text reader cannot parse: the one place the two differ. Each
+parity test runs on both decode paths: about half of every file's
+arrays decoded in a forked child, and every array in one process.
 """
 
 import gc
@@ -15,6 +17,9 @@ import io
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -36,6 +41,7 @@ from psdblocks import (
 )
 from psdblocks import cli, decompose, kernel
 from psdblocks.decompose import _certificate_header
+from test_cli import pythonpath
 
 
 def reference_load(path, judge=None):
@@ -162,6 +168,12 @@ CORPUS = {
     "nested_pair": lambda: marked(f"[{MARK}, [0.5]]", f"[{MARK}, 0.5]"),
     "pair_too_few": lambda: marked("", f", [{MARK}, 0.5]"),
     "pair_too_many": lambda: marked(f"[{MARK}, 0.5], [1.0, 0.0]", f"[{MARK}, 0.5]"),
+    # a number outside a row's brackets, which deleting the brackets would join to a number or an empty slot
+    "number_after_row": lambda: marked(f"[{MARK}, 0.5]5", f"[{MARK}, 0.5]"),
+    "number_before_row": lambda: marked(f"5[{MARK}, 0.5]", f"[{MARK}, 0.5]"),
+    "number_after_empty_slot": lambda: marked(f"[{MARK}, ]0.5", f"[{MARK}, 0.5]"),
+    "number_before_empty_slot": lambda: marked(f"{MARK}[, 0.5]", f"[{MARK}, 0.5]"),
+    "rows_apart_with_space": lambda: marked(f"[{MARK}, 0.5] ,", f"[{MARK}, 0.5],"),
     "empty_entries": lambda: dumped({**certificate(), "target": {"rows": 1, "cols": 1, "entries": []}}),
     "rows_not_integer": lambda: dumped({**certificate(), "target": {**certificate()["target"], "rows": 6.0}}),
     "instance_pair_too_few": lambda: dumped({**instance(), "entries": instance()["entries"][:-1]}),
@@ -203,6 +215,19 @@ def chunk_bytes(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture
+def fork_thresholds(monkeypatch):
+    """Iterate a test's comparison over both decode paths: every file of two or more arrays decoded half in a forked
+    child, then every file in one process."""
+
+    def each():
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(kernel, "_FORK_BYTES", threshold)
+            yield threshold
+
+    return each
+
+
 def loaded(load, path):
     try:
         return "value", load(path)
@@ -222,15 +247,20 @@ def same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
-def test_reader_parity(tmp_path, chunk_bytes, name):
+def test_reader_parity(tmp_path, monkeypatch, chunk_bytes, fork_thresholds, name):
     path = tmp_path / "file.json"
     path.write_bytes(CORPUS[name]())
-    (kind, new), (ref_kind, ref) = loaded(cli._load_json, str(path)), loaded(reference_load, str(path))
-    assert kind == ref_kind
-    assert new == ref if kind == "error" else same(new, ref)
+    ref_kind, ref = loaded(reference_load, str(path))
+    whole = whole_text_reads(monkeypatch)
+    for _ in fork_thresholds():
+        kind, new = loaded(cli._load_json, str(path))
+        assert kind == ref_kind
+        assert new == ref if kind == "error" else same(new, ref)
+        if name in FAST:  # a silent fallback reads alike, and loses the gain
+            assert whole == []
 
 
-def test_mutated_files_read_alike(tmp_path, monkeypatch):
+def test_mutated_files_read_alike(tmp_path, monkeypatch, fork_thresholds):
     # one to three random byte edits of written layouts, at random chunk sizes
     rng = np.random.default_rng(2201)
     layouts = [CORPUS[name]() for name in FAST] + [CORPUS["indent_2"]()]
@@ -243,28 +273,33 @@ def test_mutated_files_read_alike(tmp_path, monkeypatch):
             data[k : k + int(rng.integers(0, 3))] = edit
         path.write_bytes(data)
         monkeypatch.setattr(kernel, "_READ_BYTES", int(rng.choice([1, 50, 1 << 18])))
-        (kind, new), (ref_kind, ref) = loaded(cli._load_json, str(path)), loaded(reference_load, str(path))
-        assert kind == ref_kind, bytes(data)
-        assert new == ref if kind == "error" else same(new, ref), bytes(data)
+        ref_kind, ref = loaded(reference_load, str(path))
+        for _ in fork_thresholds():
+            kind, new = loaded(cli._load_json, str(path))
+            assert kind == ref_kind, bytes(data)
+            assert new == ref if kind == "error" else same(new, ref), bytes(data)
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
-def test_command_parity(tmp_path, monkeypatch, capsys, name):
-    path = tmp_path / "file.json"
+def test_command_parity(tmp_path, monkeypatch, capsys, fork_thresholds, name):
+    path, report = tmp_path / "file.json", tmp_path / "report.json"
     path.write_bytes(CORPUS[name]())
     command = "check" if name.startswith("instance") or name.startswith("random_bits") else "verify"
-    outcomes = []
-    for load in (cli._load_json, reference_load):
+
+    def outcome(load):
         monkeypatch.setattr(cli, "_load_json", load)
-        report = tmp_path / f"report_{len(outcomes)}.json"
+        report.unlink(missing_ok=True)
         code = cli.main([command, str(path), "-o", str(report)])
         out, err = capsys.readouterr()
         written = json.loads(report.read_text()) if report.exists() else None
         if written is not None:
             written["config"].pop("timestamp")
             written["config"].pop("out_path")
-        outcomes.append((code, out, err, written))
-    assert outcomes[0] == outcomes[1]
+        return code, out, err, written
+
+    reader, expected = cli._load_json, outcome(reference_load)
+    for _ in fork_thresholds():
+        assert outcome(reader) == expected
 
 
 @pytest.mark.parametrize("name", FAST)
@@ -309,6 +344,80 @@ def test_file_rewritten_before_its_arrays_is_read_whole(tmp_path, monkeypatch):
     obj = cli._load_json(str(path))
     assert rewrites and whole and obj["note"] == "new"
     assert same(obj, expected)
+
+
+def test_both_processes_read_the_file_at_once(tmp_path, monkeypatch):
+    # a row per read in each process: windows read by seek and read would race on the descriptor's shared offset
+    h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+    assert cli.main(["gen", "--alpha", "4", "--n", "8", "--seed", "2", "-o", str(h_path)]) == 0
+    assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
+    monkeypatch.setattr(kernel, "_READ_BYTES", 1)
+    monkeypatch.setattr(kernel, "_FORK_BYTES", 0)
+    whole = whole_text_reads(monkeypatch)
+    obj = cli._load_json(str(cert_path))
+    assert whole == []
+    assert same(obj, reference_load(str(cert_path)))
+
+
+def verify_outcome(monkeypatch, capsys, path, load):
+    monkeypatch.setattr(cli, "_load_json", load)
+    code = cli.main(["verify", str(path)])
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("fault", ["child_raises", "child_killed", "parent_raises"])
+def test_a_failed_share_is_read_whole(tmp_path, monkeypatch, capsys, fault):
+    # the whole-text reader decides, as it would have alone, and no child is left to reap
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS["orjson_compact"]())
+    reader, expected = cli._load_json, verify_outcome(monkeypatch, capsys, path, reference_load)
+    parent, decode = os.getpid(), kernel._decode_entries
+
+    def faulty(*args):
+        in_child = os.getpid() != parent
+        if fault == "child_raises" and in_child:
+            raise RuntimeError("a fault in the child")
+        if fault == "child_killed" and in_child:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if fault == "parent_raises" and not in_child:
+            raise ValueError("a fault in the parent")
+        return decode(*args)
+
+    monkeypatch.setattr(kernel, "_FORK_BYTES", 0)
+    monkeypatch.setattr(kernel, "_decode_entries", faulty)
+    whole = whole_text_reads(monkeypatch)
+    assert verify_outcome(monkeypatch, capsys, path, reader) == expected
+    assert whole
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Runs the CLI on its arguments, then prints how many objects the whole-text reader parsed and the peak resident set,
+# in KiB, of the process's largest reaped child.
+COUNTING_CHILD = """
+import resource, sys
+from psdblocks import cli
+whole, hook = [], cli.matrix_object_hook
+cli.matrix_object_hook = lambda obj: whole.append(obj) or hook(obj)
+code = cli.main(sys.argv[1:])
+print(len(whole), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_verify_forks_beside_blas_threads(tmp_path, monkeypatch, capsys):
+    # a certificate whose second share passes the fork threshold, verified by a fresh process with two OpenBLAS threads
+    h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+    assert cli.main(["gen", "--alpha", "4", "--n", "24", "--seed", "2", "-o", str(h_path)]) == 0
+    assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
+    capsys.readouterr()
+    code, out, err = verify_outcome(monkeypatch, capsys, cert_path, reference_load)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "PYTHONPATH": pythonpath()}
+    done = subprocess.run([sys.executable, "-c", COUNTING_CHILD, "verify", str(cert_path)], env=env, capture_output=True, text=True, timeout=120)
+    *lines, counts = done.stdout.splitlines()
+    whole, child_peak = map(int, counts.split())
+    assert (done.returncode, "\n".join(lines) + "\n", done.stderr) == (code, out, err) and code == 0
+    assert whole == 0 and child_peak > 0  # the span reader took it, and a child decoded
 
 
 def test_pipe_takes_the_span_reader(tmp_path, monkeypatch):
@@ -393,7 +502,7 @@ def header_message(data: bytes):
     return None
 
 
-def test_mutated_certificates_verify_alike(tmp_path, monkeypatch, capsys):
+def test_mutated_certificates_verify_alike(tmp_path, monkeypatch, capsys, fork_thresholds):
     # one to three random byte edits of the written certificate layouts, half of them with a wrong weight
     rng = np.random.default_rng(2301)
     layouts = [CORPUS["orjson_compact"](), CORPUS["json_dumps_default"]()]
@@ -408,11 +517,12 @@ def test_mutated_certificates_verify_alike(tmp_path, monkeypatch, capsys):
             k, edit = int(rng.integers(len(data))), bytes(rng.choice(list(alphabet), size=rng.integers(1, 4)).tolist())
             data[k : k + int(rng.integers(0, 3))] = edit
         path.write_bytes(data)
-        outcomes = []
-        for load in (reader, reference_load):
-            monkeypatch.setattr(cli, "_load_json", load)
-            outcomes.append((cli.main(["verify", str(path)]), capsys.readouterr().err))
-        if outcomes[0] != outcomes[1]:  # only a header the skeleton shows to be bad, named before the decode error
-            assert outcomes[0] == (2, header_message(bytes(data))), bytes(data)
-            named_first += 1
+        monkeypatch.setattr(cli, "_load_json", reference_load)
+        expected = cli.main(["verify", str(path)]), capsys.readouterr().err
+        monkeypatch.setattr(cli, "_load_json", reader)
+        for _ in fork_thresholds():
+            outcome = cli.main(["verify", str(path)]), capsys.readouterr().err
+            if outcome != expected:  # only a header the skeleton shows to be bad, named before the decode error
+                assert outcome == (2, header_message(bytes(data))), bytes(data)
+                named_first += 1
     assert named_first > 0, named_first
