@@ -11,17 +11,10 @@ takes none), plus the command name and a timestamp, which lives only
 there. Tolerances must be finite. Artifacts are compact single-line UTF-8
 JSON of shortest round-trip floats, which any JSON reader reads exactly,
 streamed by orjson from each matrix's float64 buffer in chunks of rows
-(:func:`~.kernel.matrix_to_wire`), and read with the cyclic collector
-paused: the skeleton by ``json.loads`` from the file's bytes, on which ``verify`` judges the certificate's header,
-then, those bytes dropped, each ``"entries"`` array by orjson in chunks of rows read from the file into float64, each
-chunk one flat list of numbers, about half the text in a forked child where there is enough of it
-(:func:`~.kernel.loads_matrices`); a file that path does not take goes whole through ``json.loads`` with
-:func:`~.kernel.matrix_object_hook`. Either reader returns the document as
-parsed but for each ``"entries"`` array, which becomes a ``(k, 2)`` float64
-array; :func:`~.kernel.matrix_from_json` alone makes a matrix of a wire
-object, and the command's reader makes every rejection. Peaks of a
-fresh process at n = 128 (a 74 MB certificate): ``gen`` 54, ``decompose``
-130, ``verify`` 104 MB, and 37 MB for the child ``verify`` forks.
+(:func:`~.kernel.matrix_to_wire`), and read by :func:`~.kernel.load_json`,
+on whose skeleton ``verify`` judges the certificate's header;
+:func:`~.kernel.matrix_from_json` alone makes a matrix of a wire object,
+and the command's reader makes every rejection.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
 or usage error (an allocation that fails, too), 3 numerical failure.
 """
@@ -31,12 +24,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import gc
-import io
-import json
-import os
 import sys
-from pathlib import Path
 
 import numpy as np
 import orjson
@@ -58,7 +46,7 @@ from .decompose import (
     two_block_isometries,
     verify_certificate,
 )
-from .errors import MalformedCertificateError, NumericalError
+from .errors import NumericalError
 from .generate import (
     GeneratorSpec,
     equality_case_instance,
@@ -66,7 +54,7 @@ from .generate import (
     nonhermitian_counterexample,
     random_block_psd,
 )
-from .kernel import Tolerance, frobenius, loads_matrices, matrix_object_hook, matrix_to_wire, validate_hermitian_psd
+from .kernel import Tolerance, frobenius, load_json, matrix_to_wire, validate_hermitian_psd
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -178,38 +166,6 @@ def _write_json(path: str, payload: dict) -> None:
         out.write(b"\n")
 
 
-def _load_json(path: str, judge=None) -> dict:
-    """The JSON document in ``path`` as parsed, each ``"entries"`` array of ``rows * cols`` number pairs a ``(k, 2)``
-    float64 array, for :func:`~.kernel.matrix_from_json` to make the matrix. Only UTF-8 files are read.
-    :func:`~.kernel.loads_matrices` reads the file whole for the skeleton, calls ``judge`` on it before it decodes an
-    array (a :class:`MalformedCertificateError` it raises is final), then drops the bytes and reads each array from the
-    file; a pipe is read into memory first. Any other file it does not take, or whose size or modification time changed
-    while it read, goes whole, read again, through ``json.loads`` with :func:`~.kernel.matrix_object_hook`, and its
-    reader makes every rejection. Every parse runs with the cyclic collector paused: the parsed lists are acyclic."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with Path(path).open("rb") as disk:
-            file = disk if disk.seekable() else io.BytesIO(disk.read())
-            before = os.fstat(disk.fileno())
-            try:
-                obj, after = loads_matrices(file, judge), os.fstat(disk.fileno())
-                if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
-                    return obj
-            except MalformedCertificateError:  # the judge's verdict, a ValueError not to read again
-                raise
-            except (ValueError, TypeError, RecursionError, MemoryError):  # a file it does not take, read whole below
-                pass
-            file.seek(0)
-            text = io.TextIOWrapper(io.BytesIO(file.read()), encoding="utf-8").read()  # as Path.read_text decodes it
-        return json.loads(text, object_hook=matrix_object_hook)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _print_report(report_obj: dict) -> None:
     for item in report_obj["checks"]:
         status = "pass" if item["passed"] else "FAIL"
@@ -232,7 +188,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.mode == "two_block" and args.beta is not None:
         raise ValueError(f"decompose takes --beta with --quaternion only: --beta {args.beta} given with --two-block")
     tol = _tolerance(args)
-    h = block_matrix_from_json(_load_json(args.input_path))
+    h = block_matrix_from_json(load_json(args.input_path))
     if args.mode == "two_block":
         cert = two_block_isometries(h, tol)
     else:
@@ -251,7 +207,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cert = certificate_from_json(_load_json(args.input_path, _certificate_header))
+    cert = certificate_from_json(load_json(args.input_path, _certificate_header))
     report = verify_certificate(cert, _tolerance(args))
     payload = report_to_json(report)
     payload["config"] = _config(args)
@@ -272,7 +228,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ignored = [f"--{flag}" for flag in _GENERATOR_FLAGS if getattr(args, flag) != defaults[flag]]
         if ignored:
             raise ValueError(f"check takes an input file or generated trials, not both: {', '.join(ignored)} given with {args.input_path}")
-        h = block_matrix_from_json(_load_json(args.input_path))
+        h = block_matrix_from_json(load_json(args.input_path))
         validate_hermitian_psd(h.data, tol, h.eigenvalues)  # the theorem's domain, on the suite's spectrum; generated trials are PSD by construction
         reports = [run_inequality_suite(h, tol)]
         labels = [args.input_path]
@@ -379,7 +335,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, json.JSONDecodeError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

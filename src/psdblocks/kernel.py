@@ -1,10 +1,10 @@
 """Dense complex-matrix kernel shared by every other module.
 
-Matrices are plain numpy arrays with dtype complex128. No function but
-:func:`matrix_object_hook`, which fills in the object the parser hands it,
+Matrices are plain numpy arrays with dtype complex128. No public function
 mutates its arguments, but an output may share an input's memory:
 :func:`as_matrix` returns a complex128 input itself, and :func:`matrix_to_wire`
-states the entries as a view of the matrix's buffer.
+states the entries as a view of the matrix's buffer. :func:`load_json` is
+the one file reader.
 
 :func:`validate_hermitian_psd` is the one PSD acceptance rule, and every
 LAPACK call goes through ``_lapack``, the one place a LAPACK failure
@@ -14,6 +14,8 @@ becomes a :class:`NumericalError`.
 from __future__ import annotations
 
 import contextlib
+import gc
+import io
 import json
 import mmap
 import os
@@ -22,6 +24,7 @@ import signal
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -35,9 +38,8 @@ __all__ = [
     "frobenius",
     "hermitian_eigvalues",
     "hermitian_part",
-    "loads_matrices",
+    "load_json",
     "matrix_from_json",
-    "matrix_object_hook",
     "matrix_to_json",
     "matrix_to_wire",
     "psd_sqrt",
@@ -253,8 +255,8 @@ def _pairs(entries, count: int) -> np.ndarray:
 def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format, validating shape and finiteness. The
     entries are a list of ``[re, im]`` pairs or a ``(rows*cols, 2)``
-    float64 array, as :func:`matrix_to_wire` states them and both readers
-    (:func:`matrix_object_hook`, :func:`loads_matrices`) leave them."""
+    float64 array, as :func:`matrix_to_wire` states them and :func:`load_json`
+    leaves them."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
@@ -268,7 +270,7 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_matrix(np.ascontiguousarray(_pairs(entries, rows * cols)).view(np.complex128).reshape(rows, cols))
 
 
-def matrix_object_hook(obj: dict):
+def _matrix_object_hook(obj: dict):
     """``json.loads`` object hook: an object's ``"entries"`` list of ``rows * cols`` pairs of numbers becomes its
     ``(rows*cols, 2)`` float64 array as the parser closes the object, so the parse holds one matrix's lists at a
     time; anything else stays as parsed, for :func:`matrix_from_json` to take or reject."""
@@ -279,7 +281,7 @@ def matrix_object_hook(obj: dict):
     return obj
 
 
-# Bytes of entries text per orjson call in loads_matrices, in whole [re, im] rows: one chunk's Python
+# Bytes of entries text per orjson call in load_json, in whole [re, im] rows: one chunk's Python
 # list of numbers (about 0.5 MB) is alive at a time, never a matrix's. Of 16 KB to 4 MB, 256 KB read fastest.
 _READ_BYTES = 1 << 18
 _MARGIN = 1 << 12  # read past _READ_BYTES for the row that crosses it: a written row takes at most 50 bytes
@@ -287,15 +289,10 @@ _ENTRIES = re.compile(rb'"entries"[ \t\n\r]*:[ \t\n\r]*\[')
 _ROWS_END = re.compile(rb"\][ \t\n\r]*\]")
 _SPACE = b" \t\n\r"  # JSON whitespace
 _NUMBER_TEXT = b"0123456789+-.eE" + _SPACE  # all a number and the space around it are written with
-# A forked child decodes a share of the arrays only where that share holds this many bytes of text. Measured on 2 CPUs
-# in a process of 60 MB resident, the fork, the child's exit and the wait cost about 3 ms, and the split broke even
-# where the child's share was 0.85 MB (a quaternion certificate at n = 20); at n = 48, 10 MB, it took 56 ms against 76.
-# A fresh `verify` moves by under 5 ms either way from n = 16 to 32 (1.1 to 4.6 MB), inside its runs' spread.
-_FORK_BYTES = 1 << 20
 
 
 class _Unusual(ValueError):
-    """A document :func:`loads_matrices` does not take."""
+    """A document the span reader of :func:`load_json` does not take."""
 
 
 def _decode_entries(read, start: int, end: int, out: np.ndarray) -> None:
@@ -346,10 +343,10 @@ def _window_reader(file):
 
 def _decode_arrays(file, holders: list) -> None:
     """Replace each holder's span with its ``(rows*cols, 2)`` array. The spans are shared out, longest first, each to the
-    side with fewer bytes so far. Where ``os.fork`` exists and the second share holds at least ``_FORK_BYTES``, a forked
-    child decodes it into one shared anonymous map, which its arrays view, while this process decodes the first. The
-    child calls no BLAS and leaves by ``os._exit``, 1 on any exception; it is always reaped here, and one that exits
-    non-zero or dies by a signal makes the read unusual, as does a map or a process that cannot be had."""
+    side with fewer bytes so far. Where ``os.fork`` exists and there is a second share, a forked child decodes it into one
+    shared anonymous map, which its arrays view, while this process decodes the first. The child calls no BLAS and leaves
+    by ``os._exit``, 1 on any exception; it is always reaped here, and one that exits non-zero or dies by a signal makes
+    the read unusual, as does a map or a process that cannot be had."""
     read, shares, load = _window_reader(file), ([], []), [0, 0]
     for holder in sorted(holders, key=lambda holder: holder["entries"][0] - holder["entries"][1]):
         start, end = holder["entries"]
@@ -357,7 +354,7 @@ def _decode_arrays(file, holders: list) -> None:
         shares[side].append((holder, start, end))
         load[side] += end - start
     mine, theirs = shares
-    if not (theirs and load[1] >= _FORK_BYTES and hasattr(os, "fork")):
+    if not hasattr(os, "fork"):
         mine, theirs = mine + theirs, []
     pid, outs = None, []
     if theirs:
@@ -395,16 +392,9 @@ def _decode_arrays(file, holders: list) -> None:
         holder["entries"] = out
 
 
-def loads_matrices(file, judge=None):
-    """``json.loads(file.read(), object_hook=matrix_object_hook)`` for a seekable binary ``file`` at its start holding a
-    UTF-8 document whose every ``"entries"`` array is a matrix's, in two phases. The file is read whole: ``json.loads``
-    parses the skeleton, each such array's text a ``NaN`` token that becomes the array's span, and ``judge``, if given, is
-    called on it (what it raises is the caller's). The bytes are dropped; orjson decodes each array in chunks of rows read
-    at its offset in the file, straight into a float64 buffer of the ``rows * cols`` rows its object states. The skeleton
-    is returned with each span replaced by its ``(rows*cols, 2)`` array, which :func:`matrix_from_json` takes. Anything
-    unusual raises ``ValueError``, for the caller to read the document with ``json.loads`` instead, which makes every
-    rejection."""
-    data = file.read()
+def _skeleton(data: bytes):
+    """The document in ``data`` parsed by ``json.loads`` with each ``"entries"`` array's text a ``NaN`` token that becomes
+    the array's span, and the objects that hold a span; anything unusual raises ``ValueError``."""
     skeleton, spans, pos = [], [], 0
     while key := _ENTRIES.search(data, pos):
         start, end = key.end() - 1, _ROWS_END.search(data, key.end())
@@ -416,7 +406,6 @@ def loads_matrices(file, judge=None):
     if not spans:  # nothing to gain
         raise _Unusual
     skeleton.append(data[pos:])
-    del data, end  # a match holds the bytes it searched: the arrays are read from the file
     holders, unread = [], iter(spans)
 
     def constant(name: str):  # each NaN takes the next span, so a NaN of the document's own leaves one too many
@@ -438,7 +427,47 @@ def loads_matrices(file, judge=None):
     obj = json.loads(b"".join(skeleton).decode("utf-8"), object_hook=hook, parse_constant=constant)
     if len(holders) != len(spans):  # a span under another key, or dropped with a duplicate key
         raise _Unusual
-    if judge is not None:
-        judge(obj)
-    _decode_arrays(file, holders)
-    return obj
+    return obj, holders
+
+
+def load_json(path, judge=None):
+    """The JSON document in the UTF-8 file ``path`` as parsed, but for each ``"entries"`` array of ``rows * cols`` pairs of
+    numbers, which becomes its ``(rows*cols, 2)`` float64 array for :func:`matrix_from_json` to make the matrix. Every
+    parse runs with the cyclic collector paused: the parsed lists are acyclic.
+
+    The span reader reads the file whole, a pipe into memory first, and ``json.loads`` parses its skeleton, each
+    ``"entries"`` array's text a placeholder for its span. ``judge``, if given, is called on the skeleton before any array
+    is decoded, and what it raises reaches the caller. Then the bytes are dropped and orjson decodes each array in chunks
+    of rows read at its offset in the file (:func:`_decode_arrays`); where ``os.fork`` exists and the file holds two
+    arrays or more, a forked child decodes about half the text. A file the span reader does not take, or whose size or
+    modification time changed while it read, is read again and parsed whole by ``json.loads`` with an object hook that
+    makes the same arrays; the caller's reader of the document makes every rejection. A document nested too deeply to
+    parse raises ``ValueError``."""
+    declined = (ValueError, TypeError, RecursionError, MemoryError)  # what sends a file to the whole-text reader
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Path(path).open("rb") as disk:
+            file = disk if disk.seekable() else io.BytesIO(disk.read())
+            before = os.fstat(disk.fileno())
+            try:
+                obj, holders = _skeleton(file.read())
+            except declined:
+                pass
+            else:
+                if judge is not None:
+                    judge(obj)
+                with contextlib.suppress(*declined):
+                    _decode_arrays(file, holders)
+                    after = os.fstat(disk.fileno())
+                    if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+                        return obj
+            file.seek(0)
+            text = io.TextIOWrapper(io.BytesIO(file.read()), encoding="utf-8").read()  # as Path.read_text decodes it
+        try:
+            return json.loads(text, object_hook=_matrix_object_hook)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    finally:
+        if enabled:
+            gc.enable()

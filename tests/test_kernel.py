@@ -19,7 +19,6 @@ from psdblocks import (
     frobenius,
     hermitian_eigvalues,
     matrix_from_json,
-    matrix_object_hook,
     matrix_to_json,
     matrix_to_wire,
     psd_sqrt,
@@ -430,7 +429,7 @@ class TestMatrixObjectHook:
     def test_matrix_objects_decode_in_place(self):
         m = crandn(np.random.default_rng(9), (3, 2))
         text = json.dumps({"target": matrix_to_json(m), "factors": [matrix_to_json(m.T)], "weight": "1/2"})
-        obj = json.loads(text, object_hook=matrix_object_hook)
+        obj = json.loads(text, object_hook=kernel._matrix_object_hook)
         assert obj["weight"] == "1/2" and obj["target"].keys() == {"rows", "cols", "entries"}
         for stated, matrix in ((obj["target"], m), (obj["factors"][0], m.T)):
             assert stated["entries"].dtype == np.float64 and stated["entries"].shape == (6, 2)
@@ -449,5 +448,5 @@ class TestMatrixObjectHook:
     )
     def test_other_objects_are_left_as_parsed(self, obj, decoded):
         entries, keys = obj["entries"], list(obj)
-        assert matrix_object_hook(obj) is obj and list(obj) == keys
+        assert kernel._matrix_object_hook(obj) is obj and list(obj) == keys
         assert isinstance(obj["entries"], np.ndarray) if decoded else obj["entries"] is entries

@@ -1,6 +1,6 @@
-"""The CLI reader against the reader it replaces.
+"""The file reader against the reader it replaces.
 
-``cli._load_json`` decodes each ``"entries"`` array with orjson in chunks
+``kernel.load_json`` decodes each ``"entries"`` array with orjson in chunks
 of rows and hands everything it does not take to ``json.loads`` with the
 matrix hook, whole. Over a corpus of values, layouts and malformed files,
 both readers give the same arrays to the last bit, and ``verify`` and
@@ -8,12 +8,12 @@ both readers give the same arrays to the last bit, and ``verify`` and
 ``verify`` judges the certificate's header on the skeleton before any
 array is decoded, so a bad header is named before a number the
 whole-text reader cannot parse: the one place the two differ. Each
-parity test runs on both decode paths: about half of every file's
-arrays decoded in a forked child, and every array in one process.
+parity test runs on both decode paths: with ``os.fork``, about half of
+every file's arrays decoded in a forked child, and without it, every
+array in one process.
 """
 
 import gc
-import io
 import json
 import os
 import re
@@ -33,8 +33,7 @@ from psdblocks import (
     GeneratorSpec,
     block_matrix_to_json,
     certificate_to_json,
-    loads_matrices,
-    matrix_object_hook,
+    load_json,
     matrix_to_json,
     random_block_psd,
     two_block_isometries,
@@ -52,7 +51,7 @@ def reference_load(path, judge=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj = json.loads(text, object_hook=matrix_object_hook)
+        obj = json.loads(text, object_hook=kernel._matrix_object_hook)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     finally:
@@ -216,14 +215,15 @@ def chunk_bytes(request, monkeypatch):
 
 
 @pytest.fixture
-def fork_thresholds(monkeypatch):
-    """Iterate a test's comparison over both decode paths: every file of two or more arrays decoded half in a forked
-    child, then every file in one process."""
+def decode_paths():
+    """Iterate a test's comparison over both decode paths: with ``os.fork``, every file of two or more arrays decoded
+    half in a forked child, then without it, every file in one process."""
 
     def each():
-        for threshold in (0, 1 << 62):
-            monkeypatch.setattr(kernel, "_FORK_BYTES", threshold)
-            yield threshold
+        yield "fork"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(os, "fork")
+            yield "no_fork"
 
     return each
 
@@ -247,20 +247,20 @@ def same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
-def test_reader_parity(tmp_path, monkeypatch, chunk_bytes, fork_thresholds, name):
+def test_reader_parity(tmp_path, monkeypatch, chunk_bytes, decode_paths, name):
     path = tmp_path / "file.json"
     path.write_bytes(CORPUS[name]())
     ref_kind, ref = loaded(reference_load, str(path))
     whole = whole_text_reads(monkeypatch)
-    for _ in fork_thresholds():
-        kind, new = loaded(cli._load_json, str(path))
+    for _ in decode_paths():
+        kind, new = loaded(load_json, str(path))
         assert kind == ref_kind
         assert new == ref if kind == "error" else same(new, ref)
         if name in FAST:  # a silent fallback reads alike, and loses the gain
             assert whole == []
 
 
-def test_mutated_files_read_alike(tmp_path, monkeypatch, fork_thresholds):
+def test_mutated_files_read_alike(tmp_path, monkeypatch, decode_paths):
     # one to three random byte edits of written layouts, at random chunk sizes
     rng = np.random.default_rng(2201)
     layouts = [CORPUS[name]() for name in FAST] + [CORPUS["indent_2"]()]
@@ -274,20 +274,20 @@ def test_mutated_files_read_alike(tmp_path, monkeypatch, fork_thresholds):
         path.write_bytes(data)
         monkeypatch.setattr(kernel, "_READ_BYTES", int(rng.choice([1, 50, 1 << 18])))
         ref_kind, ref = loaded(reference_load, str(path))
-        for _ in fork_thresholds():
-            kind, new = loaded(cli._load_json, str(path))
+        for _ in decode_paths():
+            kind, new = loaded(load_json, str(path))
             assert kind == ref_kind, bytes(data)
             assert new == ref if kind == "error" else same(new, ref), bytes(data)
 
 
 @pytest.mark.parametrize("name", list(CORPUS))
-def test_command_parity(tmp_path, monkeypatch, capsys, fork_thresholds, name):
+def test_command_parity(tmp_path, monkeypatch, capsys, decode_paths, name):
     path, report = tmp_path / "file.json", tmp_path / "report.json"
     path.write_bytes(CORPUS[name]())
     command = "check" if name.startswith("instance") or name.startswith("random_bits") else "verify"
 
     def outcome(load):
-        monkeypatch.setattr(cli, "_load_json", load)
+        monkeypatch.setattr(cli, "load_json", load)
         report.unlink(missing_ok=True)
         code = cli.main([command, str(path), "-o", str(report)])
         out, err = capsys.readouterr()
@@ -297,31 +297,36 @@ def test_command_parity(tmp_path, monkeypatch, capsys, fork_thresholds, name):
             written["config"].pop("out_path")
         return code, out, err, written
 
-    reader, expected = cli._load_json, outcome(reference_load)
-    for _ in fork_thresholds():
+    reader, expected = load_json, outcome(reference_load)
+    for _ in decode_paths():
         assert outcome(reader) == expected
 
 
 @pytest.mark.parametrize("name", FAST)
-def test_written_layouts_take_the_span_reader(chunk_bytes, name):
-    obj = loads_matrices(io.BytesIO(CORPUS[name]()))
+def test_written_layouts_take_the_span_reader(tmp_path, monkeypatch, chunk_bytes, name):
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS[name]())
+    whole = whole_text_reads(monkeypatch)
+    obj = load_json(str(path))
     matrices = [obj] if "block_dim" in obj else [obj["target"], *obj["factors"]]
-    assert all(isinstance(m["entries"], np.ndarray) for m in matrices)
+    assert whole == [] and all(isinstance(m["entries"], np.ndarray) for m in matrices)
 
 
-def test_gen_and_decompose_files_take_the_span_reader(tmp_path):
+def test_gen_and_decompose_files_take_the_span_reader(tmp_path, monkeypatch):
     h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
     assert cli.main(["gen", "--alpha", "4", "--n", "3", "--seed", "2", "-o", str(h_path)]) == 0
     assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
-    h, cert = (loads_matrices(io.BytesIO(p.read_bytes())) for p in (h_path, cert_path))
+    whole = whole_text_reads(monkeypatch)
+    h, cert = (load_json(str(p)) for p in (h_path, cert_path))
+    assert whole == []
     assert h["entries"].shape == (144, 2) and h["entries"].dtype == np.float64
     assert all(m["entries"].dtype == np.float64 and m["entries"].shape == (m["rows"] * m["cols"], 2) for m in [cert["target"], *cert["factors"]])
 
 
 def whole_text_reads(monkeypatch) -> list:
     """The objects the whole-text reader's hook is handed from now on."""
-    hook, seen = cli.matrix_object_hook, []
-    monkeypatch.setattr(cli, "matrix_object_hook", lambda obj: seen.append(obj) or hook(obj))
+    hook, seen = kernel._matrix_object_hook, []
+    monkeypatch.setattr(kernel, "_matrix_object_hook", lambda obj: seen.append(obj) or hook(obj))
     return seen
 
 
@@ -331,17 +336,17 @@ def test_file_rewritten_before_its_arrays_is_read_whole(tmp_path, monkeypatch):
     path, fresh = tmp_path / "file.json", tmp_path / "new.json"
     path.write_bytes(old)
     fresh.write_bytes(new + b" ")
-    expected = cli._load_json(str(fresh))
-    decode, rewrites = kernel._decode_entries, []
+    expected = load_json(str(fresh))
+    decode, rewrites, parent = kernel._decode_entries, [], os.getpid()
 
     def rewrite_then_decode(*args):
-        if not rewrites:
+        if not rewrites and os.getpid() == parent:  # once, not again in the forked child
             rewrites.append(path.write_bytes(new + b" "))
         return decode(*args)
 
     monkeypatch.setattr(kernel, "_decode_entries", rewrite_then_decode)
     whole = whole_text_reads(monkeypatch)
-    obj = cli._load_json(str(path))
+    obj = load_json(str(path))
     assert rewrites and whole and obj["note"] == "new"
     assert same(obj, expected)
 
@@ -352,15 +357,14 @@ def test_both_processes_read_the_file_at_once(tmp_path, monkeypatch):
     assert cli.main(["gen", "--alpha", "4", "--n", "8", "--seed", "2", "-o", str(h_path)]) == 0
     assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
     monkeypatch.setattr(kernel, "_READ_BYTES", 1)
-    monkeypatch.setattr(kernel, "_FORK_BYTES", 0)
     whole = whole_text_reads(monkeypatch)
-    obj = cli._load_json(str(cert_path))
+    obj = load_json(str(cert_path))
     assert whole == []
     assert same(obj, reference_load(str(cert_path)))
 
 
 def verify_outcome(monkeypatch, capsys, path, load):
-    monkeypatch.setattr(cli, "_load_json", load)
+    monkeypatch.setattr(cli, "load_json", load)
     code = cli.main(["verify", str(path)])
     return code, *capsys.readouterr()
 
@@ -370,7 +374,7 @@ def test_a_failed_share_is_read_whole(tmp_path, monkeypatch, capsys, fault):
     # the whole-text reader decides, as it would have alone, and no child is left to reap
     path = tmp_path / "file.json"
     path.write_bytes(CORPUS["orjson_compact"]())
-    reader, expected = cli._load_json, verify_outcome(monkeypatch, capsys, path, reference_load)
+    reader, expected = load_json, verify_outcome(monkeypatch, capsys, path, reference_load)
     parent, decode = os.getpid(), kernel._decode_entries
 
     def faulty(*args):
@@ -383,7 +387,6 @@ def test_a_failed_share_is_read_whole(tmp_path, monkeypatch, capsys, fault):
             raise ValueError("a fault in the parent")
         return decode(*args)
 
-    monkeypatch.setattr(kernel, "_FORK_BYTES", 0)
     monkeypatch.setattr(kernel, "_decode_entries", faulty)
     whole = whole_text_reads(monkeypatch)
     assert verify_outcome(monkeypatch, capsys, path, reader) == expected
@@ -396,9 +399,9 @@ def test_a_failed_share_is_read_whole(tmp_path, monkeypatch, capsys, fault):
 # in KiB, of the process's largest reaped child.
 COUNTING_CHILD = """
 import resource, sys
-from psdblocks import cli
-whole, hook = [], cli.matrix_object_hook
-cli.matrix_object_hook = lambda obj: whole.append(obj) or hook(obj)
+from psdblocks import cli, kernel
+whole, hook = [], kernel._matrix_object_hook
+kernel._matrix_object_hook = lambda obj: whole.append(obj) or hook(obj)
 code = cli.main(sys.argv[1:])
 print(len(whole), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 sys.exit(code)
@@ -406,7 +409,7 @@ sys.exit(code)
 
 
 def test_verify_forks_beside_blas_threads(tmp_path, monkeypatch, capsys):
-    # a certificate whose second share passes the fork threshold, verified by a fresh process with two OpenBLAS threads
+    # a certificate of five arrays, verified by a fresh process with two OpenBLAS threads
     h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
     assert cli.main(["gen", "--alpha", "4", "--n", "24", "--seed", "2", "-o", str(h_path)]) == 0
     assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
@@ -429,7 +432,7 @@ def test_pipe_takes_the_span_reader(tmp_path, monkeypatch):
     writer.start()
     whole = whole_text_reads(monkeypatch)
     try:
-        obj = cli._load_json(str(fifo))
+        obj = load_json(str(fifo))
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive() and whole == []
@@ -477,6 +480,34 @@ def test_bad_header_is_named_before_a_bad_number(tmp_path, capsys):
     assert capsys.readouterr().err == "error: malformed certificate JSON: kind 'two_block_isometry' carries weight 1/3, expected 1/2\n"
 
 
+@pytest.mark.parametrize("error", [ValueError("judged bad"), KeyError("kind")], ids=["value_error", "key_error"])
+def test_judge_verdict_is_final(tmp_path, monkeypatch, error):
+    # what the judge raises reaches the caller as it was raised, and the file is not read again
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS["orjson_compact"]())
+    whole = whole_text_reads(monkeypatch)
+
+    def judge(obj):
+        raise error
+
+    with pytest.raises(type(error)) as raised:
+        load_json(str(path), judge)
+    assert raised.value is error and whole == []
+
+
+def test_bad_header_is_final_where_the_decode_declines(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS["rows_apart_with_space"]())
+    whole = whole_text_reads(monkeypatch)
+    load_json(str(path))
+    assert whole  # the decode declines rows set apart by another spacing
+    whole.clear()
+    path.write_bytes(path.read_bytes().replace(b'"weight": "1/2"', b'"weight": "1/3"'))
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed certificate JSON: kind 'two_block_isometry' carries weight 1/3, expected 1/2\n"
+    assert whole == []
+
+
 @pytest.mark.parametrize("side", [2**31, 2**13], ids=["count_2_62", "count_2_26"])
 def test_impossible_count_allocates_nothing(tmp_path, side):
     # four pairs cannot hold side**2 rows: refused before a (side**2, 2) buffer is asked for
@@ -484,7 +515,7 @@ def test_impossible_count_allocates_nothing(tmp_path, side):
     path.write_bytes(dumped(with_target_count(side, side)))
     tracemalloc.start()
     try:
-        obj = cli._load_json(str(path))
+        obj = load_json(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,12 +533,12 @@ def header_message(data: bytes):
     return None
 
 
-def test_mutated_certificates_verify_alike(tmp_path, monkeypatch, capsys, fork_thresholds):
+def test_mutated_certificates_verify_alike(tmp_path, monkeypatch, capsys, decode_paths):
     # one to three random byte edits of the written certificate layouts, half of them with a wrong weight
     rng = np.random.default_rng(2301)
     layouts = [CORPUS["orjson_compact"](), CORPUS["json_dumps_default"]()]
     alphabet = b'[]{},:" \n\r-+.eE0123456789NaInfitylsru\\\xff'
-    path, reader = tmp_path / "file.json", cli._load_json
+    path, reader = tmp_path / "file.json", load_json
     named_first = 0
     for trial in range(400):
         data = bytearray(layouts[rng.integers(len(layouts))])
@@ -517,10 +548,10 @@ def test_mutated_certificates_verify_alike(tmp_path, monkeypatch, capsys, fork_t
             k, edit = int(rng.integers(len(data))), bytes(rng.choice(list(alphabet), size=rng.integers(1, 4)).tolist())
             data[k : k + int(rng.integers(0, 3))] = edit
         path.write_bytes(data)
-        monkeypatch.setattr(cli, "_load_json", reference_load)
+        monkeypatch.setattr(cli, "load_json", reference_load)
         expected = cli.main(["verify", str(path)]), capsys.readouterr().err
-        monkeypatch.setattr(cli, "_load_json", reader)
-        for _ in fork_thresholds():
+        monkeypatch.setattr(cli, "load_json", reader)
+        for _ in decode_paths():
             outcome = cli.main(["verify", str(path)]), capsys.readouterr().err
             if outcome != expected:  # only a header the skeleton shows to be bad, named before the decode error
                 assert outcome == (2, header_message(bytes(data))), bytes(data)
