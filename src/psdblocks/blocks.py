@@ -148,7 +148,7 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def block_matrix_to_json(h: BlockMatrix, encode=matrix_to_json) -> dict:
     """The block matrix's wire payload, its matrix written by ``encode``
-    (:func:`matrix_to_json`, or :func:`matrix_to_wire` for orjson)."""
+    (:func:`matrix_to_json`, or :func:`matrix_to_wire` for :func:`dump_json`)."""
     obj = encode(h.data)
     obj["block_dim"] = h.block_dim
     obj["block_count"] = h.block_count

@@ -8,13 +8,8 @@ matrix, or on generated trials, not both) and
 the configuration: every artifact echoes its command's own flags under
 ``"config"`` (``decompose`` with the beta it used; ``--two-block``
 takes none), plus the command name and a timestamp, which lives only
-there. Tolerances must be finite. Artifacts are compact single-line UTF-8
-JSON of shortest round-trip floats, which any JSON reader reads exactly,
-streamed by orjson from each matrix's float64 buffer in chunks of rows
-(:func:`~.kernel.matrix_to_wire`), and read by :func:`~.kernel.load_json`,
-on whose skeleton ``verify`` judges the certificate's header;
-:func:`~.kernel.matrix_from_json` alone makes a matrix of a wire object,
-and the command's reader makes every rejection.
+there. Tolerances must be finite. Every artifact is written by
+:func:`~.kernel.dump_json` and every file read by :func:`~.kernel.load_json`.
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 input
 or usage error (an allocation that fails, too), 3 numerical failure.
 """
@@ -25,9 +20,6 @@ import argparse
 import datetime
 import functools
 import sys
-
-import numpy as np
-import orjson
 
 from .blocks import block_matrix_from_json, block_matrix_to_json
 from .checks import (
@@ -54,7 +46,7 @@ from .generate import (
     nonhermitian_counterexample,
     random_block_psd,
 )
-from .kernel import Tolerance, frobenius, load_json, matrix_to_wire, validate_hermitian_psd
+from .kernel import Tolerance, dump_json, frobenius, load_json, matrix_to_wire, validate_hermitian_psd
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -129,43 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Rows per orjson call: orjson 3.8 holds an untraced tree of the rows it is given (+37 MB RSS for a 512 x 512
-# matrix). Of 1024, 4096, 16384 and 65536 rows, 4096 was fastest (63-81 ms, 89-103 ms in one call), no RSS rise.
-_CHUNK_ROWS = 4096
-
-
-def _holds_matrix(obj) -> bool:
-    """Whether a 2-D array is reachable from ``obj`` through dict values and the first items of lists."""
-    if isinstance(obj, (dict, list)):
-        return any(map(_holds_matrix, obj.values() if isinstance(obj, dict) else obj[:1]))
-    return isinstance(obj, np.ndarray) and obj.ndim == 2
-
-
-def _write_value(out, obj) -> None:
-    """Write ``obj`` as ``orjson.dumps`` would, each 2-D array in row chunks and the rest in as few calls as that allows."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 2:
-        out.write(b"[")
-        for start in range(0, len(obj), _CHUNK_ROWS):
-            out.write(b"," * (start > 0) + orjson.dumps(obj[start : start + _CHUNK_ROWS], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
-        out.write(b"]")
-    elif _holds_matrix(obj):  # a dict or a list, walked item by item
-        keyed = isinstance(obj, dict)
-        out.write(b"{" if keyed else b"[")
-        for i, (key, value) in enumerate(obj.items() if keyed else enumerate(obj)):
-            out.write(b"," * (i > 0) + (orjson.dumps(key) + b":" if keyed else b""))
-            _write_value(out, value)
-        out.write(b"}" if keyed else b"]")
-    else:
-        out.write(orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY))
-
-
-def _write_json(path: str, payload: dict) -> None:
-    """Stream ``payload`` into ``path`` as ``orjson.dumps`` with ``OPT_APPEND_NEWLINE`` writes it; a failed write leaves it cut short."""
-    with open(path, "wb") as out:
-        _write_value(out, payload)
-        out.write(b"\n")
-
-
 def _print_report(report_obj: dict) -> None:
     for item in report_obj["checks"]:
         status = "pass" if item["passed"] else "FAIL"
@@ -179,7 +134,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     h = random_block_psd(spec)
     payload = block_matrix_to_json(h, matrix_to_wire)
     payload["config"] = _config(args)
-    _write_json(args.out_path, payload)
+    dump_json(args.out_path, payload)
     print(f"wrote {args.alpha}x{args.alpha} blocks of side {args.n} (rank {args.rank}) to {args.out_path}")
     return EXIT_OK
 
@@ -197,7 +152,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         cert = quaternion_pipeline(h, args.beta, tol)[1]
     payload = certificate_to_json(cert, matrix_to_wire)
     payload["config"] = _config(args)
-    _write_json(args.out_path, payload)
+    dump_json(args.out_path, payload)
     worst = max(cert.defects["isometry"], default=0.0)
     print(
         f"{cert.kind} certificate: reconstruction defect {_fmt(cert.defects['reconstruction'])}, "
@@ -212,7 +167,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = report_to_json(report)
     payload["config"] = _config(args)
     if args.out_path:
-        _write_json(args.out_path, payload)
+        dump_json(args.out_path, payload)
     print(f"certificate kind {cert.kind}: {'PASS' if report.passed else 'FAIL'}")
     _print_report(payload)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -248,7 +203,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "passed": all(r.passed for r in reports),
     }
     if args.out_path:
-        _write_json(args.out_path, payload)
+        dump_json(args.out_path, payload)
     for label, rep in zip(labels, payload["reports"]):
         print(f"{label}: {'PASS' if rep['passed'] else 'FAIL'}")
         _print_report(rep)

@@ -359,10 +359,10 @@ def quaternion_pipeline(
     eigensolve of ``(D (+) D)/4`` or thin SVDs, defects measured.
     """
     alpha, n = h.block_count, h.block_dim
+    if alpha not in (3, 4):
+        raise ValueError(f"partition must have 3 or 4 block rows, got {alpha}")
     if beta not in (3, 4):
         raise ValueError("beta must be 3 or 4")
-    if alpha not in (3, 4):
-        raise ValueError("partition must have 3 or 4 block rows")
     if beta == 3 and alpha != 3:
         raise ValueError("beta = 3 requires a 3x3 partition")
     rows = beta * n
@@ -416,7 +416,7 @@ def verify_certificate(cert: DecompositionCertificate, tol: Tolerance = DEFAULT_
 
 def certificate_to_json(cert: DecompositionCertificate, encode=matrix_to_json) -> dict:
     """The certificate's wire payload, each matrix written by ``encode``
-    (:func:`matrix_to_json`, or :func:`matrix_to_wire` for orjson)."""
+    (:func:`matrix_to_json`, or :func:`matrix_to_wire` for :func:`dump_json`)."""
     obj = {
         "kind": cert.kind,
         "weight": str(cert.weight),

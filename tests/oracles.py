@@ -8,8 +8,8 @@ LAPACK-backed spectral routines. The unitary reference is plain
 left-looking Gram-Schmidt, one column and one projection at a time.
 The dense forms of the constructions' fixed maps (the interleave
 permutation and the two-block balancing unitary), which the package
-never forms, live here too, as do the seeded samplers and the
-majorization helpers that only the tests call.
+never forms, live here too, as do the seeded samplers, the singular
+values and the majorization helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from psdblocks import DEFAULT_TOL, CheckReport, Tolerance, dagger, frobenius, hermitian_part, singular_values
+from psdblocks import DEFAULT_TOL, CheckReport, Tolerance, dagger, frobenius, hermitian_part
 from psdblocks.checks import _partial_sums_le
 from psdblocks.generate import _crandn, _hermitian_draw, _random_unitary, _stream
+from psdblocks.kernel import _lapack, as_matrix
 
 
 def charpoly_coefficients(m: np.ndarray, dps: int = 120) -> list:
@@ -179,6 +180,11 @@ def random_psd(side: int, rank: int, seed: int, scale: float = 1.0) -> np.ndarra
     if rank == 0:
         return np.zeros((side, side), dtype=np.complex128)
     return hermitian_part(g @ dagger(g)) * scale
+
+
+def singular_values(m) -> np.ndarray:
+    """Singular values, non-increasing, through the kernel's LAPACK wrapper."""
+    return _lapack("svd", as_matrix(m), compute_uv=False)
 
 
 def ky_fan_norm(m, k: int) -> float:

@@ -40,7 +40,8 @@ from psdblocks import (
     two_corner_decomposition,
     verify_certificate,
 )
-from psdblocks.cli import _CHUNK_ROWS, _write_json, build_parser, main
+from psdblocks.cli import build_parser, main
+from psdblocks.kernel import _CHUNK_ROWS, dump_json
 
 
 def run(argv):
@@ -221,6 +222,20 @@ class TestDecomposeCommand:
         assert run(["gen", "--alpha", 3, "-o", h_path]) == 0
         assert run(["decompose", "--two-block", h_path, "-o", cert_path]) == 2
         assert "exactly 2x2 blocks" in capsys.readouterr().err
+        assert not cert_path.exists()
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [(2, [], "partition must have 3 or 4 block rows, got 2"), (4, ["--beta", 5], "beta must be 3 or 4")],
+        ids=["two_blocks_no_beta", "beta_5"],
+    )
+    def test_quaternion_names_the_fault(self, tmp_path, capsys, alpha, beta, message):
+        # with no --beta the beta is the block count, so a 2-block file is named by its count
+        h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+        assert run(["gen", "--alpha", alpha, "-o", h_path]) == 0
+        capsys.readouterr()
+        assert run(["decompose", "--quaternion", *beta, h_path, "-o", cert_path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not cert_path.exists()
 
 
@@ -840,7 +855,7 @@ class TestStreamedWriter:
 
         monkeypatch.setattr(orjson, "dumps", spy)
         path = tmp_path / "out.json"
-        _write_json(str(path), payload)
+        dump_json(str(path), payload)
         monkeypatch.undo()
         assert path.read_bytes() == whole_file(payload)
 
@@ -867,7 +882,7 @@ class TestStreamedWriter:
     )
     def test_report_bytes(self, tmp_path, payload):
         path = tmp_path / "out.json"
-        _write_json(str(path), payload)
+        dump_json(str(path), payload)
         assert path.read_bytes() == whole_file(payload)
 
     def test_failed_write_leaves_a_file_every_reader_rejects(self, tmp_path, monkeypatch, capsys):

@@ -395,13 +395,14 @@ class TestQuaternionPipeline:
 
     def test_parameter_validation(self):
         h = block_instance(0, alpha=4, n=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^beta must be 3 or 4$"):
             quaternion_pipeline(h, beta=5)
         with pytest.raises(ValueError):
             quaternion_pipeline(h, beta=3)  # beta=3 needs alpha=3
         two = block_instance(0, alpha=2, n=1)
-        with pytest.raises(ValueError):
-            quaternion_pipeline(two, beta=4)
+        for beta in (4, 5):  # the partition is named before the beta
+            with pytest.raises(ValueError, match="^partition must have 3 or 4 block rows, got 2$"):
+                quaternion_pipeline(two, beta)
 
     def test_rejects_non_hermitian_blocks(self):
         data = np.zeros((6, 6), dtype=complex)

@@ -6,6 +6,8 @@ two modules, and the third-party modules the package imports are exactly its
 declared dependencies. Every python code block of README.md runs. The slack
 rule is stated once: no comparison outside ``Tolerance.allows`` reads a
 slack, and ``Tolerance(...)`` is built only where a tolerance is defined.
+The file format is stated once: no package module but ``kernel`` imports a
+JSON codec (``json`` or ``orjson``).
 
 Stdlib only (``ast``), so it runs wherever the tests run, without a
 linter. ``__init__.py`` is skipped by the unused-import check: its
@@ -196,15 +198,20 @@ def test_detector_sees_unused_and_used_names():
     assert unused_imports(source) == ["dagger"]
 
 
-def third_party_imports(source: str) -> set[str]:
-    """Top-level names of the absolute, non-stdlib modules a source imports."""
+def imported_roots(source: str) -> set[str]:
+    """Top-level names of the absolute modules a source imports."""
     roots = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             roots.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
-    return roots - set(sys.stdlib_module_names)
+    return roots
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute, non-stdlib modules a source imports."""
+    return imported_roots(source) - set(sys.stdlib_module_names)
 
 
 def declared_dependencies() -> set[str]:
@@ -236,6 +243,28 @@ def test_detector_sees_third_party_roots():
         "from .kernel import dagger\n"
     )
     assert third_party_imports(source) == {"numpy", "orjson"}
+
+
+def codec_imports(source: str) -> list[str]:
+    """The JSON codecs, ``json`` and ``orjson``, that a source imports."""
+    return sorted(imported_roots(source) & {"json", "orjson"})
+
+
+def test_file_format_is_stated_once():
+    found = {p.stem: codec_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {m: c for m, c in found.items() if c and m != "kernel"} == {}
+
+
+def test_detector_sees_codec_imports():
+    source = (
+        "import json as stdlib_json\n"
+        "from orjson import dumps\n"
+        "import jsonschema\n"
+        "from . import json_io\n"
+        "from .kernel import dump_json, load_json\n"
+    )
+    assert codec_imports(source) == ["json", "orjson"]
+    assert codec_imports("import numpy as np\nfrom .kernel import dump_json\n") == []
 
 
 def readme_python_blocks() -> list[str]:

@@ -7,7 +7,7 @@ import numpy as np
 import orjson
 import pytest
 
-from oracles import charpoly_eigenvalues, random_hermitian, random_psd
+from oracles import charpoly_eigenvalues, random_hermitian, random_psd, singular_values
 
 from psdblocks import (
     DEFAULT_TOL,
@@ -22,7 +22,6 @@ from psdblocks import (
     matrix_to_json,
     matrix_to_wire,
     psd_sqrt,
-    singular_values,
     two_corner_decomposition,
     validate_hermitian_psd,
 )
