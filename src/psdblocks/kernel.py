@@ -336,13 +336,14 @@ def _window_reader(file):
     return read
 
 
-def _decode_arrays(file, holders: list) -> None:
-    """Replace each holder's span with its ``(rows*cols, 2)`` array. The spans are shared out, longest first, each to the
-    side with fewer bytes so far. Where ``os.fork`` exists and there is a second share, a forked child decodes it into one
-    shared anonymous map, which its arrays view, while this process decodes the first. The child calls no BLAS and leaves
-    by ``os._exit``, 1 on any exception; it is always reaped here, and one that exits non-zero or dies by a signal makes
-    the read unusual, as does a map or a process that cannot be had."""
-    read, shares, load = _window_reader(file), ([], []), [0, 0]
+def _decode_arrays(read, holders: list) -> None:
+    """Replace each holder's span with its ``(rows*cols, 2)`` array, decoded from the windows ``read`` returns. The
+    spans are shared out, longest first, each to the side with fewer bytes so far. Where ``os.fork`` exists and there is
+    a second share, a forked child decodes it into one shared anonymous map, which its arrays view, while this process
+    decodes the first. The child calls no BLAS and leaves by ``os._exit``, 1 on any exception; it is always reaped here,
+    and one that exits non-zero or dies by a signal makes the read unusual, as does a map or a process that cannot be
+    had."""
+    shares, load = ([], []), [0, 0]
     for holder in sorted(holders, key=lambda holder: holder["entries"][0] - holder["entries"][1]):
         start, end = holder["entries"]
         side = load[1] < load[0]
@@ -387,20 +388,38 @@ def _decode_arrays(file, holders: list) -> None:
         holder["entries"] = out
 
 
-def _skeleton(data: bytes):
-    """The document in ``data`` parsed by ``json.loads`` with each ``"entries"`` array's text a ``NaN`` token that becomes
-    the array's span, and the objects that hold a span; anything unusual raises ``ValueError``."""
+def _skeleton(read):
+    """The document that ``read(offset, size)`` returns, parsed by ``json.loads`` with each ``"entries"`` array's text a
+    ``NaN`` token that becomes the array's span, and the objects that hold a span; anything unusual raises ``ValueError``.
+    The file is scanned in windows of ``_READ_BYTES`` plus ``_MARGIN`` read at their offset, and only the bytes between
+    spans are kept. A match found in a window is the match in the file: one that the window's end cuts runs on to it in
+    spaces and colons, where no match starts. Where none is found, the next window starts where a cut match could begin,
+    at least ``_READ_BYTES`` on: a window that ends in a longer run of spaces and colons is unusual."""
+    size = _READ_BYTES + _MARGIN
+
+    def find(pattern, pos: int, keep: list | None) -> int | None:
+        """The end of the first match of ``pattern`` at ``pos`` or after, None if there is none; the bytes from ``pos`` up
+        to there, or to the file's end, are appended to ``keep`` unless it is None."""
+        while not (match := pattern.search(window := read(pos, size))) and len(window) == size:  # a shorter one ends the file
+            cut = len(window.rstrip(_SPACE + b":")) - len(b'"entries"')  # where a match cut by the window's end may begin
+            if cut < _READ_BYTES:
+                raise _Unusual
+            if keep is not None:
+                keep.append(window[:cut])
+            pos += cut
+        stop = match.end() if match else len(window)
+        if keep is not None:
+            keep.append(window[:stop])
+        return pos + stop if match else None
+
     skeleton, spans, pos = [], [], 0
-    while key := _ENTRIES.search(data, pos):
-        start, end = key.end() - 1, _ROWS_END.search(data, key.end())
-        if end is None:
+    while (key := find(_ENTRIES, pos, skeleton)) is not None:
+        skeleton[-1] = skeleton[-1][:-1] + b"NaN"  # the array's "[" becomes its placeholder
+        if (pos := find(_ROWS_END, key, None)) is None:
             raise _Unusual
-        skeleton += [data[pos:start], b"NaN"]
-        spans.append((start, end.end()))
-        pos = end.end()
+        spans.append((key - 1, pos))
     if not spans:  # nothing to gain
         raise _Unusual
-    skeleton.append(data[pos:])
     holders, unread = [], iter(spans)
 
     def constant(name: str):  # each NaN takes the next span, so a NaN of the document's own leaves one too many
@@ -430,30 +449,30 @@ def load_json(path, judge=None):
     numbers, which becomes its ``(rows*cols, 2)`` float64 array for :func:`matrix_from_json` to make the matrix. Every
     parse runs with the cyclic collector paused: the parsed lists are acyclic.
 
-    The span reader reads the file whole, a pipe into memory first, and ``json.loads`` parses its skeleton, each
-    ``"entries"`` array's text a placeholder for its span. ``judge``, if given, is called on the skeleton before any array
-    is decoded, and what it raises reaches the caller. Then the bytes are dropped and orjson decodes each array in chunks
-    of rows read at its offset in the file (:func:`_decode_arrays`); where ``os.fork`` exists and the file holds two
-    arrays or more, a forked child decodes about half the text. A file the span reader does not take, or whose size or
-    modification time changed while it read, is read again and parsed whole by ``json.loads`` with an object hook that
-    makes the same arrays; the caller's reader of the document makes every rejection. A document nested too deeply to
-    parse raises ``ValueError``."""
+    The span reader never holds the whole file: it finds each ``"entries"`` array's span in windows read at their offset,
+    a pipe's read into memory first, keeps the bytes between spans, and ``json.loads`` parses that skeleton, each array's
+    text a placeholder for its span (:func:`_skeleton`). ``judge``, if given, is called on the skeleton before any array
+    is decoded, and what it raises reaches the caller. Then orjson decodes each array in chunks of rows read at its
+    offset (:func:`_decode_arrays`); where ``os.fork`` exists and the file holds two arrays or more, a forked child
+    decodes about half the text. A file the span reader does not take, or whose size or modification time changed while
+    it read, is read again and parsed whole by ``json.loads`` with an object hook that makes the same arrays; the caller's
+    reader of the document makes every rejection. A document nested too deeply to parse raises ``ValueError``."""
     declined = (ValueError, TypeError, RecursionError, MemoryError)  # what sends a file to the whole-text reader
     enabled = gc.isenabled()
     gc.disable()
     try:
         with Path(path).open("rb") as disk:
             file = disk if disk.seekable() else io.BytesIO(disk.read())
-            before = os.fstat(disk.fileno())
+            before, read = os.fstat(disk.fileno()), _window_reader(file)
             try:
-                obj, holders = _skeleton(file.read())
+                obj, holders = _skeleton(read)
             except declined:
                 pass
             else:
                 if judge is not None:
                     judge(obj)
                 with contextlib.suppress(*declined):
-                    _decode_arrays(file, holders)
+                    _decode_arrays(read, holders)
                     after = os.fstat(disk.fileno())
                     if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
                         return obj

@@ -73,18 +73,33 @@ sys.exit(code)
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM from /proc/self/status")
 
 
-def peaks_kib(*argv) -> tuple[int, int]:
+def peaks_kib(*argv, code=0) -> tuple[int, int]:
     """The peak resident sets, in KiB, of a fresh process running the CLI on
-    ``argv`` with one BLAS thread and of its largest child; the run must exit 0."""
+    ``argv`` with one BLAS thread and of its largest child; the run must exit ``code``."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": pythonpath()}
-    done = subprocess.run([sys.executable, "-c", PEAK_CHILD, *map(str, argv)], env=env, check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", PEAK_CHILD, *map(str, argv)], env=env, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
     parent, child = map(int, done.stdout.split()[-2:])
     return parent, child
 
 
-def peak_kib(*argv) -> int:
+def peak_kib(*argv, code=0) -> int:
     """The peak resident set, in KiB, of the process alone."""
-    return peaks_kib(*argv)[0]
+    return peaks_kib(*argv, code=code)[0]
+
+
+# Verifies each file named in its arguments in turn, in this one process, then prints the peak resident set in KiB
+# (VmHWM) after each.
+LONG_LIVED_CHILD = """
+import sys
+from psdblocks.cli import main
+peaks = []
+for path in sys.argv[1:]:
+    main(["verify", path])
+    with open("/proc/self/status") as status:
+        peaks.append(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+print(*peaks)
+"""
 
 
 def write_counterexample(path):
@@ -748,25 +763,44 @@ class TestCompactArtifacts:
         # chunk at a time; orjson given the whole matrix reached 5.0x
         assert rise < 3.5 * out.stat().st_size
 
-    @needs_vmhwm
-    def test_verify_resident_peak(self, tmp_path):
-        certs = []
+    @pytest.fixture(scope="class")
+    def certs(self, tmp_path_factory):
+        """Quaternion certificates at n = 1 and 48, and the latter with weight 1/3."""
+        tmp, certs = tmp_path_factory.mktemp("certs"), []
         for n in (1, 48):
-            h_path, cert_path = tmp_path / f"H{n}.json", tmp_path / f"cert{n}.json"
+            h_path, cert_path = tmp / f"H{n}.json", tmp / f"cert{n}.json"
             assert run(["gen", "--alpha", 4, "--n", n, "--seed", 1, "-o", h_path]) == 0
             assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
             certs.append(cert_path)
+        certs.append(tmp / "weight.json")
+        certs[2].write_bytes(certs[1].read_bytes().replace(b'"1/4"', b'"1/3"', 1))
+        return certs
+
+    @needs_vmhwm
+    def test_verify_resident_peak(self, certs):
         base, (peak, child) = peaks_kib("verify", certs[0])[0], peaks_kib("verify", certs[1])
         size = certs[1].stat().st_size
-        # about 1.2x the 10 MB certificate: its bytes while the skeleton is
-        # parsed, then the arrays, one chunk's list and the defects' sum;
-        # the bytes held through the decode reached 1.75x, the whole text
-        # and a matrix's lists 3.5x
-        assert 1024 * (peak - base) < 1.35 * size
+        # about 1.07x the 10 MB certificate: the arrays, one chunk's list and
+        # the defects' sum; the bytes held through the decode reached 1.75x,
+        # the whole text and a matrix's lists 3.5x
+        assert 1024 * (peak - base) < 1.2 * size
         # the child that decodes about half the arrays: about 0.7x the
         # certificate below the fresh process's own peak, as it holds no bytes
         # of the file and counts only the pages it maps, shared ones too
         assert 0 < 1024 * child < 1024 * base + 0.1 * size
+        # a wrong weight decodes nothing, and the skeleton is found in windows:
+        # below the tiny certificate's peak; the whole file's bytes reached 0.9x
+        assert 1024 * (peak_kib("verify", certs[2], code=2) - base) < 0.1 * size
+
+    @needs_vmhwm
+    def test_long_lived_verify_keeps_its_peak(self, certs):
+        # a file read whole grows a heap the allocator keeps, which every later
+        # verify in the process peaks on top of: about 0.5x the certificate
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": pythonpath()}
+        argv = [sys.executable, "-c", LONG_LIVED_CHILD, *map(str, [certs[1], certs[2], certs[1]])]
+        done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
+        first, _, third = map(int, done.stdout.split()[-3:])
+        assert 1024 * (third - first) < 0.1 * certs[1].stat().st_size
 
     @needs_vmhwm
     def test_decompose_resident_peak(self, tmp_path):

@@ -2,8 +2,9 @@
 
 ``kernel.load_json`` decodes each ``"entries"`` array with orjson in chunks
 of rows and hands everything it does not take to ``json.loads`` with the
-matrix hook, whole. Over a corpus of values, layouts and malformed files,
-both readers give the same arrays to the last bit, and ``verify`` and
+matrix hook, whole. Over a corpus of values, layouts, matches split by the
+edge of a window the skeleton's scan reads, and malformed files, both
+readers give the same arrays to the last bit, and ``verify`` and
 ``check`` the same exit code, stdout, stderr and report (timestamp aside).
 ``verify`` judges the certificate's header on the skeleton before any
 array is decoded, so a bad header is named before a number the
@@ -14,6 +15,7 @@ array in one process.
 """
 
 import gc
+import io
 import json
 import os
 import re
@@ -120,6 +122,33 @@ def dumped(obj) -> bytes:
     return json.dumps(obj).encode()
 
 
+# The target's bytes in json.dumps layout, what they become, and the index in it of the first byte past a window's edge.
+EDGES = {
+    "key": (b'"entries": [', b'"entries": [', 5),
+    "key_then_colon": (b'"entries": [', b'"entries": [', 9),
+    "colon_then_space": (b'"entries": [', b'"entries": [', 10),
+    "space_then_bracket": (b'"entries": [', b'"entries": [', 11),
+    "rows_end": (b"]]", b"]]", 1),
+    "spaced_rows_end_before_space": (b"]]", b"] ]", 1),
+    "spaced_rows_end_after_space": (b"]]", b"] ]", 2),
+    "key_space_past_the_margin": (b'"entries": [', b'"entries":' + b" " * (kernel._MARGIN + 1) + b"[", 10 + kernel._MARGIN // 2),
+    "rows_space_past_the_margin": (b"]]", b"]" + b" " * (kernel._MARGIN + 1) + b"]", 1 + kernel._MARGIN // 2),
+}
+
+
+def across_edge(name: str) -> bytes:
+    """The certificate in ``json.dumps`` layout, its target rewritten as ``EDGES[name]`` says, with spaces put where the
+    search for the match reads its first window, before the document or before the target's first row, so that the
+    window's end, ``_READ_BYTES`` plus ``_MARGIN`` on as they are when this is called, falls at the split."""
+    (old, new, split), size, key = EDGES[name], kernel._READ_BYTES + kernel._MARGIN, b'"entries": ['
+    text = dumped(certificate())
+    at = text.index(old, text.index(key))
+    start = 0 if old == key else text.index(key) + len(key)
+    text = text[:start] + b" " * (start + size - at - split) + text[start:at] + new + text[at + len(old) :]
+    assert text[start + size - split : start + size - split + len(new)] == new
+    return text
+
+
 def marked(token: str, before=f"{MARK}") -> bytes:
     """The certificate in ``json.dumps`` layout with the marked text replaced."""
     text = dumped(certificate())
@@ -202,10 +231,14 @@ CORPUS = {
     "kind_missing": lambda: dumped({key: value for key, value in certificate().items() if key != "kind"}),
     "kind_unknown": lambda: dumped({**certificate(), "kind": "nope"}),  # no header fault: judged after the decode
     "list_holding_a_matrix": lambda: dumped([matrix_to_json(np.eye(2))]),
+    # a match split by a window's edge
+    **{f"edge_{name}": (lambda name=name: across_edge(name)) for name in EDGES},
 }
 
 # the layouts gen, decompose and json.dumps write: a silent fallback here would lose the gain
 FAST = ["random_bits_compact", "random_bits_default", "orjson_compact", "json_dumps_default", "instance_compact", "instance_default"]
+# the same, split at a window's edge: only a run of spaces longer than the margin may be read whole
+SPLIT = [f"edge_{name}" for name in EDGES if "past_the_margin" not in name]
 
 
 @pytest.fixture(params=[1, 100, kernel._READ_BYTES], ids=["row_chunks", "few_row_chunks", "default_chunks"])
@@ -256,7 +289,7 @@ def test_reader_parity(tmp_path, monkeypatch, chunk_bytes, decode_paths, name):
         kind, new = loaded(load_json, str(path))
         assert kind == ref_kind
         assert new == ref if kind == "error" else same(new, ref)
-        if name in FAST:  # a silent fallback reads alike, and loses the gain
+        if name in FAST + SPLIT:  # a silent fallback reads alike, and loses the gain
             assert whole == []
 
 
@@ -437,6 +470,28 @@ def test_pipe_takes_the_span_reader(tmp_path, monkeypatch):
         writer.join(timeout=10)
     assert not writer.is_alive() and whole == []
     assert same(obj, reference_load(str(path)))
+
+
+def test_span_reader_reads_only_windows(tmp_path, monkeypatch, chunk_bytes):
+    # never the whole file: every read of a seekable file, by the descriptor or the file object, is one window
+    h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
+    assert cli.main(["gen", "--alpha", "4", "--n", "16", "--seed", "2", "-o", str(h_path)]) == 0
+    assert cli.main(["decompose", "--quaternion", str(h_path), "-o", str(cert_path)]) == 0
+    window, sizes, pread, expected = kernel._READ_BYTES + kernel._MARGIN, [], os.pread, reference_load(str(cert_path))
+    assert cert_path.stat().st_size > 4 * window
+
+    class Recorded(io.BufferedReader):
+        def read(self, size=-1):
+            sizes.append(size if size >= 0 else float("inf"))
+            return super().read(size)
+
+    monkeypatch.delattr(os, "fork")  # every read in this process
+    monkeypatch.setattr(os, "pread", lambda fd, size, offset: sizes.append(size) or pread(fd, size, offset))
+    monkeypatch.setattr(Path, "open", lambda self, mode: Recorded(io.FileIO(self, mode)))
+    whole = whole_text_reads(monkeypatch)
+    obj = load_json(str(cert_path))
+    assert whole == [] and sizes and max(sizes) <= window
+    assert same(obj, expected)
 
 
 def test_verify_decodes_each_matrix_once(tmp_path, monkeypatch):
