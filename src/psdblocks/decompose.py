@@ -64,6 +64,7 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     Tolerance,
+    _blocks,
     _lapack,
     as_matrix,
     dagger,
@@ -216,25 +217,31 @@ class DecompositionCertificate:
         return measure_defects(self)
 
 
-_SUM_ROWS = 64  # rows of a term's block in measure_defects: at most 1 MB up to side 1024, the quaternion route's at n = 128
-
-
 def measure_defects(cert: DecompositionCertificate) -> dict:
     """``||target - weight * sum_k F_k core_k F_k*||_F`` and each
-    ``||F_k* F_k - I||_F``, recomputed. The power-of-two weight scales
-    each core (exact in the normal range), so no term overflows sooner
-    than the target; each term is added into the sum in blocks of
-    ``_SUM_ROWS`` rows, so the only full-size temporary is the sum, which
-    the residual reuses. A defect that overflows raises :class:`NumericalError`."""
+    ``||F_k* F_k - I||_F``, recomputed. The isometry defects are measured
+    first, before the sum exists. Then, for each factor and each block of
+    rows (:func:`_blocks`), ``left = F_k[rows] (weight * core_k)`` is made
+    and ``left F_k[cols]*`` added into the sum's block, one block of
+    columns at a time, the conjugate made per block. Only the output
+    dimensions are blocked, so each entry is that of the whole products,
+    bit for bit, and the only full-size temporary is the sum, which the
+    residual reuses. The power-of-two weight scales each core (exact in the
+    normal range), so no term overflows sooner than the target. A defect
+    that overflows raises :class:`NumericalError`."""
     weight = float(cert.weight)
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = np.zeros_like(cert.target)
-        for f, core in zip(cert.factors, cert.cores):
-            left, right = f @ (weight * core), dagger(f)
-            for i in range(0, len(acc), _SUM_ROWS):
-                acc[i : i + _SUM_ROWS] += left[i : i + _SUM_ROWS] @ right
-        residual = frobenius(np.subtract(cert.target, acc, out=acc))
         isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
+        acc = np.zeros_like(cert.target)
+        blocks = _blocks(len(acc))
+        for f, core in zip(cert.factors, cert.cores):
+            scaled = weight * core
+            for rows in blocks:
+                left = f[rows] @ scaled
+                for cols in blocks:
+                    acc[rows, cols] += left @ dagger(f[cols])
+                del left  # not held while the next is made
+        residual = frobenius(np.subtract(cert.target, acc, out=acc))
     if not np.isfinite([residual, *isometry]).all():
         raise NumericalError(f"{cert.kind} defects are not finite: reconstruction {residual}, isometry {isometry}")
     return {"reconstruction": residual, "isometry": isometry}

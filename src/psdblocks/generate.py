@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import BlockMatrix
 from .errors import NumericalError
-from .kernel import as_matrix, dagger, hermitian_part
+from .kernel import _blocks, as_matrix, dagger, hermitian_part
 
 __all__ = [
     "GeneratorSpec",
@@ -129,9 +129,12 @@ def random_block_psd(spec: GeneratorSpec) -> BlockMatrix:
         q = _random_unitary(spec.n, rng)
         diags = rng.uniform(-1.0, 1.0, size=(spec.alpha, spec.n))
         stack = np.vstack([t @ hermitian_part((q * d) @ dagger(q)) for d in diags])
-        h += stack @ dagger(stack)
+        right = dagger(stack)
+        for rows in _blocks(side):  # no full-size product: each entry is the whole product's (_blocks)
+            h[rows] += stack[rows] @ right
     with np.errstate(over="ignore"):
-        h = hermitian_part(h) * spec.scale
+        h = hermitian_part(h)
+        h *= spec.scale
     if not np.isfinite(h).all():
         raise NumericalError(f"scale {spec.scale} overflows the {side}x{side} instance")
     return BlockMatrix(h, block_dim=spec.n, block_count=spec.alpha)

@@ -76,12 +76,28 @@ def _skew_defect(m: np.ndarray) -> float:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(M + M*)/2``, or ``M/2 + M*/2`` when the sum overflows, so every
-    finite M gives a finite result."""
+    finite M gives a finite result. The sum is made in one C-ordered array,
+    ``M*`` with M added in and halved in place: the bits, dtype and order of
+    ``0.5 * (M + M*)``."""
     try:
         with np.errstate(over="raise"):
-            return 0.5 * (m + dagger(m))
+            h = np.conjugate(m.T, order="C")
+            h += m
+            h *= 0.5
+            return h
     except FloatingPointError:
         return 0.5 * m + 0.5 * dagger(m)
+
+
+_BLOCK = 64  # rows of a block of a product added in place (and its columns in measure_defects): 1 MB of rows at side 1024
+
+
+def _blocks(side: int) -> list[slice]:
+    """Slices of ``_BLOCK`` rows covering ``range(side)``, the last up to one row longer: numpy makes a product with one
+    row or one column by a matrix-vector routine, whose sums run in another order than a matrix product's, so a block of
+    two rows or more keeps each entry of a blocked product the whole product's, bit for bit."""
+    edges = [*range(0, max(side - 1, 1), _BLOCK), side]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -336,13 +352,23 @@ def _window_reader(file):
     return read
 
 
+def _running_cpu() -> int | None:
+    """The CPU this process last ran on, field 39 of ``/proc/self/stat``; None where it cannot be read."""
+    with contextlib.suppress(OSError, ValueError, IndexError):
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])  # fields 3 on follow the command name's ")"
+    return None
+
+
 def _decode_arrays(read, holders: list) -> None:
     """Replace each holder's span with its ``(rows*cols, 2)`` array, decoded from the windows ``read`` returns. The
-    spans are shared out, longest first, each to the side with fewer bytes so far. Where ``os.fork`` exists and there is
-    a second share, a forked child decodes it into one shared anonymous map, which its arrays view, while this process
-    decodes the first. The child calls no BLAS and leaves by ``os._exit``, 1 on any exception; it is always reaped here,
-    and one that exits non-zero or dies by a signal makes the read unusual, as does a map or a process that cannot be
-    had."""
+    spans are shared out, longest first, each to the side with fewer bytes so far. Where ``os.fork`` exists, this process
+    may run on more than one CPU and there is a second share, a forked child decodes it into one shared anonymous map,
+    which its arrays view, while this process decodes the first. A forked child mostly stays on its parent's CPU, so it
+    moves itself to the allowed CPUs other than the one this process runs on, where that CPU can be read and
+    ``os.sched_setaffinity`` exists. The child calls no BLAS and leaves by ``os._exit``, 1 on any exception; it is always
+    reaped here, and one that exits non-zero or dies by a signal makes the read unusual, as does a map or a process that
+    cannot be had."""
     shares, load = ([], []), [0, 0]
     for holder in sorted(holders, key=lambda holder: holder["entries"][0] - holder["entries"][1]):
         start, end = holder["entries"]
@@ -350,10 +376,13 @@ def _decode_arrays(read, holders: list) -> None:
         shares[side].append((holder, start, end))
         load[side] += end - start
     mine, theirs = shares
-    if not hasattr(os, "fork"):
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    if not hasattr(os, "fork") or (allowed is not None and len(allowed) < 2):
         mine, theirs = mine + theirs, []
     pid, outs = None, []
     if theirs:
+        cpu = _running_cpu() if hasattr(os, "sched_setaffinity") else None
+        others = allowed - {cpu} if allowed and cpu in allowed else None
         counts = [holder["rows"] * holder["cols"] for holder, _, _ in theirs]
         try:
             shared = np.frombuffer(mmap.mmap(-1, 16 * sum(counts)), np.float64).reshape(-1, 2)
@@ -366,6 +395,9 @@ def _decode_arrays(read, holders: list) -> None:
         if pid == 0:
             code = 1
             try:
+                if others:
+                    with contextlib.suppress(OSError):
+                        os.sched_setaffinity(0, others)
                 for (_, start, end), out in zip(theirs, outs):
                     _decode_entries(read, start, end, out)
                 code = 0

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,3 +29,17 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)``: what ``fn()`` returns and the peak, in bytes, of the memory tracemalloc traces while it runs."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -722,35 +721,28 @@ class TestCompactArtifacts:
             # library payload holds lists: the bytes are the same
             assert data == orjson.dumps(stated, option=orjson.OPT_APPEND_NEWLINE), path.name
 
-    def test_encode_peak_memory(self, tmp_path, monkeypatch):
+    def test_encode_peak_memory(self, tmp_path, monkeypatch, traced_peak):
         rng = np.random.default_rng(8)
         h = BlockMatrix(rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)), block_dim=128, block_count=2)
         monkeypatch.setattr("psdblocks.cli.random_block_psd", lambda spec: h)
         path = tmp_path / "H.json"
-        tracemalloc.start()
-        try:
-            assert run(["gen", "--alpha", 2, "--n", 128, "-o", path]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: run(["gen", "--alpha", 2, "--n", 128, "-o", path]))
+        assert code == 0
         # about 0.16x: the matrix and one chunk's text; a whole-file buffer
         # reached about 1.6x, plain-list entries (two Python floats and a
         # list per ~41 bytes written) about 4.7x
         assert peak < 0.5 * path.stat().st_size
 
-    def test_decompose_peak_memory(self, tmp_path):
+    def test_decompose_peak_memory(self, tmp_path, traced_peak):
         h_path, cert_path = tmp_path / "H.json", tmp_path / "cert.json"
         assert run(["gen", "--alpha", 4, "--n", 32, "--seed", 1, "-o", h_path]) == 0
-        tracemalloc.start()
-        try:
-            assert run(["decompose", "--quaternion", h_path, "-o", cert_path]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # about 1.25x: the target, the factors and the construction's
-        # temporaries; each term summed whole reached 1.43x, a whole-file
+        code, peak = traced_peak(lambda: run(["decompose", "--quaternion", h_path, "-o", cert_path]))
+        assert code == 0
+        # about 1.09x: the target, the factors and the construction's
+        # temporaries; each factor's left and conjugate made whole in the
+        # defects reached 1.25x, each term summed whole 1.43x, a whole-file
         # buffer and the dead terms 2.4x
-        assert peak < 1.4 * cert_path.stat().st_size
+        assert peak < 1.15 * cert_path.stat().st_size
 
     @needs_vmhwm
     def test_gen_resident_peak(self, tmp_path):
@@ -780,10 +772,11 @@ class TestCompactArtifacts:
     def test_verify_resident_peak(self, certs):
         base, (peak, child) = peaks_kib("verify", certs[0])[0], peaks_kib("verify", certs[1])
         size = certs[1].stat().st_size
-        # about 1.07x the 10 MB certificate: the arrays, one chunk's list and
-        # the defects' sum; the bytes held through the decode reached 1.75x,
+        # about 0.87x the 10 MB certificate: the arrays, one chunk's list and
+        # the defects' sum; each factor's left and conjugate made whole in
+        # the defects reached 1.07x, the bytes held through the decode 1.75x,
         # the whole text and a matrix's lists 3.5x
-        assert 1024 * (peak - base) < 1.2 * size
+        assert 1024 * (peak - base) < 0.95 * size
         # the child that decodes about half the arrays: about 0.7x the
         # certificate below the fresh process's own peak, as it holds no bytes
         # of the file and counts only the pages it maps, shared ones too
@@ -813,10 +806,11 @@ class TestCompactArtifacts:
             assert run(["gen", "--alpha", 4, "--n", n, "--seed", 1, "-o", h_path]) == 0
             peaks.append(peak_kib("decompose", "--quaternion", h_path, "-o", out))
         rise = 1024 * (peaks[1] - peaks[0])
-        # about 1.5x the 18 MB certificate, set while the defects are
-        # measured; each term summed whole, the padded copy of H and the
-        # core's eigenvectors held to the end reached 1.7x
-        assert rise < 1.6 * out.stat().st_size
+        # about 1.23x the 18 MB certificate; each factor's left and
+        # conjugate made whole in the defects reached 1.4x, each term summed
+        # whole, the padded copy of H and the core's eigenvectors held to
+        # the end 1.7x
+        assert rise < 1.3 * out.stat().st_size
 
     @needs_vmhwm
     def test_check_file_resident_peak(self, tmp_path):
@@ -1041,7 +1035,7 @@ class TestDecodeOnClose:
         assert run([command, path]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_parse_peak_memory(self, tmp_path, monkeypatch):
+    def test_parse_peak_memory(self, tmp_path, monkeypatch, traced_peak):
         # the parse holds one chunk's lists, not a matrix's: chunks of 4 KB
         # against matrices of 0.1 to 0.4 MB of text
         h = random_block_psd(GeneratorSpec(seed=1, alpha=4, n=16, rank=3))
@@ -1058,14 +1052,7 @@ class TestDecodeOnClose:
 
         monkeypatch.setattr(Path, "open", lambda self, mode: ReadBefore(io.FileIO(self, mode)))  # the file is outside both peaks
         monkeypatch.setattr("psdblocks.kernel._READ_BYTES", 4096)
-        peaks = []
-        for load in (lambda: json.loads(text), lambda: load_json(str(path))):
-            tracemalloc.start()
-            try:
-                load()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(load)[1] for load in (lambda: json.loads(text), lambda: load_json(str(path)))]
         # about 0.12x, the arrays; decoding each matrix's lists as its
         # object closed reached 0.56x
         assert peaks[1] < 0.2 * peaks[0]

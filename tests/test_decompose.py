@@ -14,6 +14,7 @@ import pytest
 from oracles import interleave_permutation, random_hermitian, random_psd, two_block_congruence
 
 import psdblocks.decompose as decompose_module
+import psdblocks.kernel as kernel_module
 from psdblocks import (
     BlockMatrix,
     DEFAULT_TOL,
@@ -806,15 +807,25 @@ class TestDefectHelpers:
             lambda: two_block_isometries(block_instance(4, alpha=2, n=75)),
             lambda: quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1],
             lambda: quaternion_pipeline(block_instance(4, alpha=4, n=16), beta=4)[1],
+            lambda: two_corner_decomposition(block_instance(4, alpha=5, n=13).data, 1, 64),
+            lambda: corner_decomposition_general(block_instance(4, alpha=3, n=43)),
         ],
-        ids=["two_corner_150", "corner_general_150", "two_block_150", "quaternion_b3_150", "quaternion_b4_128"],
+        ids=["two_corner_150", "corner_general_150", "two_block_150", "quaternion_b3_150", "quaternion_b4_128", "two_corner_65", "corner_general_129"],
     )
     def test_row_blocks_sum_to_the_full_products(self, build):
-        # each term added in blocks of rows gives the sum of the whole products, to the last bit,
-        # also where the last block is short (side 150 against 64 rows a block)
+        # each term added in blocks of rows and columns gives the sum of the whole products, to the last bit,
+        # also where the last block is short (side 150 against 64 rows a block) or would hold one row or column
+        # (sides 65 and 129), which numpy multiplies by a matrix-vector routine
         cert = build()
-        assert cert.target.shape[0] > decompose_module._SUM_ROWS
+        assert cert.target.shape[0] > kernel_module._BLOCK
         acc = np.zeros_like(cert.target)
         for f, core in zip(cert.factors, cert.cores, strict=True):
             acc += (f @ (float(cert.weight) * core)) @ dagger(f)
         assert measure_defects(cert)["reconstruction"] == frobenius(cert.target - acc)
+
+    def test_peak_memory(self, traced_peak):
+        # about 1.19x: the sum and about 0.4 MB besides (the scaled core, one block's left and product, and the buffer
+        # numpy adds a block through); each factor's left and conjugate made whole, the last pair still held, reached 2.0x
+        cert = quaternion_pipeline(block_instance(1, alpha=4, n=48), beta=4)[1]
+        _, peak = traced_peak(lambda: measure_defects(cert))
+        assert peak < 1.3 * cert.target.nbytes

@@ -155,6 +155,12 @@ class TestRandomBlockPsd:
         h = random_block_psd(GeneratorSpec(seed=seed, alpha=4, n=2, rank=3))
         assert hiroshima_check(h).passed
 
+    def test_peak_memory(self, traced_peak):
+        # about 2.7x the matrix: its Hermitian part made beside it, then the instance's own copy; each Gram term
+        # made whole and the Hermitian part's sum reached 3.4x
+        h, peak = traced_peak(lambda: random_block_psd(GeneratorSpec(seed=1, alpha=4, n=96, rank=3)))
+        assert peak < 3.3 * h.data.nbytes
+
     def test_bit_identical_serialization(self):
         spec = GeneratorSpec(seed=99, alpha=3, n=2, rank=2)
         a = json.dumps(block_matrix_to_json(random_block_psd(spec)), sort_keys=True)

@@ -1,7 +1,6 @@
 """Matrix kernel tests: PSD acceptance, spectra, roots, LAPACK failures, JSON."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import orjson
@@ -129,6 +128,39 @@ class TestHermitianEig:
     def test_charpoly_oracle_on_repeated_eigenvalues(self):
         m = np.diag([2.0, 2.0, 2.0, 1.0]).astype(complex)
         assert np.abs(hermitian_eigvalues(m) - charpoly_eigenvalues(m)).max() <= 1e-8
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda rng: crandn(rng, (7, 7)), id="complex"),
+            pytest.param(lambda rng: rng.standard_normal((7, 7)), id="float"),
+            pytest.param(lambda rng: crandn(rng, (7, 7)).T, id="transposed"),
+            pytest.param(lambda rng: crandn(rng, (9, 16))[1:8, ::2][:, :7], id="sliced"),
+            pytest.param(lambda rng: rng.choice([0.0, -0.0], (6, 6)) + 1j * rng.choice([0.0, -0.0], (6, 6)), id="signed_zeros"),
+            pytest.param(lambda rng: rng.choice([0.0, -0.0], (6, 6)), id="float_signed_zeros"),
+        ],
+    )
+    def test_bits_of_the_formula(self, make):
+        m = make(np.random.default_rng(12))
+        expected, got = 0.5 * (m + dagger(m)), kernel.hermitian_part(m)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous == expected.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+    def test_overflow_takes_the_halves(self):
+        m = np.array([[1.5e308, 1e308 + 1e308j], [1e308, -1.7e308j]])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(m + dagger(m)).all()
+        got, expected = kernel.hermitian_part(m), 0.5 * m + 0.5 * dagger(m)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous == expected.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes() and np.isfinite(got).all()
+
+    def test_peak_memory(self, traced_peak):
+        # about 1.09x: the result alone; the sum and the scaled copy reached 2.1x
+        m = crandn(np.random.default_rng(13), (300, 300))
+        _, peak = traced_peak(lambda: kernel.hermitian_part(m))
+        assert peak < 1.3 * m.nbytes
 
 
 class TestFrobenius:
@@ -371,14 +403,9 @@ class TestMatrixJson:
         wire = orjson.dumps(matrix_to_wire(m), option=orjson.OPT_SERIALIZE_NUMPY)
         assert wire == orjson.dumps(matrix_to_json(m))
 
-    def test_decode_peak_memory(self):
+    def test_decode_peak_memory(self, traced_peak):
         obj = matrix_to_json(crandn(np.random.default_rng(8), (256, 256)))
-        tracemalloc.start()
-        try:
-            back = matrix_from_json(obj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(lambda: matrix_from_json(obj))
         assert back.nbytes == 16 * 256 * 256
         assert peak < 2 * back.nbytes
 

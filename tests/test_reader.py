@@ -10,8 +10,8 @@ readers give the same arrays to the last bit, and ``verify`` and
 array is decoded, so a bad header is named before a number the
 whole-text reader cannot parse: the one place the two differ. Each
 parity test runs on both decode paths: with ``os.fork``, about half of
-every file's arrays decoded in a forked child, and without it, every
-array in one process.
+every file's arrays decoded in a forked child where two CPUs or more are
+allowed, and without it, every array in one process.
 """
 
 import gc
@@ -23,7 +23,6 @@ import signal
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +395,56 @@ def test_both_processes_read_the_file_at_once(tmp_path, monkeypatch):
     assert same(obj, reference_load(str(cert_path)))
 
 
+needs_affinity = pytest.mark.skipif(
+    not (hasattr(os, "sched_getaffinity") and Path("/proc/self/stat").exists()), reason="needs CPU affinity and /proc/self/stat"
+)
+
+
+@pytest.fixture
+def requested(tmp_path, monkeypatch):
+    """The file the forked child's ``os.sched_setaffinity`` writes the CPUs it asks for into, sorted; not called through."""
+    path = tmp_path / "requested"
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: path.write_text(repr(sorted(cpus))))
+    return path
+
+
+@needs_affinity
+def test_running_cpu_is_an_allowed_one():
+    assert kernel._running_cpu() in os.sched_getaffinity(0)
+
+
+@needs_affinity
+def test_decode_child_leaves_the_parents_cpu(tmp_path, monkeypatch, requested):
+    # a forked child mostly stays on its parent's CPU: it asks for every allowed CPU but the one the parent ran on
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS["orjson_compact"]())
+    expected = reference_load(str(path))
+    allowed = os.sched_getaffinity(0) | {max(os.sched_getaffinity(0)) + 1}  # two or more on any machine
+    running, seen = kernel._running_cpu, []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed))
+    monkeypatch.setattr(kernel, "_running_cpu", lambda: seen.append(running()) or seen[-1])
+    whole = whole_text_reads(monkeypatch)
+    assert same(load_json(str(path)), expected)
+    assert whole == [] and len(seen) == 1 and seen[0] in allowed
+    assert requested.read_text() == repr(sorted(allowed - {seen[0]}))
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "cpu_unread"])
+def test_unpinned_decodes(tmp_path, monkeypatch, requested, case):
+    # one allowed CPU: one process decodes every array; a CPU that cannot be read: the child stays where it is
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS["orjson_compact"]())
+    expected, fork, forks = reference_load(str(path)), getattr(os, "fork", None), []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if case == "one_cpu" else {0, 1}, raising=False)
+    if case == "cpu_unread":
+        monkeypatch.setattr(kernel, "_running_cpu", lambda: None)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    whole = whole_text_reads(monkeypatch)
+    assert same(load_json(str(path)), expected)
+    assert whole == [] and not requested.exists()
+    assert len(forks) == (case == "cpu_unread")
+
+
 def verify_outcome(monkeypatch, capsys, path, load):
     monkeypatch.setattr(cli, "load_json", load)
     code = cli.main(["verify", str(path)])
@@ -564,16 +613,11 @@ def test_bad_header_is_final_where_the_decode_declines(tmp_path, monkeypatch, ca
 
 
 @pytest.mark.parametrize("side", [2**31, 2**13], ids=["count_2_62", "count_2_26"])
-def test_impossible_count_allocates_nothing(tmp_path, side):
+def test_impossible_count_allocates_nothing(tmp_path, traced_peak, side):
     # four pairs cannot hold side**2 rows: refused before a (side**2, 2) buffer is asked for
     path = tmp_path / "file.json"
     path.write_bytes(dumped(with_target_count(side, side)))
-    tracemalloc.start()
-    try:
-        obj = load_json(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    obj, peak = traced_peak(lambda: load_json(str(path)))
     assert obj["target"]["rows"] == side  # read whole, for its reader to reject
     assert peak < 1 << 20
 
