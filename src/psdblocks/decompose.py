@@ -224,23 +224,35 @@ def measure_defects(cert: DecompositionCertificate) -> dict:
     rows (:func:`_blocks`), ``left = F_k[rows] (weight * core_k)`` is made
     and ``left F_k[cols]*`` added into the sum's block, one block of
     columns at a time, the conjugate made per block. Only the output
-    dimensions are blocked, so each entry is that of the whole products,
-    bit for bit, and the only full-size temporary is the sum, which the
-    residual reuses. The power-of-two weight scales each core (exact in the
-    normal range), so no term overflows sooner than the target. A defect
-    that overflows raises :class:`NumericalError`."""
+    dimensions are blocked, so each block added is that of the whole
+    products, bit for bit. Where every core equals its conjugate transpose
+    bit for bit, as the cores of an exactly Hermitian target do, the sum is
+    Hermitian: only its blocks on and below the diagonal are added, and
+    each block above is the conjugate transpose of its mirror. A quaternion
+    core is the target's partial trace as stated, so a target whose
+    diagonal blocks are not exactly Hermitian has every block added. The
+    target is read whole, never assumed Hermitian. The only full-size
+    temporary is the sum, which the residual reuses. The power-of-two
+    weight scales each core (exact in the normal range), so no term
+    overflows sooner than the target. A defect that overflows raises
+    :class:`NumericalError`."""
     weight = float(cert.weight)
     with np.errstate(over="ignore", invalid="ignore"):
         isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
         acc = np.zeros_like(cert.target)
         blocks = _blocks(len(acc))
+        mirrored = all(np.array_equal(core, dagger(core)) for core in cert.cores)
         for f, core in zip(cert.factors, cert.cores):
             scaled = weight * core
-            for rows in blocks:
+            for i, rows in enumerate(blocks):
                 left = f[rows] @ scaled
-                for cols in blocks:
+                for cols in blocks[: i + 1] if mirrored else blocks:
                     acc[rows, cols] += left @ dagger(f[cols])
                 del left  # not held while the next is made
+        if mirrored:
+            for i, rows in enumerate(blocks):
+                for cols in blocks[i + 1 :]:
+                    acc[rows, cols] = dagger(acc[cols, rows])
         residual = frobenius(np.subtract(cert.target, acc, out=acc))
     if not np.isfinite([residual, *isometry]).all():
         raise NumericalError(f"{cert.kind} defects are not finite: reconstruction {residual}, isometry {isometry}")

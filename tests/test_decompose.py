@@ -812,16 +812,53 @@ class TestDefectHelpers:
         ],
         ids=["two_corner_150", "corner_general_150", "two_block_150", "quaternion_b3_150", "quaternion_b4_128", "two_corner_65", "corner_general_129"],
     )
-    def test_row_blocks_sum_to_the_full_products(self, build):
-        # each term added in blocks of rows and columns gives the sum of the whole products, to the last bit,
-        # also where the last block is short (side 150 against 64 rows a block) or would hold one row or column
-        # (sides 65 and 129), which numpy multiplies by a matrix-vector routine
+    def test_row_blocks_sum_to_the_full_products(self, build, monkeypatch):
+        # each block on and below the diagonal, added in blocks of rows and columns, is the sum of the whole products', to
+        # the last bit, also where the last block is short (side 150 against 64 rows a block) or would hold one row or
+        # column (sides 65 and 129), which numpy multiplies by a matrix-vector routine; each block above is the conjugate
+        # transpose of its mirror, so the residual and the stated defect are those of the mirrored whole products
         cert = build()
         assert cert.target.shape[0] > kernel_module._BLOCK
         acc = np.zeros_like(cert.target)
         for f, core in zip(cert.factors, cert.cores, strict=True):
             acc += (f @ (float(cert.weight) * core)) @ dagger(f)
-        assert measure_defects(cert)["reconstruction"] == frobenius(cert.target - acc)
+        blocks = kernel_module._blocks(len(acc))
+        for i, rows in enumerate(blocks):
+            for cols in blocks[i + 1 :]:
+                acc[rows, cols] = dagger(acc[cols, rows])
+        measured = []
+        monkeypatch.setattr(decompose_module, "frobenius", lambda m: measured.append(m.copy()) or frobenius(m))
+        stated = measure_defects(cert)["reconstruction"]
+        assert np.array_equal(measured[-1], cert.target - acc)  # the residual is the last matrix measured
+        assert stated == frobenius(cert.target - acc)
+
+    @pytest.mark.parametrize("forgery", ["upper_entry", "lower_entry", "skew_in_both_copies"])
+    def test_forged_target_is_measured_whole(self, forgery):
+        # the sum is mirrored only where every core is exactly Hermitian: a target entry moved in either triangle is read
+        # as stated, and a quaternion target whose two equal copies carry one skew perturbation in a diagonal block has a
+        # core that is not Hermitian, whose terms are added whole
+        if forgery == "skew_in_both_copies":
+            # diagonal block 2 of each 75-row copy, rows 50 to 74, crosses the sum's first block edge at row 64, so the
+            # residual's upper blocks hold the target's perturbation beside the sum's: a mirror would flip the sum's sign
+            cert = quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1]
+            half = len(cert.target) // 2
+            copy = cert.target[:half, :half].copy()
+            copy[50:75, 50:75] += 1e-3j * random_hermitian(25, seed=3)  # skew-Hermitian
+            forged = replace(cert, target=direct_sum(copy, copy))
+            assert not np.array_equal(forged.cores[0], dagger(forged.cores[0]))
+        else:
+            cert = two_block_isometries(block_instance(4, alpha=2, n=75))
+            bumped = cert.target.copy()
+            bumped[(0, 140) if forgery == "upper_entry" else (140, 0)] += 4 * DEFAULT_TOL.slack(1.0 + frobenius(bumped))
+            forged = replace(cert, target=bumped)
+        t = forged.target
+        acc = sum(float(forged.weight) * (f @ core @ dagger(f)) for f, core in zip(forged.factors, forged.cores, strict=True))
+        defect = frobenius(t - acc)
+        isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in forged.factors]
+        passed = DEFAULT_TOL.allows(defect, 1.0 + frobenius(t)) and all(DEFAULT_TOL.allows(d, 1.0) for d in isometry)
+        assert measure_defects(forged)["reconstruction"] == pytest.approx(defect, rel=1e-12)
+        assert verify_certificate(forged).passed == passed
+        assert not passed  # each forgery lies past the bound
 
     def test_peak_memory(self, traced_peak):
         # about 1.19x: the sum and about 0.4 MB besides (the scaled core, one block's left and product, and the buffer

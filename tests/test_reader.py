@@ -11,7 +11,11 @@ array is decoded, so a bad header is named before a number the
 whole-text reader cannot parse: the one place the two differ. Each
 parity test runs on both decode paths: with ``os.fork``, about half of
 every file's arrays decoded in a forked child where two CPUs or more are
-allowed, and without it, every array in one process.
+allowed, and without it, every array in one process. The skeleton first
+ends each array at the last ``]`` before the next ``"`` or ``}``, and
+scans for the exact ends only where that read fails: the corpus holds
+bytes that cut the first search short, and ends split at a window's
+edge, and the layouts the package writes never take the exact scan.
 """
 
 import gc
@@ -24,6 +28,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import orjson
@@ -32,6 +37,7 @@ import pytest
 from psdblocks import (
     BlockMatrix,
     GeneratorSpec,
+    MalformedCertificateError,
     block_matrix_to_json,
     certificate_to_json,
     load_json,
@@ -132,6 +138,11 @@ EDGES = {
     "spaced_rows_end_after_space": (b"]]", b"] ]", 2),
     "key_space_past_the_margin": (b'"entries": [', b'"entries":' + b" " * (kernel._MARGIN + 1) + b"[", 10 + kernel._MARGIN // 2),
     "rows_space_past_the_margin": (b"]]", b"]" + b" " * (kernel._MARGIN + 1) + b"]", 1 + kernel._MARGIN // 2),
+    # the array's closing "]" ends a window, and the "}" or '"' that stops the search for it starts the next
+    "rows_end_then_brace": (b"]]}", b"]]}", 2),
+    "rows_end_then_key": (b"]]}", b']],"note":1}', 2),
+    "rows_end_space_then_brace": (b"]]}", b"]]  }", 3),
+    "rows_end_space_then_key": (b"]]}", b']]  ,"note":1}', 3),
 }
 
 
@@ -178,6 +189,7 @@ CORPUS = {
     "instance_default": lambda: dumped(instance()),
     "crlf_indent": lambda: json.dumps(certificate(), indent=1).replace("\n", "\r\n").encode(),
     "row_past_the_margin": lambda: marked(f"{MARK}" + " " * (kernel._MARGIN + 1)),  # in one-byte chunks, read whole
+    "entries_last_then_brace": lambda: orjson.dumps(matrix_to_json(np.eye(3))),  # "]]}" ends the file
     # rejections
     "nan_entry": lambda: marked("NaN"),
     "infinity_entry": lambda: marked("Infinity"),
@@ -193,6 +205,7 @@ CORPUS = {
     "one_element_pair": lambda: marked(f"[{MARK}]", f"[{MARK}, 0.5]"),
     "three_element_pair": lambda: marked(f"[{MARK}, 0.5, 1.0]", f"[{MARK}, 0.5]"),
     "nested_pair": lambda: marked(f"[{MARK}, [0.5]]", f"[{MARK}, 0.5]"),
+    "brace_in_row": lambda: marked(f"[{MARK}, {{}}]", f"[{MARK}, 0.5]"),  # ends the first search for the array's end early
     "pair_too_few": lambda: marked("", f", [{MARK}, 0.5]"),
     "pair_too_many": lambda: marked(f"[{MARK}, 0.5], [1.0, 0.0]", f"[{MARK}, 0.5]"),
     # a number outside a row's brackets, which deleting the brackets would join to a number or an empty slot
@@ -225,6 +238,8 @@ CORPUS = {
     "weight_true": lambda: dumped({**certificate(), "weight": True}),
     "weight_zero_denominator": lambda: dumped({**certificate(), "weight": "1/0"}),
     "weight_holds_a_matrix": lambda: dumped({**certificate(), "weight": matrix_to_json(np.eye(2))}),
+    # a '"' in the target's rows cuts its first span short, so only the exact spans' skeleton reaches the judge
+    "weight_wrong_quote_in_row": lambda: marked(f'[{MARK}, "0.5"]', f"[{MARK}, 0.5]").replace(b'"1/2"', b'"1/3"'),
     # named by its JSON type, so the skeleton's span never shows in the message
     "weight_object_entries_first": lambda: dumped({**certificate(), "weight": {"entries": [[1.0, 0.0]], "rows": 1, "cols": 1}}),
     "kind_missing": lambda: dumped({key: value for key, value in certificate().items() if key != "kind"}),
@@ -360,6 +375,35 @@ def whole_text_reads(monkeypatch) -> list:
     hook, seen = kernel._matrix_object_hook, []
     monkeypatch.setattr(kernel, "_matrix_object_hook", lambda obj: seen.append(obj) or hook(obj))
     return seen
+
+
+def exact_searches(monkeypatch) -> list:
+    """The sizes of the windows the exact scan for an array's end (``kernel._ROWS_END``) searches from now on."""
+    pattern, seen = kernel._ROWS_END, []
+    monkeypatch.setattr(kernel, "_ROWS_END", SimpleNamespace(search=lambda window: seen.append(len(window)) or pattern.search(window)))
+    return seen
+
+
+@pytest.mark.parametrize("name", FAST + SPLIT)
+def test_written_layouts_take_the_first_span_ends(tmp_path, monkeypatch, chunk_bytes, name):
+    # the decode confirms every span the first search found: a silent exact scan reads alike, and loses the gain
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS[name]())
+    searched = exact_searches(monkeypatch)
+    load_json(str(path))
+    assert searched == []
+
+
+def test_wrong_weight_scans_exactly_once(tmp_path, monkeypatch):
+    # the judge rejects the first skeleton; the exact scan finds the same three spans, one search each, and the verdict
+    # stands with no second parse
+    path = tmp_path / "file.json"
+    path.write_bytes(CORPUS["weight_wrong"]())
+    searched, loads, parse = exact_searches(monkeypatch), [], json.loads
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: loads.append(args) or parse(*args, **kwargs))
+    with pytest.raises(MalformedCertificateError, match="carries weight 1/3, expected 1/2"):
+        load_json(str(path), _certificate_header)
+    assert len(searched) == 3 and len(loads) == 1
 
 
 def test_file_rewritten_before_its_arrays_is_read_whole(tmp_path, monkeypatch):
@@ -578,6 +622,17 @@ def test_bad_header_is_named_before_a_bad_number(tmp_path, capsys):
     # the one precedence the skeleton changes: the whole-text reader stops at the number
     path = tmp_path / "file.json"
     path.write_bytes(marked("01").replace(b'"weight": "1/2"', b'"weight": "1/3"'))
+    with pytest.raises(json.JSONDecodeError):
+        reference_load(str(path))
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed certificate JSON: kind 'two_block_isometry' carries weight 1/3, expected 1/2\n"
+
+
+def test_bad_header_is_named_before_an_open_string(tmp_path, capsys):
+    # a '"' that opens a string in the target's rows cuts the first span short, and the skeleton around the cut does not
+    # parse: the skeleton of the exact spans reaches the judge, and the whole-text reader is never asked
+    path = tmp_path / "file.json"
+    path.write_bytes(marked(f'"{MARK}').replace(b'"weight": "1/2"', b'"weight": "1/3"'))
     with pytest.raises(json.JSONDecodeError):
         reference_load(str(path))
     assert cli.main(["verify", str(path)]) == 2
