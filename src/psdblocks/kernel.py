@@ -297,7 +297,6 @@ def _matrix_object_hook(obj: dict):
 _READ_BYTES = 1 << 18
 _MARGIN = 1 << 12  # read past _READ_BYTES for the row that crosses it: a written row takes at most 50 bytes
 _ENTRIES = re.compile(rb'"entries"[ \t\n\r]*:[ \t\n\r]*\[')
-_ROWS_END = re.compile(rb"\][ \t\n\r]*\]")
 _SPACE = b" \t\n\r"  # JSON whitespace
 _NUMBER_TEXT = b"0123456789+-.eE" + _SPACE  # all a number and the space around it are written with
 
@@ -420,24 +419,22 @@ def _decode_arrays(read, holders: list) -> None:
         holder["entries"] = out
 
 
-def _find(read, pattern, pos: int, keep: list | None) -> int | None:
-    """The end of the first match of ``pattern`` at ``pos`` or after in the file that ``read(offset, size)`` returns, None
-    if there is none; the bytes from ``pos`` up to there, or to the file's end, are appended to ``keep`` unless it is None.
-    The file is read in windows of ``_READ_BYTES`` plus ``_MARGIN`` at their offset. A match found in a window is the
-    match in the file: one that the window's end cuts runs on to it in spaces and colons, where no match starts. Where
-    none is found, the next window starts where a cut match could begin, at least ``_READ_BYTES`` on: a window that ends
-    in a longer run of spaces and colons is unusual."""
+def _find(read, pos: int, keep: list) -> int | None:
+    """The end of the first ``_ENTRIES`` match at ``pos`` or after in the file that ``read(offset, size)`` returns, None if
+    there is none; the bytes from ``pos`` up to there, or to the file's end, are appended to ``keep``. The file is read in
+    windows of ``_READ_BYTES`` plus ``_MARGIN`` at their offset. A match found in a window is the match in the file: one
+    that the window's end cuts runs on to it in spaces and colons, where no match starts. Where none is found, the next
+    window starts where a cut match could begin, at least ``_READ_BYTES`` on: a window that ends in a longer run of spaces
+    and colons is unusual."""
     size = _READ_BYTES + _MARGIN
-    while not (match := pattern.search(window := read(pos, size))) and len(window) == size:  # a shorter one ends the file
+    while not (match := _ENTRIES.search(window := read(pos, size))) and len(window) == size:  # a shorter one ends the file
         cut = len(window.rstrip(_SPACE + b":")) - len(b'"entries"')  # where a match cut by the window's end may begin
         if cut < _READ_BYTES:
             raise _Unusual
-        if keep is not None:
-            keep.append(window[:cut])
+        keep.append(window[:cut])
         pos += cut
     stop = match.end() if match else len(window)
-    if keep is not None:
-        keep.append(window[:stop])
+    keep.append(window[:stop])
     return pos + stop if match else None
 
 
@@ -463,22 +460,19 @@ def _rows_end(read, pos: int) -> int | None:
         pos += size
 
 
-def _spans(read, exact: bool):
+def _spans(read):
     """``(skeleton, spans)`` of the file that ``read(offset, size)`` returns: its bytes with each ``"entries"`` array's text
-    a ``NaN`` token, and each array's ``(start, end)`` byte span; None where there is no array or the layout is unusual.
-    Only the bytes between spans are kept. Each array's text ends where :func:`_rows_end` says or, ``exact``, at the first
-    ``]`` that is followed, after any spaces, by another (``_ROWS_END``): the end of a rows array's text, whatever follows
-    it, found by a regex that stops at every row's ``]``. The two agree on every array of ``[re, im]`` rows."""
+    a ``NaN`` token, and each array's ``(start, end)`` byte span, its end where :func:`_rows_end` says. Only the bytes
+    between spans are kept. A file with no array, or an array with no end found, is unusual."""
     skeleton, spans, pos = [], [], 0
-    with contextlib.suppress(_Unusual):
-        while (key := _find(read, _ENTRIES, pos, skeleton)) is not None:
-            skeleton[-1] = skeleton[-1][:-1] + b"NaN"  # the array's "[" becomes its placeholder
-            if (pos := _find(read, _ROWS_END, key, None) if exact else _rows_end(read, key)) is None:
-                return None
-            spans.append((key - 1, pos))
-        if spans:  # else nothing to gain
-            return b"".join(skeleton), spans
-    return None
+    while (key := _find(read, pos, skeleton)) is not None:
+        skeleton[-1] = skeleton[-1][:-1] + b"NaN"  # the array's "[" becomes its placeholder
+        if (pos := _rows_end(read, key)) is None:
+            raise _Unusual
+        spans.append((key - 1, pos))
+    if not spans:  # nothing to gain
+        raise _Unusual
+    return b"".join(skeleton), spans
 
 
 def _skeleton(text: bytes, spans: list):
@@ -508,68 +502,40 @@ def _skeleton(text: bytes, spans: list):
     return obj, holders
 
 
-_DECLINED = (ValueError, TypeError, RecursionError, MemoryError)  # what sends a file to the whole-text reader
-
-
-def _attempt(read, scanned, judge):
-    """One read of the arrays ``scanned``, what :func:`_spans` returned: ``(obj, None)`` where its skeleton parses
-    (:func:`_skeleton`), passes ``judge`` and has every array decoded (:func:`_decode_arrays`); ``(None, exc)`` where
-    ``judge`` raised ``exc``; ``(None, None)`` where the span reader declines."""
-    if scanned is None:
-        return None, None
-    try:
-        obj, holders = _skeleton(*scanned)
-    except _DECLINED:
-        return None, None
-    try:
-        if judge is not None:
-            judge(obj)
-    except Exception as exc:  # whatever the judge raises is its verdict, which the caller raises or drops
-        return None, exc
-    with contextlib.suppress(*_DECLINED):
-        _decode_arrays(read, holders)
-        return obj, None
-    return None, None
-
-
 def load_json(path, judge=None):
     """The JSON document in the UTF-8 file ``path`` as parsed, but for each ``"entries"`` array of ``rows * cols`` pairs of
     numbers, which becomes its ``(rows*cols, 2)`` float64 array for :func:`matrix_from_json` to make the matrix. Every
     parse runs with the cyclic collector paused: the parsed lists are acyclic.
 
-    The span reader never holds the whole file: it finds each ``"entries"`` array's span in windows read at their offset,
-    a pipe's read into memory first, keeps the bytes between spans, and ``json.loads`` parses that skeleton, each array's
-    text a placeholder for its span (:func:`_spans`, :func:`_skeleton`). ``judge``, if given, is called on the skeleton
-    before any array is decoded. Then orjson decodes each array in chunks of rows read at its offset
-    (:func:`_decode_arrays`); where ``os.fork`` exists and the file holds two arrays or more, a forked child decodes about
-    half the text.
-
-    Each span first ends at the last ``]`` before the next ``"`` or ``}`` (:func:`_rows_end`), trusted only once every
-    array is decoded: the decode's shape check proves each span a rows array's text, whose end the exact scan finds too.
-    Where the skeleton is declined, the judge raises or a decode declines, the exact scan finds the spans again. Where it
-    finds the same spans, that outcome stands, and what the judge raised reaches the caller as it was raised; otherwise
-    the exact spans are read as above. So the judge sees the skeleton and gives the verdict it would have given on the
-    exact spans alone. A file the span reader does not take, or whose size or modification time changed while it read,
-    is read again and parsed whole by ``json.loads`` with an object hook that makes the same arrays; the caller's reader
-    of the document makes every rejection. A document nested too deeply to parse raises ``ValueError``."""
+    The span reader never holds the whole file (a pipe's is read into memory first): one search of windows read at their
+    offset finds each ``"entries"`` array's span, ending at the last ``]`` before the next ``"`` or ``}`` (:func:`_spans`),
+    the bytes between spans are kept, and ``json.loads`` parses that skeleton, each array's text a placeholder for its
+    span (:func:`_skeleton`). ``judge``, if given, is called on the skeleton before any array is decoded, and what it raises
+    reaches the caller as it was raised. Then orjson decodes each array in chunks of rows read at its offset
+    (:func:`_decode_arrays`), whose shape check proves each span a rows array's text; where ``os.fork`` exists and the
+    file holds two arrays or more, a forked child decodes about half the text. A file the span reader does not take, or
+    whose size or modification time changed while it read, is read again and parsed whole by ``json.loads`` with an
+    object hook that makes the same arrays; the caller's reader of the document makes every rejection. A document nested
+    too deeply to parse raises ``ValueError``."""
+    declined = (ValueError, TypeError, RecursionError, MemoryError)  # what sends a file to the whole-text reader
     enabled = gc.isenabled()
     gc.disable()
     try:
         with Path(path).open("rb") as disk:
             file = disk if disk.seekable() else io.BytesIO(disk.read())
             before, read = os.fstat(disk.fileno()), _window_reader(file)
-            loose = _spans(read, exact=False)
-            obj, verdict = _attempt(read, loose, judge)
-            if obj is None and (exact := _spans(read, exact=True)) != loose:  # a loose span was not a rows array's text
-                obj, verdict = _attempt(read, exact, judge)
-            if verdict is not None:
-                try:
-                    raise verdict
-                finally:
-                    del verdict  # no cycle through this frame, which the traceback holds
-            after = os.fstat(disk.fileno())
-            if obj is not None and (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
-                return obj
+            try:
+                obj, holders = _skeleton(*_spans(read))
+            except declined:
+                pass
+            else:
+                if judge is not None:
+                    judge(obj)
+                with contextlib.suppress(*declined):
+                    _decode_arrays(read, holders)
+                    after = os.fstat(disk.fileno())
+                    if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+                        return obj
             file.seek(0)
             text = io.TextIOWrapper(io.BytesIO(file.read()), encoding="utf-8").read()  # as Path.read_text decodes it
         try:

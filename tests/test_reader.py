@@ -7,15 +7,14 @@ edge of a window the skeleton's scan reads, and malformed files, both
 readers give the same arrays to the last bit, and ``verify`` and
 ``check`` the same exit code, stdout, stderr and report (timestamp aside).
 ``verify`` judges the certificate's header on the skeleton before any
-array is decoded, so a bad header is named before a number the
-whole-text reader cannot parse: the one place the two differ. Each
-parity test runs on both decode paths: with ``os.fork``, about half of
-every file's arrays decoded in a forked child where two CPUs or more are
-allowed, and without it, every array in one process. The skeleton first
-ends each array at the last ``]`` before the next ``"`` or ``}``, and
-scans for the exact ends only where that read fails: the corpus holds
-bytes that cut the first search short, and ends split at a window's
-edge, and the layouts the package writes never take the exact scan.
+array is decoded, so where the skeleton parses, a bad header is named
+before a number the whole-text reader cannot parse: the one place the
+two differ. Each parity test runs on both decode paths: with
+``os.fork``, about half of every file's arrays decoded in a forked child
+where two CPUs or more are allowed, and without it, every array in one
+process. The skeleton ends each array at the last ``]`` before the next
+``"`` or ``}``, found in one search: the corpus holds bytes that cut
+that search short, and ends split at a window's edge.
 """
 
 import gc
@@ -28,7 +27,6 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import orjson
@@ -238,7 +236,7 @@ CORPUS = {
     "weight_true": lambda: dumped({**certificate(), "weight": True}),
     "weight_zero_denominator": lambda: dumped({**certificate(), "weight": "1/0"}),
     "weight_holds_a_matrix": lambda: dumped({**certificate(), "weight": matrix_to_json(np.eye(2))}),
-    # a '"' in the target's rows cuts its first span short, so only the exact spans' skeleton reaches the judge
+    # a '"' in the target's rows cuts its span short, so the skeleton does not parse and the whole-text reader names the '"'
     "weight_wrong_quote_in_row": lambda: marked(f'[{MARK}, "0.5"]', f"[{MARK}, 0.5]").replace(b'"1/2"', b'"1/3"'),
     # named by its JSON type, so the skeleton's span never shows in the message
     "weight_object_entries_first": lambda: dumped({**certificate(), "weight": {"entries": [[1.0, 0.0]], "rows": 1, "cols": 1}}),
@@ -377,33 +375,43 @@ def whole_text_reads(monkeypatch) -> list:
     return seen
 
 
-def exact_searches(monkeypatch) -> list:
-    """The sizes of the windows the exact scan for an array's end (``kernel._ROWS_END``) searches from now on."""
-    pattern, seen = kernel._ROWS_END, []
-    monkeypatch.setattr(kernel, "_ROWS_END", SimpleNamespace(search=lambda window: seen.append(len(window)) or pattern.search(window)))
-    return seen
-
-
 @pytest.mark.parametrize("name", FAST + SPLIT)
 def test_written_layouts_take_the_first_span_ends(tmp_path, monkeypatch, chunk_bytes, name):
-    # the decode confirms every span the first search found: a silent exact scan reads alike, and loses the gain
+    # one search finds every span, and each is its array's whole text: a second search that found the same spans would
+    # read alike, and scan the file again
     path = tmp_path / "file.json"
-    path.write_bytes(CORPUS[name]())
-    searched = exact_searches(monkeypatch)
-    load_json(str(path))
-    assert searched == []
+    path.write_bytes(data := CORPUS[name]())
+    spans_of, found = kernel._spans, []
+    monkeypatch.setattr(kernel, "_spans", lambda read: found.append(spans_of(read)) or found[-1])
+    whole = whole_text_reads(monkeypatch)
+    obj = load_json(str(path))
+    matrices = [obj] if "block_dim" in obj else [obj["target"], *obj["factors"]]
+    ((_, spans),) = found
+    assert whole == [] and [len(json.loads(data[start:end])) for start, end in spans] == [m["rows"] * m["cols"] for m in matrices]
 
 
 def test_wrong_weight_scans_exactly_once(tmp_path, monkeypatch):
-    # the judge rejects the first skeleton; the exact scan finds the same three spans, one search each, and the verdict
-    # stands with no second parse
-    path = tmp_path / "file.json"
-    path.write_bytes(CORPUS["weight_wrong"]())
-    searched, loads, parse = exact_searches(monkeypatch), [], json.loads
+    # the judge rejects the only skeleton: one search of the file's windows, one json.loads and no decode
+    h_path, path = tmp_path / "H.json", tmp_path / "cert.json"
+    assert cli.main(["gen", "--alpha", "2", "--n", "16", "--seed", "2", "-o", str(h_path)]) == 0
+    assert cli.main(["decompose", "--two-block", str(h_path), "-o", str(path)]) == 0
+    assert path.read_bytes().count(b'"1/2"') == 1
+    path.write_bytes(path.read_bytes().replace(b'"1/2"', b'"1/3"'))
+    monkeypatch.setattr(kernel, "_READ_BYTES", 1 << 12)
+    length = path.stat().st_size
+    assert length > 8 * (kernel._READ_BYTES + kernel._MARGIN)
+    window_reader, read_bytes, loads, decodes, parse = kernel._window_reader, [], [], [], json.loads
+
+    def counted(file):
+        read = window_reader(file)
+        return lambda offset, size: read_bytes.append(len(window := read(offset, size))) or window
+
+    monkeypatch.setattr(kernel, "_window_reader", counted)
+    monkeypatch.setattr(kernel, "_decode_entries", lambda *args: decodes.append(args))
     monkeypatch.setattr(json, "loads", lambda *args, **kwargs: loads.append(args) or parse(*args, **kwargs))
     with pytest.raises(MalformedCertificateError, match="carries weight 1/3, expected 1/2"):
         load_json(str(path), _certificate_header)
-    assert len(searched) == 3 and len(loads) == 1
+    assert sum(read_bytes) < 2 * length and len(loads) == 1 and decodes == []
 
 
 def test_file_rewritten_before_its_arrays_is_read_whole(tmp_path, monkeypatch):
@@ -628,15 +636,14 @@ def test_bad_header_is_named_before_a_bad_number(tmp_path, capsys):
     assert capsys.readouterr().err == "error: malformed certificate JSON: kind 'two_block_isometry' carries weight 1/3, expected 1/2\n"
 
 
-def test_bad_header_is_named_before_an_open_string(tmp_path, capsys):
-    # a '"' that opens a string in the target's rows cuts the first span short, and the skeleton around the cut does not
-    # parse: the skeleton of the exact spans reaches the judge, and the whole-text reader is never asked
+def test_open_string_is_named_before_a_bad_header(tmp_path, monkeypatch, capsys):
+    # a '"' that opens a string in the target's rows cuts its span short, and the skeleton around the cut does not parse:
+    # the whole-text reader names the syntax error, as it would alone
     path = tmp_path / "file.json"
     path.write_bytes(marked(f'"{MARK}').replace(b'"weight": "1/2"', b'"weight": "1/3"'))
-    with pytest.raises(json.JSONDecodeError):
-        reference_load(str(path))
-    assert cli.main(["verify", str(path)]) == 2
-    assert capsys.readouterr().err == "error: malformed certificate JSON: kind 'two_block_isometry' carries weight 1/3, expected 1/2\n"
+    expected = verify_outcome(monkeypatch, capsys, path, reference_load)
+    assert expected == (2, "", "error: Expecting ',' delimiter: line 1 column 1591 (char 1590)\n")
+    assert verify_outcome(monkeypatch, capsys, path, load_json) == expected
 
 
 @pytest.mark.parametrize("error", [ValueError("judged bad"), KeyError("kind")], ids=["value_error", "key_error"])
@@ -678,8 +685,9 @@ def test_impossible_count_allocates_nothing(tmp_path, traced_peak, side):
 
 
 def header_message(data: bytes):
-    """What ``_certificate_header`` says of ``data`` with every ``"entries"`` array set to one valid pair, or None."""
-    repaired = re.sub(rb'("entries"\s*:\s*)\[.*?\]\s*\]', rb"\1[[0, 0]]", data, flags=re.S)
+    """What ``_certificate_header`` says of ``data`` with every ``"entries"`` array, from its ``[`` to the last ``]`` before
+    the next ``"`` or ``}`` as the skeleton ends it, set to one valid pair, or None."""
+    repaired = re.sub(rb'("entries"[ \t\n\r]*:[ \t\n\r]*)\[[^"}]*\]', rb"\1[[0, 0]]", data)
     try:
         _certificate_header(json.loads(repaired))
     except (ValueError, UnicodeDecodeError) as exc:
