@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,41 +220,45 @@ class DecompositionCertificate:
 
 def measure_defects(cert: DecompositionCertificate) -> dict:
     """``||target - weight * sum_k F_k core_k F_k*||_F`` and each
-    ``||F_k* F_k - I||_F``, recomputed. The isometry defects are measured
-    first, before the sum exists. Then, for each factor and each block of
-    rows (:func:`_blocks`), ``left = F_k[rows] (weight * core_k)`` is made
-    and ``left F_k[cols]*`` added into the sum's block, one block of
-    columns at a time, the conjugate made per block. Only the output
-    dimensions are blocked, so each block added is that of the whole
-    products, bit for bit. Where every core equals its conjugate transpose
-    bit for bit, as the cores of an exactly Hermitian target do, the sum is
-    Hermitian: only its blocks on and below the diagonal are added, and
-    each block above is the conjugate transpose of its mirror. A quaternion
-    core is the target's partial trace as stated, so a target whose
-    diagonal blocks are not exactly Hermitian has every block added. The
-    target is read whole, never assumed Hermitian. The only full-size
-    temporary is the sum, which the residual reuses. The power-of-two
-    weight scales each core (exact in the normal range), so no term
-    overflows sooner than the target. A defect that overflows raises
-    :class:`NumericalError`."""
-    weight = float(cert.weight)
+    ``||F_k* F_k - I||_F``, recomputed, with no array of the target's size.
+    Each Gram ``F_k* F_k`` is made whole, so its bits do not depend on how
+    the BLAS splits a product among its threads, and 1 is taken off its
+    diagonal in place. Then, for each block of rows (:func:`_blocks`),
+    ``left = F_k[rows] (weight * core_k)`` is made for every k, and for each
+    block of columns the k products ``left F_k[cols]*`` are added into a
+    block-sized part, in order. Only the output dimensions are blocked, so
+    each part is that block of the whole sum, bit for bit. The part's
+    residual against the target's block is measured at once, and the
+    reconstruction defect is the :func:`math.hypot` of these norms, in loop
+    order. Where every core equals its conjugate transpose bit for bit, as
+    the cores of an exactly Hermitian target do, the sum is Hermitian: only
+    the parts on and below the diagonal are made, and each is measured also
+    against the target's mirror block, through the part's conjugate
+    transpose. A quaternion core is the target's partial trace as stated,
+    so a target whose diagonal blocks are not exactly Hermitian has every
+    part made. The target is read whole, never assumed Hermitian. Each
+    distinct core is scaled once by the power-of-two weight (exact in the
+    normal range), so no term overflows sooner than the target. A defect
+    that overflows raises :class:`NumericalError`."""
+    target, blocks = cert.target, _blocks(len(cert.target))
     with np.errstate(over="ignore", invalid="ignore"):
-        isometry = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
-        acc = np.zeros_like(cert.target)
-        blocks = _blocks(len(acc))
+        isometry = []
+        for f in cert.factors:
+            gram = dagger(f) @ f
+            gram.flat[:: len(gram) + 1] -= 1
+            isometry.append(frobenius(gram))
+        scaled = {id(core): float(cert.weight) * core for core in cert.cores}
         mirrored = all(np.array_equal(core, dagger(core)) for core in cert.cores)
-        for f, core in zip(cert.factors, cert.cores):
-            scaled = weight * core
-            for i, rows in enumerate(blocks):
-                left = f[rows] @ scaled
-                for cols in blocks[: i + 1] if mirrored else blocks:
-                    acc[rows, cols] += left @ dagger(f[cols])
-                del left  # not held while the next is made
-        if mirrored:
-            for i, rows in enumerate(blocks):
-                for cols in blocks[i + 1 :]:
-                    acc[rows, cols] = dagger(acc[cols, rows])
-        residual = frobenius(np.subtract(cert.target, acc, out=acc))
+        norms = []
+        for i, rows in enumerate(blocks):
+            lefts = [f[rows] @ scaled[id(core)] for f, core in zip(cert.factors, cert.cores)]
+            for j, cols in enumerate(blocks[: i + 1] if mirrored else blocks):
+                part = sum(left @ dagger(f[cols]) for f, left in zip(cert.factors, lefts))
+                norms.append(frobenius(target[rows, cols] - part))
+                if mirrored and j < i:
+                    norms.append(frobenius(target[cols, rows] - dagger(part)))
+            del lefts  # not held while the next are made
+        residual = math.hypot(*norms)
     if not np.isfinite([residual, *isometry]).all():
         raise NumericalError(f"{cert.kind} defects are not finite: reconstruction {residual}, isometry {isometry}")
     return {"reconstruction": residual, "isometry": isometry}

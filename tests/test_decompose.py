@@ -3,6 +3,7 @@ pipeline stages, certificate verification and serialization."""
 
 import functools
 import json
+import math
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -767,6 +768,22 @@ class TestCertificates:
             assert gaps.min() >= -1e-8 * (1 + frobenius(cert.target))
 
 
+# Certificates of sides above one block: the last block short (150), or one row or column past a block (65, 129)
+BLOCKED_BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda: two_corner_decomposition(block_instance(4, alpha=2, n=75).data, 70, 80),
+        lambda: corner_decomposition_general(block_instance(4, alpha=3, n=50)),
+        lambda: two_block_isometries(block_instance(4, alpha=2, n=75)),
+        lambda: quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1],
+        lambda: quaternion_pipeline(block_instance(4, alpha=4, n=16), beta=4)[1],
+        lambda: two_corner_decomposition(block_instance(4, alpha=5, n=13).data, 1, 64),
+        lambda: corner_decomposition_general(block_instance(4, alpha=3, n=43)),
+    ],
+    ids=["two_corner_150", "corner_general_150", "two_block_150", "quaternion_b3_150", "quaternion_b4_128", "two_corner_65", "corner_general_129"],
+)
+
+
 class TestDefectHelpers:
     @pytest.mark.parametrize("kind", decompose_module.KINDS)
     def test_measured_defects_match_definitions(self, kind):
@@ -799,38 +816,41 @@ class TestDefectHelpers:
         assert measured["reconstruction"] == pytest.approx(frobenius(t - acc), abs=1e-15)
         assert measured["isometry"] == pytest.approx(isometry, abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: two_corner_decomposition(block_instance(4, alpha=2, n=75).data, 70, 80),
-            lambda: corner_decomposition_general(block_instance(4, alpha=3, n=50)),
-            lambda: two_block_isometries(block_instance(4, alpha=2, n=75)),
-            lambda: quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1],
-            lambda: quaternion_pipeline(block_instance(4, alpha=4, n=16), beta=4)[1],
-            lambda: two_corner_decomposition(block_instance(4, alpha=5, n=13).data, 1, 64),
-            lambda: corner_decomposition_general(block_instance(4, alpha=3, n=43)),
-        ],
-        ids=["two_corner_150", "corner_general_150", "two_block_150", "quaternion_b3_150", "quaternion_b4_128", "two_corner_65", "corner_general_129"],
-    )
+    @BLOCKED_BUILDS
     def test_row_blocks_sum_to_the_full_products(self, build, monkeypatch):
         # each block on and below the diagonal, added in blocks of rows and columns, is the sum of the whole products', to
         # the last bit, also where the last block is short (side 150 against 64 rows a block) or would hold one row or
-        # column (sides 65 and 129), which numpy multiplies by a matrix-vector routine; each block above is the conjugate
-        # transpose of its mirror, so the residual and the stated defect are those of the mirrored whole products
+        # column (sides 65 and 129), which numpy multiplies by a matrix-vector routine; each block above is measured
+        # against the conjugate transpose of its mirror, so each residual block measured is that of the mirrored whole
+        # products, and the stated defect is the hypot of their norms, in the order measured
         cert = build()
         assert cert.target.shape[0] > kernel_module._BLOCK
         acc = np.zeros_like(cert.target)
         for f, core in zip(cert.factors, cert.cores, strict=True):
             acc += (f @ (float(cert.weight) * core)) @ dagger(f)
         blocks = kernel_module._blocks(len(acc))
+        order = []
         for i, rows in enumerate(blocks):
             for cols in blocks[i + 1 :]:
                 acc[rows, cols] = dagger(acc[cols, rows])
+            for j, cols in enumerate(blocks[: i + 1]):
+                order += [(rows, cols), (cols, rows)] if j < i else [(rows, cols)]
         measured = []
         monkeypatch.setattr(decompose_module, "frobenius", lambda m: measured.append(m.copy()) or frobenius(m))
         stated = measure_defects(cert)["reconstruction"]
-        assert np.array_equal(measured[-1], cert.target - acc)  # the residual is the last matrix measured
-        assert stated == frobenius(cert.target - acc)
+        residual = cert.target - acc
+        parts = measured[len(cert.factors) :]  # the isometry Grams are measured first
+        assert len(parts) == len(order)
+        for part, (rows, cols) in zip(parts, order):
+            assert np.array_equal(part, residual[rows, cols])
+        assert stated == math.hypot(*map(frobenius, parts))
+        assert stated == pytest.approx(frobenius(residual), rel=1e-15)
+
+    @BLOCKED_BUILDS
+    def test_isometry_defects_are_those_of_the_whole_grams(self, build):
+        cert = build()
+        whole = [frobenius(dagger(f) @ f - np.eye(f.shape[1])) for f in cert.factors]
+        assert measure_defects(cert)["isometry"] == whole
 
     @pytest.mark.parametrize("forgery", ["upper_entry", "lower_entry", "skew_in_both_copies"])
     def test_forged_target_is_measured_whole(self, forgery):
@@ -861,8 +881,8 @@ class TestDefectHelpers:
         assert not passed  # each forgery lies past the bound
 
     def test_peak_memory(self, traced_peak):
-        # about 1.19x: the sum and about 0.4 MB besides (the scaled core, one block's left and product, and the buffer
-        # numpy adds a block through); each factor's left and conjugate made whole, the last pair still held, reached 2.0x
+        # about 0.43x: the four factors' lefts of one block of rows, the scaled core and one part's products; the sum
+        # held whole beside them reached 1.19x, and each factor's left and conjugate made whole, the last pair held, 2.0x
         cert = quaternion_pipeline(block_instance(1, alpha=4, n=48), beta=4)[1]
         _, peak = traced_peak(lambda: measure_defects(cert))
-        assert peak < 1.3 * cert.target.nbytes
+        assert peak < 0.6 * cert.target.nbytes
