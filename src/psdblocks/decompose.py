@@ -34,10 +34,10 @@ A certificate is its kind, its target and its factors; the paper fixes
 everything else. The weight is one over the number of conjugates
 averaged (1, 1/2 or 1/4), the slots of a corner certificate are its
 factor widths, and one rule per kind checks the target's structure and
-derives the cores from it (its diagonal blocks, or their sum) at
-construction, so a certificate cannot pair factors with a core of its
-own choosing. :func:`verify_certificate` recomputes the defects from
-scratch so third parties can replay acceptance.
+derives the cores from it (the Hermitian parts of its diagonal blocks,
+or of their sum) at construction, so a certificate cannot pair factors
+with a core of its own choosing. :func:`verify_certificate` recomputes
+the defects from scratch so third parties can replay acceptance.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ def corner_unitary(m, offset: int) -> np.ndarray:
 def _cores(kind: str, t: np.ndarray, widths: list[int]) -> tuple[np.ndarray, ...]:
     """The one rule of each kind: check the target's structure against the
     factor widths and derive the cores from it, the Hermitian part of each
-    diagonal slot (corner kinds), of ``A + B`` (two blocks), or the doubled
-    partial trace (quaternion). A sum that overflows raises
-    :class:`NumericalError`."""
+    diagonal slot (corner kinds), of ``A + B`` (two blocks), or of the
+    partial trace, doubled (quaternion). Every core is thus exactly
+    Hermitian. A sum that overflows raises :class:`NumericalError`."""
     side = t.shape[0]
     if t.shape[1] != side:
         raise MalformedCertificateError("target must be square")
@@ -170,7 +170,7 @@ def _cores(kind: str, t: np.ndarray, widths: list[int]) -> tuple[np.ndarray, ...
     copy = t[:half, :half]
     if t[:half, half:].any() or t[half:, :half].any() or not np.array_equal(t[half:, half:], copy):
         raise MalformedCertificateError("quaternion target must be two equal diagonal copies")
-    delta = partial_trace(BlockMatrix(copy, block_dim=n, block_count=half // n))
+    delta = hermitian_part(partial_trace(BlockMatrix(copy, block_dim=n, block_count=half // n)))
     return (direct_sum(delta, delta),) * 4
 
 
@@ -230,16 +230,13 @@ def measure_defects(cert: DecompositionCertificate) -> dict:
     each part is that block of the whole sum, bit for bit. The part's
     residual against the target's block is measured at once, and the
     reconstruction defect is the :func:`math.hypot` of these norms, in loop
-    order. Where every core equals its conjugate transpose bit for bit, as
-    the cores of an exactly Hermitian target do, the sum is Hermitian: only
-    the parts on and below the diagonal are made, and each is measured also
-    against the target's mirror block, through the part's conjugate
-    transpose. A quaternion core is the target's partial trace as stated,
-    so a target whose diagonal blocks are not exactly Hermitian has every
-    part made. The target is read whole, never assumed Hermitian. Each
-    distinct core is scaled once by the power-of-two weight (exact in the
-    normal range), so no term overflows sooner than the target. A defect
-    that overflows raises :class:`NumericalError`."""
+    order. Every core is Hermitian, so the sum is: only the parts on and
+    below the diagonal are made, and each is measured also against the
+    target's mirror block, through the part's conjugate transpose. The
+    target is read whole, never assumed Hermitian. Each distinct core is
+    scaled once by the power-of-two weight (exact in the normal range), so
+    no term overflows sooner than the target. A defect that overflows
+    raises :class:`NumericalError`."""
     target, blocks = cert.target, _blocks(len(cert.target))
     with np.errstate(over="ignore", invalid="ignore"):
         isometry = []
@@ -248,14 +245,13 @@ def measure_defects(cert: DecompositionCertificate) -> dict:
             gram.flat[:: len(gram) + 1] -= 1
             isometry.append(frobenius(gram))
         scaled = {id(core): float(cert.weight) * core for core in cert.cores}
-        mirrored = all(np.array_equal(core, dagger(core)) for core in cert.cores)
         norms = []
         for i, rows in enumerate(blocks):
             lefts = [f[rows] @ scaled[id(core)] for f, core in zip(cert.factors, cert.cores)]
-            for j, cols in enumerate(blocks[: i + 1] if mirrored else blocks):
+            for j, cols in enumerate(blocks[: i + 1]):
                 part = sum(left @ dagger(f[cols]) for f, left in zip(cert.factors, lefts))
                 norms.append(frobenius(target[rows, cols] - part))
-                if mirrored and j < i:
+                if j < i:
                     norms.append(frobenius(target[cols, rows] - dagger(part)))
             del lefts  # not held while the next are made
         residual = math.hypot(*norms)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 
-from psdblocks import DEFAULT_TOL, CheckReport, Tolerance, dagger, frobenius, hermitian_part
+from psdblocks import DEFAULT_TOL, BlockMatrix, CheckReport, Tolerance, dagger, frobenius, hermitian_part
 from psdblocks.checks import _partial_sums_le
 from psdblocks.generate import _crandn, _hermitian_draw, _random_unitary, _stream
 from psdblocks.kernel import _lapack, as_matrix
@@ -180,6 +180,17 @@ def random_psd(side: int, rank: int, seed: int, scale: float = 1.0) -> np.ndarra
     if rank == 0:
         return np.zeros((side, side), dtype=np.complex128)
     return hermitian_part(g @ dagger(g)) * scale
+
+
+def rank_one_instance(seed: int, alpha: int, n: int) -> BlockMatrix:
+    """``(c c^T) (x) (w w*)`` for real c and complex w: rank one, and
+    block (s, t) is the Hermitian ``c_s c_t w w*``. The diagonal of the
+    computed ``w w*`` may carry imaginary rounding, so its blocks need not
+    be Hermitian bit for bit."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(alpha)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return BlockMatrix(np.kron(np.outer(c, c), np.outer(w, w.conj())), block_dim=n, block_count=alpha)
 
 
 def singular_values(m) -> np.ndarray:

@@ -12,7 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import charpoly_eigenvalues, random_commuting_family, random_hermitian, random_psd, two_block_congruence
+from oracles import (
+    charpoly_eigenvalues,
+    random_commuting_family,
+    random_hermitian,
+    random_psd,
+    rank_one_instance,
+    two_block_congruence,
+)
 
 from psdblocks import (
     BlockMatrix,
@@ -294,19 +301,10 @@ def test_criterion_11_extreme_scales():
                 assert report.passed
 
 
-def _rank_one_instance(seed, alpha, n):
-    """``(c c^T) (x) (w w*)`` for real c and complex w: rank one, and
-    block (s, t) is the Hermitian ``c_s c_t w w*``."""
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(alpha)
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return BlockMatrix(np.kron(np.outer(c, c), np.outer(w, w.conj())), block_dim=n, block_count=alpha)
-
-
 def test_criterion_12_rank_one_large_sides():
     with criterion(12, "rank one at sides 128 and above"):
         for i, (alpha, n) in enumerate(((2, 64), (3, 43), (4, 32), (4, 64))):
-            h = _rank_one_instance(12000 + i, alpha, n)
+            h = rank_one_instance(12000 + i, alpha, n)
             assert h.side >= 128
             assert validate_hermitian_blocks(h) == ()
             assert hermitian_eigvalues(h.data)[1] <= 1e-10 * frobenius(h.data)

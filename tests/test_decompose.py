@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import interleave_permutation, random_hermitian, random_psd, two_block_congruence
+from oracles import interleave_permutation, random_hermitian, random_psd, rank_one_instance, two_block_congruence
 
 import psdblocks.decompose as decompose_module
 import psdblocks.kernel as kernel_module
@@ -37,6 +37,7 @@ from psdblocks import (
     geometric_mean_instance,
     get_block,
     hermitian_eigvalues,
+    hermitian_part,
     measure_defects,
     nonhermitian_counterexample,
     partial_trace,
@@ -538,9 +539,7 @@ class TestGramRoute:
     def test_singular_core_falls_back_to_svds(self, alpha, lapack_calls):
         # rank-one H = (c c^T) (x) (w w*) with Hermitian blocks: its core is
         # rank one, so its smallest eigenvalue is not positive
-        rng = np.random.default_rng(12 + alpha)
-        c, w = rng.standard_normal(alpha), rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        h = BlockMatrix(np.kron(np.outer(c, c), np.outer(w, w.conj())), block_dim=32, block_count=alpha)
+        h = rank_one_instance(12 + alpha, alpha, 32)
         cert = two_block_isometries(h) if alpha == 2 else quaternion_pipeline(h, beta=4)[1]
         assert verify_certificate(cert).passed
         assert lapack_counts(lapack_calls) == {"eigh": 2, "svd": len(cert.factors)}
@@ -768,7 +767,19 @@ class TestCertificates:
             assert gaps.min() >= -1e-8 * (1 + frobenius(cert.target))
 
 
-# Certificates of sides above one block: the last block short (150), or one row or column past a block (65, 129)
+def skew_bumped(cert, start, stop):
+    """``cert`` whose target gains a skew-Hermitian bump in diagonal rows and
+    columns ``start:stop``, in both copies of a quaternion target."""
+    bump = np.zeros_like(cert.target)
+    skew = 1e-3j * random_hermitian(stop - start, seed=3)
+    for offset in (0, len(bump) // 2) if cert.kind == "quaternion" else (0,):
+        bump[offset + start : offset + stop, offset + start : offset + stop] = skew
+    return replace(cert, target=cert.target + bump)
+
+
+# Certificates of sides above one block: the last block short (150), or one row or column past a block (65, 129); two
+# quaternion targets whose diagonal blocks are not exactly Hermitian, one forged in diagonal block 2 of each 75-row copy
+# (rows 50 to 74, across the first block edge at row 64) and the rank-one instance of acceptance criterion 12
 BLOCKED_BUILDS = pytest.mark.parametrize(
     "build",
     [
@@ -779,8 +790,20 @@ BLOCKED_BUILDS = pytest.mark.parametrize(
         lambda: quaternion_pipeline(block_instance(4, alpha=4, n=16), beta=4)[1],
         lambda: two_corner_decomposition(block_instance(4, alpha=5, n=13).data, 1, 64),
         lambda: corner_decomposition_general(block_instance(4, alpha=3, n=43)),
+        lambda: skew_bumped(quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1], 50, 75),
+        lambda: quaternion_pipeline(rank_one_instance(12002, alpha=4, n=32), beta=4)[1],
     ],
-    ids=["two_corner_150", "corner_general_150", "two_block_150", "quaternion_b3_150", "quaternion_b4_128", "two_corner_65", "corner_general_129"],
+    ids=[
+        "two_corner_150",
+        "corner_general_150",
+        "two_block_150",
+        "quaternion_b3_150",
+        "quaternion_b4_128",
+        "two_corner_65",
+        "corner_general_129",
+        "quaternion_b3_150_skew",
+        "quaternion_b4_256_rank_one",
+    ],
 )
 
 
@@ -807,6 +830,7 @@ class TestDefectHelpers:
         else:
             n, copy = 2, t[:6, :6]
             delta = sum(copy[k * n : (k + 1) * n, k * n : (k + 1) * n] for k in range(3))
+            delta = (delta + dagger(delta)) / 2
             cores = [direct_sum(delta, delta)] * 4
         acc = np.zeros_like(t)
         for f, core in zip(cert.factors, cores, strict=True):
@@ -822,7 +846,8 @@ class TestDefectHelpers:
         # the last bit, also where the last block is short (side 150 against 64 rows a block) or would hold one row or
         # column (sides 65 and 129), which numpy multiplies by a matrix-vector routine; each block above is measured
         # against the conjugate transpose of its mirror, so each residual block measured is that of the mirrored whole
-        # products, and the stated defect is the hypot of their norms, in the order measured
+        # products, and the stated defect is the hypot of their norms, in the order measured; one order for every
+        # certificate, also where the target's diagonal blocks are not exactly Hermitian
         cert = build()
         assert cert.target.shape[0] > kernel_module._BLOCK
         acc = np.zeros_like(cert.target)
@@ -854,18 +879,17 @@ class TestDefectHelpers:
 
     @pytest.mark.parametrize("forgery", ["upper_entry", "lower_entry", "skew_in_both_copies"])
     def test_forged_target_is_measured_whole(self, forgery):
-        # the sum is mirrored only where every core is exactly Hermitian: a target entry moved in either triangle is read
-        # as stated, and a quaternion target whose two equal copies carry one skew perturbation in a diagonal block has a
-        # core that is not Hermitian, whose terms are added whole
+        # the sum is mirrored, the target never: a target entry moved in either triangle is read as stated, and a
+        # quaternion target whose two equal copies carry one skew perturbation in a diagonal block has the Hermitian part
+        # of its doubled partial trace for core, so the skew part stays in the residual, on both sides of the diagonal
         if forgery == "skew_in_both_copies":
-            # diagonal block 2 of each 75-row copy, rows 50 to 74, crosses the sum's first block edge at row 64, so the
-            # residual's upper blocks hold the target's perturbation beside the sum's: a mirror would flip the sum's sign
-            cert = quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1]
-            half = len(cert.target) // 2
-            copy = cert.target[:half, :half].copy()
-            copy[50:75, 50:75] += 1e-3j * random_hermitian(25, seed=3)  # skew-Hermitian
-            forged = replace(cert, target=direct_sum(copy, copy))
-            assert not np.array_equal(forged.cores[0], dagger(forged.cores[0]))
+            # diagonal block 2 of each 75-row copy, rows 50 to 74, crosses the sum's first block edge at row 64
+            forged = skew_bumped(quaternion_pipeline(block_instance(4, alpha=3, n=25), beta=3)[1], 50, 75)
+            half = len(forged.target) // 2
+            delta = partial_trace(BlockMatrix(forged.target[:half, :half], block_dim=25, block_count=3))
+            core = forged.cores[0]
+            assert np.array_equal(core, dagger(core))
+            assert np.array_equal(core, hermitian_part(direct_sum(delta, delta)))
         else:
             cert = two_block_isometries(block_instance(4, alpha=2, n=75))
             bumped = cert.target.copy()
@@ -879,6 +903,24 @@ class TestDefectHelpers:
         assert measure_defects(forged)["reconstruction"] == pytest.approx(defect, rel=1e-12)
         assert verify_certificate(forged).passed == passed
         assert not passed  # each forgery lies past the bound
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: skew_bumped(two_corner_decomposition(block_instance(4, alpha=2, n=4).data, 3, 5), 0, 3),
+            lambda: skew_bumped(corner_decomposition_general(block_instance(4, alpha=3, n=3)), 0, 3),
+            lambda: skew_bumped(two_block_isometries(block_instance(4, alpha=2, n=4)), 0, 3),
+            lambda: skew_bumped(quaternion_pipeline(block_instance(4, alpha=3, n=3), beta=3)[1], 0, 3),
+            lambda: quaternion_pipeline(rank_one_instance(12002, alpha=4, n=32), beta=4)[1],
+        ],
+        ids=["two_corner", "corner_general", "two_block_isometry", "quaternion", "quaternion_rank_one"],
+    )
+    def test_every_core_is_hermitian(self, build):
+        # the one order of measure_defects mirrors the sum, which holds only where every core equals its conjugate
+        # transpose bit for bit: each kind's rule takes a Hermitian part, also of a target whose diagonal blocks are not
+        # exactly Hermitian, forged or, in the rank-one instance, through the rounding of w w* on its diagonal
+        for core in build().cores:
+            assert np.array_equal(core, dagger(core))
 
     def test_peak_memory(self, traced_peak):
         # about 0.43x: the four factors' lefts of one block of rows, the scaled core and one part's products; the sum
