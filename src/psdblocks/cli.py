@@ -33,6 +33,7 @@ from .decompose import (
     _certificate_header,
     certificate_from_json,
     certificate_to_json,
+    quaternion_blocks,
     quaternion_pipeline,
     quaternion_stage_defects,
     two_block_isometries,
@@ -247,8 +248,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     print("== quaternion route, stage by stage ==")
     h = random_block_psd(spec)
-    blocks, cert = quaternion_pipeline(h, beta=4, tol=tol)
-    equal, skew = quaternion_stage_defects(blocks, cert)
+    cert = quaternion_pipeline(h, beta=4, tol=tol)[1]
+    equal, skew = quaternion_stage_defects(quaternion_blocks(h, beta=4, tol=tol), cert)
     print(f"  off-diagonal skew defect {_fmt(skew)}")
     print(f"  equal-diagonal defect {_fmt(equal)}")
     print(f"  reconstruction defect {_fmt(cert.defects['reconstruction'])}")

@@ -25,8 +25,9 @@ every ``X_k* X_k`` is ``weight * core_k``, so factor k is the isometric
 polar factor ``X_k (weight * core_k)^(-1/2)``, one eigensolve per
 distinct core, or a thin SVD's where that Gram route fails its bounds.
 Each X_k is a closed-form sum of column blocks of ``sqrt(H)`` times
-fixed entries of C, so C is never formed; :func:`quaternion_stage_defects`
-reads the quaternion stages off those same blocks. Positivity is decided
+fixed entries of C, so C is never formed, and is dropped once its factor
+exists; :func:`quaternion_stage_defects` reads the quaternion stages off
+the X_k that :func:`quaternion_blocks` returns. Positivity is decided
 by :func:`validate_hermitian_psd` (through :func:`psd_sqrt`), block
 Hermiticity by :func:`validate_hermitian_blocks`.
 
@@ -85,6 +86,7 @@ __all__ = [
     "corner_decomposition_general",
     "corner_unitary",
     "measure_defects",
+    "quaternion_blocks",
     "quaternion_pipeline",
     "quaternion_stage_defects",
     "quaternion_units",
@@ -260,33 +262,51 @@ def measure_defects(cert: DecompositionCertificate) -> dict:
     return {"reconstruction": residual, "isometry": isometry}
 
 
-def _isometry_average(kind: str, target: np.ndarray, blocks, tol: Tolerance) -> DecompositionCertificate:
-    """The one construction, defects measured: factor k is the polar factor
-    ``X_k Q diag(mu^(-1/2)) Q*`` of ``X_k = blocks[k]``, ``weight * core_k =
-    Q diag(mu) Q*``. This Gram route squares the condition number and moves
-    a Hermitian-block defect into the isometry defect, over ``min(mu)``
-    (Higham, SIAM J. Sci. Stat. Comput. 7, 1986): where a core is not
-    positive definite, or the certificate fails :func:`verify_certificate`'s
-    bounds under ``tol`` or the default, whichever is tighter in each
-    component (so a default ``verify`` passes it), thin SVDs give the factors."""
+def _isometry_average(
+    kind: str, target: np.ndarray, widths: list[int], blocks, tol: Tolerance
+) -> tuple[dict, DecompositionCertificate]:
+    """The one construction, defects measured: ``blocks()`` yields each X_k
+    in turn, and factor k is the polar factor ``X_k Q diag(mu^(-1/2)) Q*``,
+    ``weight * core_k = Q diag(mu) Q*``; no X_k is held past its factor.
+    Returns ``({"equal": e}, cert)``, e the largest ``||X_k* X_k - weight *
+    core_k||_F``, the identity this Gram route rests on. The route squares
+    the condition number and moves a Hermitian-block defect into the
+    isometry defect, over ``min(mu)`` (Higham, SIAM J. Sci. Stat. Comput. 7,
+    1986): where a core is not positive definite, or the certificate fails
+    :func:`verify_certificate`'s bounds under ``tol`` or the default,
+    whichever is tighter in each component (so a default ``verify`` passes
+    it), thin SVDs of a second ``blocks()`` give the factors."""
     strict = Tolerance(min(tol.atol, DEFAULT_TOL.atol), min(tol.rtol, DEFAULT_TOL.rtol))
-    cores = _cores(kind, target, [x.shape[1] for x in blocks])
+    weight = float(_WEIGHT[kind])
+    cores = _cores(kind, target, widths)
+    equal = []
+
+    def factors(polar) -> tuple[np.ndarray, ...]:
+        out = []
+        for x in blocks():  # not zip, whose reused tuple would hold X_k while the next is made
+            core = cores[len(out)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                equal.append(frobenius(dagger(x) @ x - weight * core))
+            out.append(polar(x, core))
+            del x  # nor the loop variable
+        return tuple(out)
+
     roots: dict[int, np.ndarray] = {}
     with contextlib.suppress(NumericalError, ValueError):
         for core in cores:
             if id(core) not in roots:
-                mu, q = _lapack("eigh", float(_WEIGHT[kind]) * core)
+                mu, q = _lapack("eigh", weight * core)
                 if not mu[0] > 0:
                     raise NumericalError(f"{kind} core is not positive definite")
                 roots[id(core)] = (q / np.sqrt(mu)) @ dagger(q)
                 del q  # not held through the factors and their defects
         with np.errstate(over="ignore", invalid="ignore"):  # a factor that overflows fails as_matrix
-            cert = DecompositionCertificate(kind, target, tuple(x @ roots[id(c)] for x, c in zip(blocks, cores)))
+            cert = DecompositionCertificate(kind, target, factors(lambda x, core: x @ roots[id(core)]))
         if _judged(cert, cert.defects, strict).passed:
-            return cert
-    cert = DecompositionCertificate(kind, target, tuple(_polar(x) for x in blocks))
+            return {"equal": max(equal)}, cert
+    cert = DecompositionCertificate(kind, target, factors(lambda x, _: _polar(x)))
     cert.defects  # measured on either route
-    return cert
+    return {"equal": max(equal)}, cert
 
 
 def _hermitian_block_root(h: BlockMatrix, tol: Tolerance, what: str) -> np.ndarray:
@@ -315,7 +335,7 @@ def two_corner_decomposition(
     if a.shape[0] != a.shape[1] or a.shape[0] != n + m:
         raise ValueError(f"expected a square matrix of side {n + m}, got {a.shape}")
     root = psd_sqrt(a, tol)
-    return _isometry_average("two_corner", a, np.hsplit(root, [n]), tol)
+    return _isometry_average("two_corner", a, [n, m], lambda: np.hsplit(root, [n]), tol)[1]
 
 
 def corner_decomposition_general(
@@ -329,7 +349,7 @@ def corner_decomposition_general(
     Hermitian blocks are not required, only positivity.
     """
     root = psd_sqrt(h.data, tol)
-    return _isometry_average("corner_general", h.data, np.hsplit(root, h.block_count), tol)
+    return _isometry_average("corner_general", h.data, [h.block_dim] * h.block_count, lambda: np.hsplit(root, h.block_count), tol)[1]
 
 
 def two_block_isometries(
@@ -351,16 +371,35 @@ def two_block_isometries(
     root = _hermitian_block_root(h, tol, "two-block decomposition input")
     r1, r2 = np.hsplit(root, 2)
     c = 1 / np.sqrt(2.0)
-    halves = (r1 * (-1j * c) + r2 * c, r1 * (1j * c) + r2 * c)
-    return _isometry_average("two_block_isometry", h.data, halves, tol)
+    signs = (-1j * c, 1j * c)
+    return _isometry_average("two_block_isometry", h.data, [h.block_dim] * 2, lambda: (r1 * s + r2 * c for s in signs), tol)[1]
 
 
 _SIGN4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
 
 
+def _quaternion_root(h: BlockMatrix, beta: int, tol: Tolerance) -> np.ndarray:
+    """``sqrt(H)`` of an input with Hermitian blocks, zero rows added to ``beta * n``, once h and beta are checked."""
+    if h.block_count not in (3, 4):
+        raise ValueError(f"partition must have 3 or 4 block rows, got {h.block_count}")
+    if beta not in (3, 4):
+        raise ValueError("beta must be 3 or 4")
+    if beta == 3 and h.block_count != 3:
+        raise ValueError("beta = 3 requires a 3x3 partition")
+    return np.pad(_hermitian_block_root(h, tol, "quaternion decomposition input"), ((0, beta * h.block_dim - h.side), (0, 0)))
+
+
+def _quaternion_columns(root: np.ndarray, alpha: int):
+    """Each column block ``X_k = 1/2 sum_a s_ak kron(u_a*, R_a)`` of
+    ``sqrt(H (+) H) M*`` in turn, from the padded root, its terms made as added."""
+    columns = list(zip(quaternion_units(), np.hsplit(root, alpha)))
+    for k in range(4):
+        yield sum(_SIGN4[a, k] * np.kron(dagger(u) / 2.0, r) for a, (u, r) in enumerate(columns))
+
+
 def quaternion_pipeline(
     h: BlockMatrix, beta: int, tol: Tolerance = DEFAULT_TOL
-) -> tuple[tuple[np.ndarray, ...], DecompositionCertificate]:
+) -> tuple[dict, DecompositionCertificate]:
     """Decompose ``H (+) H`` as a quarter of four isometry conjugates of
     the doubled partial trace, for 3 or 4 Hermitian blocks.
 
@@ -374,30 +413,30 @@ def quaternion_pipeline(
     the units of :func:`quaternion_units` and s the signs of R2; neither
     M nor P is formed. For beta = 3 the zero rows that the padding adds
     to ``sqrt(H)`` are left out, giving 6n x 2n factors; beta = 4 with a
-    3x3 partition keeps them, and the padded target. Returns the four
-    column blocks ``X_k`` of x and the certificate: factors from one
-    eigensolve of ``(D (+) D)/4`` or thin SVDs, defects measured.
+    3x3 partition keeps them, and the padded target. The root is dropped
+    once the four factors exist (:func:`quaternion_blocks` returns the X_k).
+    Returns ``({"equal": e}, cert)`` as ``_isometry_average`` does: factors
+    from one eigensolve of ``(D (+) D)/4`` or thin SVDs, defects measured.
     """
-    alpha, n = h.block_count, h.block_dim
-    if alpha not in (3, 4):
-        raise ValueError(f"partition must have 3 or 4 block rows, got {alpha}")
-    if beta not in (3, 4):
-        raise ValueError("beta must be 3 or 4")
-    if beta == 3 and alpha != 3:
-        raise ValueError("beta = 3 requires a 3x3 partition")
-    rows = beta * n
-    padded_root = np.pad(_hermitian_block_root(h, tol, "quaternion decomposition input"), ((0, rows - h.side), (0, 0)))
-    terms = [np.kron(dagger(u) / 2.0, r) for u, r in zip(quaternion_units(), np.hsplit(padded_root, alpha))]
-    blocks = [sum(_SIGN4[a, k] * t for a, t in enumerate(terms)) for k in range(4)]
-    del padded_root, terms  # the terms are as large as the four blocks: not held through the construction
-    # the padded copy of H lives only as direct_sum's two arguments, not through the construction
-    cert = _isometry_average("quaternion", direct_sum(*[np.pad(h.data, (0, rows - h.side))] * 2), blocks, tol)
-    return tuple(blocks), cert
+    held = [_quaternion_root(h, beta, tol)]  # H is checked before the target is made
+
+    def blocks():
+        # the SVD fallback, after the Gram route has dropped the root, makes it again by the same calls, to the same bits
+        return _quaternion_columns(held.pop() if held else _quaternion_root(h, beta, tol), h.block_count)
+
+    target = direct_sum(*[np.pad(h.data, (0, beta * h.block_dim - h.side))] * 2)
+    return _isometry_average("quaternion", target, [2 * h.block_dim] * 4, blocks, tol)
+
+
+def quaternion_blocks(h: BlockMatrix, beta: int, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
+    """The four column blocks ``X_k`` of ``x = sqrt(H (+) H) M*``, whose polar
+    factors :func:`quaternion_pipeline` makes, by the same calls to the same bits."""
+    return tuple(_quaternion_columns(_quaternion_root(h, beta, tol), h.block_count))
 
 
 def quaternion_stage_defects(blocks, cert: DecompositionCertificate) -> tuple[float, float]:
     """``(equal, skew)``, the quaternion route's two stage defects on the
-    column blocks of ``x = sqrt(H (+) H) M*`` from :func:`quaternion_pipeline`.
+    column blocks of ``x = sqrt(H (+) H) M*`` from :func:`quaternion_blocks`.
 
     ``phi = x* x = M (H (+) H) M*`` has four diagonal 2n-blocks equal to
     ``d = (D (+) D)/4``, a quarter of the core: ``equal`` is the largest

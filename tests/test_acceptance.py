@@ -40,6 +40,7 @@ from psdblocks import (
     nonhermitian_counterexample,
     operator_pair_check,
     partial_trace,
+    quaternion_blocks,
     quaternion_pipeline,
     quaternion_stage_defects,
     quaternion_units,
@@ -118,8 +119,8 @@ def test_criterion_3_quaternion_pipeline():
                     GeneratorSpec(seed=3000 + 500 * beta + i, alpha=beta, n=1 + i % 3, rank=1 + i % 4)
                 )
                 n = h.block_dim
-                blocks, cert = quaternion_pipeline(h, beta=beta)
-                equal, skew = quaternion_stage_defects(blocks, cert)
+                cert = quaternion_pipeline(h, beta=beta)[1]
+                equal, skew = quaternion_stage_defects(quaternion_blocks(h, beta=beta), cert)
                 assert skew <= 1e-9
                 assert equal <= 1e-9
                 assert cert.weight == Fraction(1, 4)

@@ -42,6 +42,7 @@ from psdblocks import (
     nonhermitian_counterexample,
     partial_trace,
     psd_sqrt,
+    quaternion_blocks,
     quaternion_pipeline,
     quaternion_stage_defects,
     quaternion_units,
@@ -304,11 +305,11 @@ class TestQuaternionPipeline:
     @pytest.mark.parametrize("seed", range(25))
     def test_stage_invariants_beta_four(self, seed):
         h = block_instance(seed, alpha=4, n=1 + seed % 3)
-        blocks, cert = quaternion_pipeline(h, beta=4)
-        equal, skew = quaternion_stage_defects(blocks, cert)
+        stages, cert = quaternion_pipeline(h, beta=4)
+        equal, skew = quaternion_stage_defects(quaternion_blocks(h, beta=4), cert)
         scale = 1 + frobenius(h.data)
         assert skew <= 1e-9 * scale
-        assert equal <= 1e-9 * scale
+        assert max(equal, stages["equal"]) <= 1e-9 * scale
         assert cert.defects["reconstruction"] <= 1e-8 * scale
         assert max(cert.defects["isometry"]) <= 1e-9
         n = h.block_dim
@@ -338,7 +339,7 @@ class TestQuaternionPipeline:
         # M = R2 W P built densely: P the interleave permutation (whose
         # conjugation is duplicate_blocks), W the inflated units, R2 the signs
         h = block_instance(7 + n, alpha=alpha, n=n)
-        blocks, cert = quaternion_pipeline(h, beta=beta)
+        blocks, cert = quaternion_blocks(h, beta=beta), quaternion_pipeline(h, beta=beta)[1]
         pad = (0, (4 - alpha) * n)
         padded = BlockMatrix(np.pad(h.data, pad), block_dim=n, block_count=4)
         doubled = direct_sum(padded.data, padded.data)
@@ -360,6 +361,16 @@ class TestQuaternionPipeline:
         # both stage defects, measured on the dense phi = M (H (+) H) M* and omega = W G W*
         expected = dense_stage_defects(m @ doubled @ dagger(m), w @ g @ dagger(w), cert.cores[0] / 4.0)
         assert quaternion_stage_defects(blocks, cert) == pytest.approx(expected, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("beta", [4, 3])
+    def test_equal_stage_is_that_of_the_blocks(self, beta):
+        # acceptance criterion 3's family: the equal stage, measured on each X_k as its factor is made, is the one that
+        # quaternion_stage_defects reads off the four X_k held together
+        for i in range(100):
+            h = random_block_psd(GeneratorSpec(seed=3000 + 500 * beta + i, alpha=beta, n=1 + i % 3, rank=1 + i % 4))
+            stages, cert = quaternion_pipeline(h, beta=beta)
+            equal = quaternion_stage_defects(quaternion_blocks(h, beta=beta), cert)[0]
+            assert stages["equal"] == pytest.approx(equal, abs=1e-12 * (1 + frobenius(h.data)))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_beta_three_trims_to_six_n(self, seed):
@@ -467,8 +478,8 @@ def column_blocks(h, kind):
         return two_block_isometries(h), (r1 * (-1j * c) + r2 * c, r1 * (1j * c) + r2 * c)
     if kind == "corner_general":
         return corner_decomposition_general(h), np.hsplit(psd_sqrt(h.data), h.block_count)
-    blocks, cert = quaternion_pipeline(h, beta=int(kind[-1]))
-    return cert, blocks
+    beta = int(kind[-1])
+    return quaternion_pipeline(h, beta=beta)[1], quaternion_blocks(h, beta=beta)
 
 
 def lapack_counts(calls):
@@ -543,6 +554,22 @@ class TestGramRoute:
         cert = two_block_isometries(h) if alpha == 2 else quaternion_pipeline(h, beta=4)[1]
         assert verify_certificate(cert).passed
         assert lapack_counts(lapack_calls) == {"eigh": 2, "svd": len(cert.factors)}
+
+    @pytest.mark.parametrize(
+        "instance, eighs",
+        [(lambda: rank_one_instance(12002, alpha=4, n=32), 2), (lambda: near_violation(244, 4, 64, 0.5), 3)],
+        ids=["singular_core", "root_made_again"],
+    )
+    def test_svd_factors_are_those_of_quaternion_blocks(self, instance, eighs, lapack_calls):
+        # a singular core sends the construction to the SVDs before any X_k is made, so the root is still held; a
+        # certificate past its bounds sends it there after the Gram route has dropped the root, which is made again by
+        # one more eigh; either way each factor is the polar factor of quaternion_blocks' X_k, bit for bit
+        h = instance()
+        lapack_calls.clear()
+        cert = quaternion_pipeline(h, beta=4)[1]
+        assert lapack_counts(lapack_calls) == {"eigh": eighs, "svd": 4}
+        for f, x in zip(cert.factors, quaternion_blocks(h, beta=4), strict=True):
+            assert f.tobytes() == decompose_module._polar(x).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_looser_tolerance_still_passes_default_verify(self, seed):
